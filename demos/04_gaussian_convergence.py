@@ -31,4 +31,3 @@ for family in ("A", "B", "C", "D", "product"):
 # every column shrinks roughly like a power of the rank; the same sweep is
 # available from the command line as
 #   qkostant converge --family B --ranks 25,100,400
-# and honors KOSTANT_THREADS for parallel evaluation with identical output

@@ -18,7 +18,7 @@ from .errors import (
     RankTooSmall,
     ZeroDistribution,
 )
-from .polyring import QPoly, QuadExt, RatFunc, Root5, qpoly_gcd
+from .polyring import QPoly, Root5
 from .rootsys import (
     LIE_TYPES,
     MIN_RANK,
@@ -29,8 +29,6 @@ from .rootsys import (
 )
 from .kostant import count_decompositions, qanalog
 from .closedform import (
-    BETA_MINUS,
-    BETA_PLUS,
     BenderReport,
     SupportSpec,
     check_bender_conditions,
@@ -56,24 +54,23 @@ from .gaussianity import (
     family_poly,
     normal_cdf,
     summarize,
-    thread_count,
 )
 from .verify import CheckResult, run_all, summary_line
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "QPoly", "RatFunc", "QuadExt", "Root5", "qpoly_gcd",
+    "QPoly", "Root5",
     "LIE_TYPES", "MIN_RANK", "RootSystem", "build_root_system",
     "highest_root", "positive_root_count",
     "qanalog", "count_decompositions",
     "SupportSpec", "weight_of", "product_qpoly", "iter_support_specs",
-    "gf_coefficient", "explicit_qpoly", "BETA_PLUS", "BETA_MINUS",
+    "gf_coefficient", "explicit_qpoly",
     "BenderReport", "check_bender_conditions",
     "MomentPair", "moments_from_poly", "product_moments", "closed_moments",
     "MEAN_GROWTH_LIMIT", "TYPE_B_VARIANCE_NOTE",
     "DistSummary", "summarize", "convergence_sweep", "family_poly", "normal_cdf",
-    "DEFAULT_T_GRID", "FAMILIES", "thread_count",
+    "DEFAULT_T_GRID", "FAMILIES",
     "CheckResult", "run_all", "summary_line",
     "KostantError", "RankTooSmall", "DimensionMismatch", "InvalidSupport",
     "ZeroDistribution", "DegenerateDistribution", "NonRationalResult",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -71,9 +72,12 @@ def _parse_int_list(text: str):
 
 def _parse_float_list(text: str):
     try:
-        return tuple(float(p) for p in text.split(","))
+        values = tuple(float(p) for p in text.split(","))
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated finite floats, got {text!r}")
+    return values
 
 
 def _parse_weight(text: str):

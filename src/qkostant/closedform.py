@@ -12,9 +12,12 @@ Three independent alternatives to the lattice-fold oracle live here:
   the equivalent linear recurrence with family-specific numerators.
 * explicit_qpoly: the same highest-root polynomial written directly as
   g_plus * beta_plus**e + g_minus * beta_minus**e with conjugate surds
-  beta = ((q**2+2q+2) +/- q*s)/2, s*s = q*q + 4.  The surd parts must
-  cancel identically; the implementation computes both conjugate terms in
-  QuadExt and verifies the cancellation instead of assuming it.
+  beta = ((q**2+2q+2) +/- q*s)/2, s*s = q*q + 4.  Only the sum of the two
+  conjugate terms is needed, so the route works on pairs (x, y) of integer
+  polynomials standing for x + y*s: it takes the real part of
+  (A + B*s) * (2*beta_plus)**e for the family numerator pair (A, B) and
+  divides it by 2**e * (q**2+4), checking that both divisions are exact
+  instead of assuming it.
 
 check_bender_conditions verifies the hypotheses of the classical central
 limit theorem for coefficient arrays of rational generating functions at
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalCancellationFailure, InvalidSupport, RankTooSmall
-from .polyring import QPoly, QuadExt, RatFunc, Root5
+from .polyring import QPoly, Root5
 from .rootsys import Weight, validate_type_rank
 
 
@@ -155,46 +158,64 @@ def gf_coefficient(lie_type: str, rank: int) -> QPoly:
         return seq[rank]
 
 
-def _half_surd(a_coeffs, b_coeffs, den_coeffs=None):
-    """(A + B*s) / den as a QuadExt, with s*s = q*q + 4."""
-    den = QPoly(den_coeffs) if den_coeffs is not None else QPoly.one()
-    return QuadExt(RatFunc(QPoly(a_coeffs), den), RatFunc(QPoly(b_coeffs), den))
+# Surd route.  A pair (x, y) of integer polynomials stands for x + y*s with
+# s*s = q*q + 4.
+_S_SQUARED = QPoly((4, 0, 1))
 
+#: 2*beta_plus = (q^2 + 2q + 2) + q*s; 2*beta_minus is its conjugate.
+_TWO_BETA_PLUS = (QPoly((2, 2, 1)), QPoly((0, 1)))
 
-#: The conjugate surds beta = ((q^2 + 2q + 2) +/- q*s) / 2.  They satisfy
-#: beta_plus + beta_minus = 2 + 2q + q^2 and
-#: beta_plus * beta_minus = 1 + 2q + q^2 + q^3.
-BETA_PLUS = _half_surd((1, 1, Fraction(1, 2)), (0, Fraction(1, 2)))
-BETA_MINUS = _half_surd((1, 1, Fraction(1, 2)), (0, Fraction(-1, 2)))
-
-# Family coefficients g at the surds, over the common denominator 2(q^2+4),
-# and the rank shift in the exponent: value = g+ * beta+**(r-shift) + conj.
+# Family numerators (A, B) with g_plus = (A + B*s) / (2(q^2 + 4)), and the
+# rank shift, which is also the family's minimum rank:
+# value = g_plus * beta_plus**(rank - shift) + conjugate.
 _EXPLICIT = {
-    "B": (
-        _half_surd((0, 4, 4, 5, 1, 1), (0, 2, 3, 1, 1), (8, 0, 2)),
-        2,
-        2,
-    ),
-    "C": (
-        _half_surd((0, 4, 0, 1), (0, 0, 1), (8, 0, 2)),
-        1,
-        1,
-    ),
-    "D": (
-        _half_surd((0, 4, 16, 25, 16, 10, 3, 1), (0, 2, 9, 12, 8, 3, 1), (8, 0, 2)),
-        4,
-        4,
-    ),
+    "B": ((0, 4, 4, 5, 1, 1), (0, 2, 3, 1, 1), 2),
+    "C": ((0, 4, 0, 1), (0, 0, 1), 1),
+    "D": ((0, 4, 16, 25, 16, 10, 3, 1), (0, 2, 9, 12, 8, 3, 1), 4),
 }
+
+
+def _pair_mul(u, v):
+    """(x1 + y1*s)(x2 + y2*s) as a pair."""
+    (x1, y1), (x2, y2) = u, v
+    return x1 * x2 + y1 * y2 * _S_SQUARED, x1 * y2 + x2 * y1
+
+
+def _pair_pow(u, n: int):
+    """u**n for a pair u, by repeated squaring."""
+    result = (QPoly.one(), QPoly.zero())
+    while n:
+        if n & 1:
+            result = _pair_mul(result, u)
+        n >>= 1
+        if n:
+            u = _pair_mul(u, u)
+    return result
+
+
+def _div_s_squared(p: QPoly, label: str) -> QPoly:
+    """p / (q^2 + 4) by synthetic division; the remainder must be zero."""
+    rem = list(p.coeffs)
+    quot = [0] * (len(rem) - 2)
+    for i in range(len(rem) - 1, 1, -1):
+        c = rem[i]
+        quot[i - 2] = c
+        rem[i - 2] -= 4 * c
+    if any(rem[:2]):
+        raise InternalCancellationFailure(
+            f"q^2+4 does not divide the surd sum for {label}: remainder {QPoly(rem[:2])}"
+        )
+    return QPoly(quot)
 
 
 def explicit_qpoly(lie_type: str, rank: int) -> QPoly:
     """Highest-root part-count polynomial from the conjugate-surd formulas.
 
-    Type A is the plain product q*(1+q)**(rank-1).  For B/C/D both conjugate
-    terms are computed independently in the quadratic extension; the surd
-    part must cancel and the rational part must clear its denominator, and
-    either failure raises InternalCancellationFailure.
+    Type A is the plain product q*(1+q)**(rank-1).  For B/C/D, with
+    e = rank - shift, the conjugate sum g_plus*beta_plus**e + conjugate
+    equals Re[(A + B*s)(2*beta_plus)**e] / (2**e * (q^2+4)).  Both
+    divisions must be exact, and either failure raises
+    InternalCancellationFailure.
     """
     if lie_type == "A":
         if rank < 1:
@@ -202,22 +223,19 @@ def explicit_qpoly(lie_type: str, rank: int) -> QPoly:
         return QPoly.q() * QPoly((1, 1)) ** (rank - 1)
     if lie_type not in _EXPLICIT:
         raise ValueError(f"unknown family {lie_type!r}")
-    g_plus, shift, min_rank = _EXPLICIT[lie_type]
-    if rank < min_rank:
+    a_coeffs, b_coeffs, shift = _EXPLICIT[lie_type]
+    if rank < shift:
         raise RankTooSmall(
-            f"explicit formula for type {lie_type} starts at rank {min_rank}, got {rank}"
+            f"explicit formula for type {lie_type} starts at rank {shift}, got {rank}"
         )
     e = rank - shift
-    total = g_plus * BETA_PLUS ** e + g_plus.conjugate() * BETA_MINUS ** e
-    if not total.b.is_zero:
-        raise InternalCancellationFailure(
-            f"surd part survived for {lie_type}{rank}: {total.b}"
-        )
-    if not total.a.is_polynomial:
-        raise InternalCancellationFailure(
-            f"denominator survived for {lie_type}{rank}: {total.a}"
-        )
-    return total.a.as_qpoly()
+    label = f"{lie_type}{rank}"
+    x, y = _pair_pow(_TWO_BETA_PLUS, e)
+    real = QPoly(a_coeffs) * x + QPoly(b_coeffs) * y * _S_SQUARED
+    mask = (1 << e) - 1
+    if any(c & mask for c in real.coeffs):
+        raise InternalCancellationFailure(f"2^{e} does not divide the surd sum for {label}")
+    return _div_s_squared(QPoly([c >> e for c in real.coeffs]), label)
 
 
 @dataclass(frozen=True)

@@ -13,22 +13,22 @@ from exact intermediate quantities:
   function at fixed points t.
 
 log M(t) is evaluated by Horner's rule on the normalized coefficients when
-the degree and coefficient sizes are modest, and otherwise by log-sum-exp
-on log p_k + k*t/sigma, which stays finite for arbitrarily large
-coefficients.
+the degree and coefficient sizes are modest and the Horner sum is finite and
+positive, and otherwise by log-sum-exp on log p_k + k*t/sigma, which stays
+finite for arbitrarily large coefficients and |t|.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .closedform import SupportSpec, explicit_qpoly, gf_coefficient, product_qpoly
-from .errors import DegenerateDistribution, ZeroDistribution
+from .errors import DegenerateDistribution, InvalidSupport, ZeroDistribution
 from .polyring import QPoly
+from .rootsys import LIE_TYPES, validate_type_rank
 
 #: Families a convergence sweep understands: the four highest-root families
 #: plus the bumped product-form family over type A.
@@ -38,6 +38,7 @@ DEFAULT_T_GRID = (-1.0, -0.5, 0.5, 1.0)
 
 _HORNER_MAX_DEGREE = 2000
 _HORNER_MAX_BITS = 900
+_EXP_MAX_ARG = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -82,12 +83,14 @@ def _central_moments(g: QPoly):
 def _log_mgf(coeffs, g1: int, t: float, mu_f: float, sigma_f: float) -> float:
     """log of the standardized moment generating function at t."""
     n = t / sigma_f
-    if len(coeffs) - 1 <= _HORNER_MAX_DEGREE and g1.bit_length() <= _HORNER_MAX_BITS:
+    if (len(coeffs) - 1 <= _HORNER_MAX_DEGREE and g1.bit_length() <= _HORNER_MAX_BITS
+            and n < _EXP_MAX_ARG):
         z = math.exp(n)
         acc = 0.0
         for c in reversed(coeffs):
             acc = acc * z + (float(Fraction(c, g1)) if c else 0.0)
-        return math.log(acc) - t * mu_f / sigma_f
+        if 0.0 < acc < math.inf:
+            return math.log(acc) - t * mu_f / sigma_f
     log_g1 = math.log(g1)
     terms = [math.log(c) - log_g1 + k * n for k, c in enumerate(coeffs) if c]
     top = max(terms)
@@ -133,43 +136,23 @@ def family_poly(family: str, rank: int, bumps: int = 0) -> QPoly:
     product-form weight bumped by one extra copy at indices 2, 4, ...,
     2*bumps, which requires rank > 2*bumps.
     """
+    if family in LIE_TYPES:
+        validate_type_rank(family, rank)
     if family in ("B", "C", "D"):
         return gf_coefficient(family, rank)
     if family == "A":
         return explicit_qpoly("A", rank)
     if family == "product":
+        if bumps < 0:
+            raise InvalidSupport(f"bump count must be >= 0, got {bumps}")
         entries = tuple((2 * i, 1) for i in range(1, bumps + 1))
         return product_qpoly(SupportSpec("A", rank, entries))
     raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
 
 
-def thread_count() -> int:
-    """Worker cap from the KOSTANT_THREADS environment variable (default 1)."""
-    raw = os.environ.get("KOSTANT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"KOSTANT_THREADS must be an int, got {raw!r}") from exc
-    return max(1, n)
-
-
 def convergence_sweep(family, ranks, t_grid=DEFAULT_T_GRID, bumps=0):
-    """Summaries of one family across the given ranks, in input order.
-
-    Work may be spread over KOSTANT_THREADS threads; every diagnostic is a
-    pure function of its polynomial and results are assembled in rank
-    order, so the output is identical at any thread count.
-    """
-    ranks = list(ranks)
-    polys = [family_poly(family, r, bumps) for r in ranks]
-    workers = min(thread_count(), max(1, len(ranks)))
-    if workers == 1:
-        return tuple(
-            summarize(g, t_grid, family=family, rank=r) for g, r in zip(polys, ranks)
-        )
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        out = pool.map(
-            lambda gr: summarize(gr[0], t_grid, family=family, rank=gr[1]),
-            zip(polys, ranks),
-        )
-        return tuple(out)
+    """Summaries of one family across the given ranks, in input order."""
+    return tuple(
+        summarize(family_poly(family, r, bumps), t_grid, family=family, rank=r)
+        for r in ranks
+    )

@@ -1,13 +1,10 @@
 """Exact polynomial and field arithmetic used by every other module.
 
-Four numeric layers live here, all float-free:
+Two numeric layers live here, both float-free:
 
 * QPoly      -- dense polynomials in one variable q with int/Fraction
                 coefficients, canonically normalized (no trailing zeros,
                 integer-valued Fractions demoted to int).
-* RatFunc    -- reduced ratios of QPoly with a monic denominator.
-* QuadExt    -- elements a + b*s of the quadratic extension of the rational
-                function field where s*s = q*q + 4.
 * Root5      -- elements a + b*sqrt(5) of the real quadratic number field,
                 with Fraction components.
 
@@ -164,32 +161,6 @@ class QPoly:
             n >>= 1
         return result
 
-    def __divmod__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = [Fraction(c) for c in self._coeffs]
-        db = other.degree
-        lead = Fraction(other._coeffs[-1])
-        if len(rem) - 1 < db:
-            return QPoly.zero(), QPoly(rem)
-        quot = [Fraction(0)] * (len(rem) - db)
-        for i in range(len(rem) - 1 - db, -1, -1):
-            f = rem[i + db] / lead
-            if f:
-                quot[i] = f
-                for j, c in enumerate(other._coeffs):
-                    rem[i + j] -= f * c
-        return QPoly(quot), QPoly(rem[:db])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def shifted(self, k: int) -> "QPoly":
         """Multiply by q**k."""
         if k < 0:
@@ -232,273 +203,6 @@ class QPoly:
 
     def __repr__(self) -> str:
         return f"QPoly({list(self._coeffs)!r})"
-
-
-def qpoly_gcd(a: QPoly, b: QPoly) -> QPoly:
-    """Monic greatest common divisor by the Euclidean algorithm."""
-    while not b.is_zero:
-        a, b = b, a % b
-    if a.is_zero:
-        return a
-    lead = a.coeffs[-1]
-    if lead == 1:
-        return a
-    return a * (Fraction(1) / Fraction(lead))
-
-
-class RatFunc:
-    """A ratio of two QPoly, stored reduced with a monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        num = _as_qpoly(num)
-        den = QPoly.one() if den is None else _as_qpoly(den)
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            den = QPoly.one()
-        elif den != QPoly.one():
-            g = qpoly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            lead = den.coeffs[-1]
-            if lead != 1:
-                inv = Fraction(1) / Fraction(lead)
-                num, den = num * inv, den * inv
-        self.num = num
-        self.den = den
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den == QPoly.one()
-
-    def as_qpoly(self) -> QPoly:
-        if not self.is_polynomial:
-            raise ValueError(f"not a polynomial: {self!r}")
-        return self.num
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
-    def __eq__(self, other) -> bool:
-        other = _as_ratfunc_or_none(other)
-        if other is None:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash(("RatFunc", self.num, self.den))
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __add__(self, other):
-        other = _as_ratfunc_or_none(other)
-        if other is None:
-            return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_ratfunc_or_none(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_ratfunc_or_none(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _as_ratfunc_or_none(other)
-        if other is None:
-            return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_ratfunc_or_none(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _as_ratfunc_or_none(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, n: int) -> "RatFunc":
-        if not isinstance(n, int):
-            raise ValueError("exponent must be an int")
-        if n < 0:
-            return RatFunc(self.den, self.num) ** (-n)
-        result = RatFunc(QPoly.one())
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __str__(self) -> str:
-        if self.is_polynomial:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self) -> str:
-        return f"RatFunc({self.num!r}, {self.den!r})"
-
-
-def _as_qpoly(v) -> QPoly:
-    if isinstance(v, QPoly):
-        return v
-    if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
-        return QPoly((v,))
-    raise TypeError(f"cannot interpret {type(v).__name__} as a polynomial")
-
-
-def _as_ratfunc_or_none(v):
-    if isinstance(v, RatFunc):
-        return v
-    if isinstance(v, QPoly):
-        return RatFunc(v)
-    if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
-        return RatFunc(QPoly((v,)))
-    return None
-
-
-#: s is a formal square root of this polynomial: s*s = q^2 + 4.
-S_SQUARED = QPoly((4, 0, 1))
-
-
-class QuadExt:
-    """An element a + b*s with s*s = q*q + 4 and a, b rational functions.
-
-    The extension is non-trivial (q*q + 4 is not a square in the rational
-    function field), so the representation is unique and b == 0 exactly
-    characterizes the rational elements.
-    """
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b=0):
-        self.a = a if isinstance(a, RatFunc) else RatFunc(_as_qpoly(a))
-        self.b = b if isinstance(b, RatFunc) else RatFunc(_as_qpoly(b))
-
-    @property
-    def is_rational(self) -> bool:
-        """True when the s-part vanishes."""
-        return self.b.is_zero
-
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b)
-
-    def norm(self) -> RatFunc:
-        """(a + b*s)(a - b*s) = a^2 - b^2*(q^2+4), an element of the base field."""
-        return self.a * self.a - self.b * self.b * RatFunc(S_SQUARED)
-
-    def __eq__(self, other) -> bool:
-        other = _as_quadext_or_none(other)
-        if other is None:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash(("QuadExt", self.a, self.b))
-
-    def __neg__(self) -> "QuadExt":
-        return QuadExt(-self.a, -self.b)
-
-    def __add__(self, other):
-        other = _as_quadext_or_none(other)
-        if other is None:
-            return NotImplemented
-        return QuadExt(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_quadext_or_none(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_quadext_or_none(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _as_quadext_or_none(other)
-        if other is None:
-            return NotImplemented
-        disc = RatFunc(S_SQUARED)
-        return QuadExt(
-            self.a * other.a + self.b * other.b * disc,
-            self.a * other.b + self.b * other.a,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_quadext_or_none(other)
-        if other is None:
-            return NotImplemented
-        n = other.norm()
-        if n.is_zero:
-            raise ZeroDivisionError("division by zero in the quadratic extension")
-        scaled = self * other.conjugate()
-        return QuadExt(scaled.a / n, scaled.b / n)
-
-    def __rtruediv__(self, other):
-        other = _as_quadext_or_none(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, n: int) -> "QuadExt":
-        if not isinstance(n, int):
-            raise ValueError("exponent must be an int")
-        if n < 0:
-            return (QuadExt(1) / self) ** (-n)
-        result = QuadExt(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __str__(self) -> str:
-        return f"({self.a}) + ({self.b})*s"
-
-    def __repr__(self) -> str:
-        return f"QuadExt({self.a!r}, {self.b!r})"
-
-
-def _as_quadext_or_none(v):
-    if isinstance(v, QuadExt):
-        return v
-    if isinstance(v, (RatFunc, QPoly)):
-        return QuadExt(v if isinstance(v, RatFunc) else RatFunc(v))
-    if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
-        return QuadExt(RatFunc(QPoly((v,))))
-    return None
 
 
 class Root5:

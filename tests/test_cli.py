@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output bytes, JSON schema, exit codes."""
 
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -183,6 +184,39 @@ def test_converge_bumps_only_for_product(capsys):
     assert "--bumps" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["converge", "--family", "B", "--ranks", "-3"],
+    ["converge", "--family", "C", "--ranks", "2"],
+    ["converge", "--family", "product", "--ranks", "20", "--bumps", "-1"],
+])
+def test_converge_out_of_range_exit_2(capsys, argv):
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def test_converge_mgf_output_is_finite(capsys):
+    # at rank 30 the Horner sum overflows at t = 1000, exp(t/sigma) overflows
+    # at t = 5000 and underflows to a zero sum at t = -5000; each time the
+    # log-sum-exp path must take over
+    argv = ["converge", "--family", "B", "--ranks", "30", "--t-grid", "1000,5000,-5000"]
+    rc, out, _ = run_cli(argv, capsys)
+    assert rc == 0
+    row = out.splitlines()[1].split(",")
+    assert all(math.isfinite(float(v)) for v in row[4:])
+    rc, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert rc == 0
+    record = json.loads(out, parse_constant=_reject_constant)
+    errors = record["payload"][0]["mgf_errors"]
+    assert len(errors) == 3
+    assert all(math.isfinite(e["abs_error"]) for e in errors)
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_text_passes(capsys):
@@ -220,6 +254,8 @@ def test_usage_errors_exit_64(capsys):
         ["qpoly", "--type", "A", "--rank", "3", "--weight", "1,x"],
         ["qpoly", "--type", "A", "--rank", "3", "--support", "3"],
         ["converge", "--family", "E"],
+        ["converge", "--family", "B", "--t-grid", "nan"],
+        ["converge", "--family", "B", "--t-grid", "0.5,inf"],
         ["nonsense"],
         [],
     ]

@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from qkostant import closedform
 from qkostant import (
-    BETA_MINUS,
-    BETA_PLUS,
     InternalCancellationFailure,
     InvalidSupport,
     QPoly,
@@ -138,18 +137,21 @@ def test_gf_rejects_bad_input():
 # ---------------------------------------------------------------- surd route
 
 def test_beta_vieta_identities():
-    s2 = QPoly((4, 0, 1))
-    assert (BETA_PLUS + BETA_MINUS).b.is_zero
-    assert (BETA_PLUS + BETA_MINUS).a.as_qpoly() == QPoly((2, 2, 1))
-    prod = BETA_PLUS * BETA_MINUS
-    assert prod.b.is_zero
-    assert prod.a.as_qpoly() == QPoly((1, 2, 1, 1))
-    # each beta solves t^2 - (2+2q+q^2) t + (1+2q+q^2+q^3) = 0
-    for beta in (BETA_PLUS, BETA_MINUS):
-        residue = beta * beta - beta * QPoly((2, 2, 1)) + QPoly((1, 2, 1, 1))
-        assert residue.a.is_zero and residue.b.is_zero
-    assert (BETA_PLUS - BETA_MINUS).a.is_zero  # difference is q*s exactly
-    del s2
+    # pairs (x, y) stand for x + y*s with s*s = q^2 + 4
+    two_beta_plus = closedform._TWO_BETA_PLUS
+    x, y = two_beta_plus
+    two_beta_minus = (x, -y)
+    p = QPoly((2, 2, 1))
+    assert (x + x, y - y) == (p * 2, QPoly.zero())
+    # (2 beta+)(2 beta-) = 4 (1 + 2q + q^2 + q^3), four times the gf denominator's
+    # x^2 coefficient
+    assert closedform._pair_mul(two_beta_plus, two_beta_minus) == (
+        QPoly((1, 2, 1, 1)) * 4, QPoly.zero())
+    # each 2*beta solves t^2 - 2(2+2q+q^2) t + 4(1+2q+q^2+q^3) = 0
+    for beta in (two_beta_plus, two_beta_minus):
+        bx, by = closedform._pair_mul(beta, beta)
+        residue = (bx - p * 2 * beta[0] + QPoly((1, 2, 1, 1)) * 4, by - p * 2 * beta[1])
+        assert residue == (QPoly.zero(), QPoly.zero())
 
 
 def test_explicit_type_a():
@@ -159,8 +161,20 @@ def test_explicit_type_a():
 
 def test_explicit_matches_gf_far_out():
     for fam, lo in [("B", 2), ("C", 1), ("D", 4)]:
-        for r in range(lo, 50):
+        for r in [*range(lo, 50), 100, 160]:
             assert explicit_qpoly(fam, r) == gf_coefficient(fam, r), (fam, r)
+
+
+@pytest.mark.parametrize("fam", ["B", "C", "D"])
+@pytest.mark.parametrize("bump, failing_check", [(1, r"2\^6"), (2, r"q\^2\+4")])
+def test_explicit_perturbed_numerator_fails_loudly(monkeypatch, fam, bump, failing_check):
+    # an odd bump of A's constant term breaks divisibility by 2^e, an even
+    # one keeps it and breaks divisibility by q^2 + 4
+    a_coeffs, b_coeffs, shift = closedform._EXPLICIT[fam]
+    perturbed = (a_coeffs[0] + bump,) + a_coeffs[1:]
+    monkeypatch.setitem(closedform._EXPLICIT, fam, (perturbed, b_coeffs, shift))
+    with pytest.raises(InternalCancellationFailure, match=failing_check):
+        explicit_qpoly(fam, shift + 6)
 
 
 def test_explicit_rank_floors():

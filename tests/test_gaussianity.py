@@ -9,14 +9,15 @@ import pytest
 from qkostant import (
     DEFAULT_T_GRID,
     DegenerateDistribution,
+    InvalidSupport,
     QPoly,
+    RankTooSmall,
     ZeroDistribution,
     convergence_sweep,
     family_poly,
     gf_coefficient,
     normal_cdf,
     summarize,
-    thread_count,
 )
 from qkostant import gaussianity
 
@@ -116,6 +117,12 @@ def test_family_poly_validation():
         family_poly("Z", 5)
     with pytest.raises(Exception):
         family_poly("product", 4, bumps=2)  # bump index 4 exceeds the interior
+    with pytest.raises(RankTooSmall):
+        family_poly("B", -3)
+    with pytest.raises(RankTooSmall):
+        family_poly("C", 2)  # C starts at rank 3, as stats requires
+    with pytest.raises(InvalidSupport):
+        family_poly("product", 20, bumps=-1)
 
 
 def test_summarize_rejects_degenerate_input():
@@ -127,23 +134,9 @@ def test_summarize_rejects_degenerate_input():
         summarize(QPoly((1, -2, 1)))
 
 
-def test_thread_count_parsing(monkeypatch):
-    monkeypatch.delenv("KOSTANT_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("KOSTANT_THREADS", "6")
-    assert thread_count() == 6
-    monkeypatch.setenv("KOSTANT_THREADS", "0")
-    assert thread_count() == 1
-    monkeypatch.setenv("KOSTANT_THREADS", "lots")
-    with pytest.raises(ValueError):
-        thread_count()
-
-
-def test_sweep_identical_across_thread_counts(monkeypatch):
-    ranks = (8, 12, 16, 20)
-    monkeypatch.setenv("KOSTANT_THREADS", "1")
-    serial = convergence_sweep("C", ranks, t_grid=DEFAULT_T_GRID)
-    monkeypatch.setenv("KOSTANT_THREADS", "4")
-    threaded = convergence_sweep("C", ranks, t_grid=DEFAULT_T_GRID)
-    assert serial == threaded
-    assert [s.rank for s in threaded] == list(ranks)
+def test_sweep_keeps_input_order():
+    ranks = (20, 8, 16, 12)
+    sweep = convergence_sweep("C", ranks, t_grid=DEFAULT_T_GRID)
+    assert [s.rank for s in sweep] == list(ranks)
+    assert sweep == tuple(summarize(gf_coefficient("C", r), family="C", rank=r)
+                          for r in ranks)
