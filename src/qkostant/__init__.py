@@ -11,6 +11,7 @@ Gaussian convergence of the normalized distributions.
 from .errors import (
     DegenerateDistribution,
     DimensionMismatch,
+    FoldTooLarge,
     InternalCancellationFailure,
     InvalidSupport,
     KostantError,
@@ -27,7 +28,7 @@ from .rootsys import (
     highest_root,
     positive_root_count,
 )
-from .kostant import count_decompositions, qanalog
+from .kostant import MAX_FOLD_CELLS, count_decompositions, qanalog
 from .closedform import (
     BenderReport,
     SupportSpec,
@@ -63,7 +64,7 @@ __all__ = [
     "QPoly", "Root5",
     "LIE_TYPES", "MIN_RANK", "RootSystem", "build_root_system",
     "highest_root", "positive_root_count",
-    "qanalog", "count_decompositions",
+    "qanalog", "count_decompositions", "MAX_FOLD_CELLS",
     "SupportSpec", "weight_of", "product_qpoly", "iter_support_specs",
     "gf_coefficient", "explicit_qpoly",
     "BenderReport", "check_bender_conditions",
@@ -73,7 +74,7 @@ __all__ = [
     "DEFAULT_T_GRID", "FAMILIES",
     "CheckResult", "run_all", "summary_line",
     "KostantError", "RankTooSmall", "DimensionMismatch", "InvalidSupport",
-    "ZeroDistribution", "DegenerateDistribution", "NonRationalResult",
+    "ZeroDistribution", "DegenerateDistribution", "NonRationalResult", "FoldTooLarge",
     "InternalCancellationFailure",
     "__version__",
 ]

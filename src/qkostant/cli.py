@@ -70,13 +70,16 @@ def _parse_int_list(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
 
 
-def _parse_float_list(text: str):
+def _parse_t_grid(text: str):
+    """Comma-separated t values; t*t/2 must be finite, so the MGF error is."""
     try:
         values = tuple(float(p) for p in text.split(","))
-        if not all(math.isfinite(v) for v in values):
+        if not all(math.isfinite(v * v / 2.0) for v in values):
             raise ValueError(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated finite floats, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated floats t with finite t*t/2, got {text!r}"
+        )
     return values
 
 
@@ -150,7 +153,7 @@ def _build_parser():
     p.add_argument("--ranks", type=_parse_int_list, default=(25, 100, 400))
     p.add_argument("--bumps", type=int, default=0,
                    help="bumped index count for the product family")
-    p.add_argument("--t-grid", type=_parse_float_list, default=DEFAULT_T_GRID,
+    p.add_argument("--t-grid", type=_parse_t_grid, default=DEFAULT_T_GRID,
                    dest="t_grid")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 

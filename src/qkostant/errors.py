@@ -33,6 +33,10 @@ class DegenerateDistribution(KostantError, ValueError):
     """A distribution has zero variance, so normalized statistics are undefined."""
 
 
+class FoldTooLarge(KostantError):
+    """A lattice-fold box exceeds the cell budget, so it is refused up front."""
+
+
 class NonRationalResult(KostantError, ArithmeticError):
     """A quantity expected to be rational retained an irrational part."""
 

@@ -80,7 +80,8 @@ def test_criterion_2_three_route_highest_root_agreement():
 
 
 def test_criterion_3_counting_identities():
-    with criterion(3, "type-A chain identity to rank 20; closed totals on the suite"):
+    with criterion(3, "type-A chain identity to rank 20; closed totals on the suite",
+                   budget=60):
         for r in range(1, 21):
             system = build_root_system("A", r)
             assert qanalog(system, (1,) * r) == QPoly.q() * QPoly((1, 1)) ** (r - 1), r

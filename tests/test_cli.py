@@ -256,6 +256,7 @@ def test_usage_errors_exit_64(capsys):
         ["converge", "--family", "E"],
         ["converge", "--family", "B", "--t-grid", "nan"],
         ["converge", "--family", "B", "--t-grid", "0.5,inf"],
+        ["converge", "--family", "B", "--t-grid", "1e200"],
         ["nonsense"],
         [],
     ]
@@ -271,6 +272,7 @@ def test_input_errors_exit_2(capsys):
         ["qpoly", "--type", "A", "--rank", "3", "--weight", "1,2"],
         ["qpoly", "--type", "B", "--rank", "6", "--support", "2:1,3:1"],
         ["stats", "--type", "D", "--rank", "2"],
+        ["qpoly", "--type", "A", "--rank", "30"],
     ]
     for argv in cases:
         rc, _, err = run_cli(argv, capsys)

@@ -2,11 +2,13 @@
 
 import math
 import random
+import time
 
 import pytest
 
 from qkostant import (
     DimensionMismatch,
+    FoldTooLarge,
     LIE_TYPES,
     MIN_RANK,
     QPoly,
@@ -15,6 +17,7 @@ from qkostant import (
     explicit_qpoly,
     qanalog,
 )
+from qkostant.kostant import _fold
 
 rng = random.Random(977)
 
@@ -131,3 +134,63 @@ def test_count_is_value_at_one():
 def test_repeat_calls_deterministic():
     system = build_root_system("D", 4)
     assert qanalog(system, (1, 2, 1, 1)) == qanalog(system, (1, 2, 1, 1))
+
+
+def test_fold_budget_refuses_before_allocating():
+    system = build_root_system("A", 30)
+    start = time.perf_counter()
+    with pytest.raises(FoldTooLarge):
+        qanalog(system, (1,) * 30)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_fold_width_fits_a_coefficient_equal_to_the_count():
+    # two 2-part decompositions and no others: g = 2q^2, so g(1) = 2 needs
+    # the whole 2-bit field
+    roots = [(0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 0, 0)]
+    assert _fold(roots, (1, 1, 1, 1)) == [0, 0, 2]
+
+
+def _small_weights():
+    """Strategy of (type, rank, weight) with coordinates <= 3 and sum <= 8."""
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def weights(draw):
+        t = draw(st.sampled_from(LIE_TYPES))
+        r = draw(st.integers(MIN_RANK[t], 5))
+        w = draw(st.lists(st.integers(0, 3), min_size=r, max_size=r)
+                 .filter(lambda w: sum(w) <= 8))
+        return t, r, tuple(w)
+
+    return weights()
+
+
+def test_property_oracle_matches_brute_force():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(_small_weights())
+    def check(case):
+        t, r, w = case
+        system = build_root_system(t, r)
+        assert qanalog(system, w) == brute_force_qpoly(system, w)
+
+    check()
+
+
+def test_property_fold_is_independent_of_root_order():
+    # the live boxes depend on the order roots are folded in
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(_small_weights(), st.data())
+    def check(case, data):
+        t, r, w = case
+        roots = [root for root in build_root_system(t, r).positive_roots
+                 if all(a <= b for a, b in zip(root, w))]
+        shuffled = data.draw(st.permutations(roots))
+        assert _fold(shuffled, w) == _fold(roots, w)
+
+    check()
