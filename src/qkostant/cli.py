@@ -205,11 +205,10 @@ def _cmd_qpoly(args) -> int:
         raise _InputError(
             f"route {args.route} does not apply here (applicable: {', '.join(applicable)})"
         )
-    system = build_root_system(args.lie_type, args.rank)
     computed = []
     for name in routes:
         if name == "oracle":
-            poly = qanalog(system, weight)
+            poly = qanalog(build_root_system(args.lie_type, args.rank), weight)
         elif name == "product":
             poly = product_qpoly(spec)
         elif name == "gf":

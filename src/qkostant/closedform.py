@@ -9,7 +9,8 @@ Three independent alternatives to the lattice-fold oracle live here:
 * gf_coefficient: for the highest root of B/C/D at rank r, the polynomial
   is the x**r coefficient of a rational generating function whose
   denominator is 1 - (2+2q+q**2)x + (1+2q+q**2+q**3)x**2; implemented as
-  the equivalent linear recurrence with family-specific numerators.
+  the equivalent linear recurrence with family-specific numerators, swept
+  on Kronecker-packed integers (see below).
 * explicit_qpoly: the same highest-root polynomial written directly as
   g_plus * beta_plus**e + g_minus * beta_minus**e with conjugate surds
   beta = ((q**2+2q+2) +/- q*s)/2, s*s = q*q + 4.  Only the sum of the two
@@ -18,6 +19,22 @@ Three independent alternatives to the lattice-fold oracle live here:
   (A + B*s) * (2*beta_plus)**e for the family numerator pair (A, B) and
   divides it by 2**e * (q**2+4), checking that both divisions are exact
   instead of assuming it.
+
+The gf sweep.  Every coefficient of P_r is nonnegative, so each is at most
+P_r(1) = c_r, and c_r comes from a first sweep of the recurrence at q = 1:
+c_k = 5 c_{k-1} - 5 c_{k-2} + N_k(1).  With W = c_r's bit length rounded up
+to a whole byte, the second sweep runs the recurrence at q = 2**W on plain
+Python integers: multiplying by the fixed sparse polynomials is a few shifts
+and adds.  That sweep is exact integer linear arithmetic, so the last value
+is P_r(2**W) whatever carries or borrows the intermediate terms hold, and
+one linear-time byte decode (polyring.unpack_fields) reads the coefficients
+back.  A negative packed value, or fields that do not sum to c_r (a negative
+coefficient borrows from the field above it), raises
+InternalCancellationFailure.  There is no cache: every call sweeps from
+rank 0 and keeps only its last two terms, so memory is O(size of P_r).
+
+For type A, (1+q)**n in the product and explicit routes is built as a row
+of binomial coefficients, not by repeated squaring.
 
 check_bender_conditions verifies the hypotheses of the classical central
 limit theorem for coefficient arrays of rational generating functions at
@@ -28,12 +45,11 @@ vanishes there.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalCancellationFailure, InvalidSupport, RankTooSmall
-from .polyring import QPoly, Root5
+from .polyring import QPoly, Root5, unpack_fields
 from .rootsys import Weight, validate_type_rank
 
 
@@ -99,11 +115,15 @@ def weight_of(spec: SupportSpec) -> Weight:
 def product_qpoly(spec: SupportSpec) -> QPoly:
     """Closed product form of the part-count polynomial for spec's weight."""
     r, ell, m = spec.rank, spec.bump_count, spec.total_extra
-    return (
-        QPoly.term(1, m + 1)
-        * QPoly((1, 1)) ** (r - 1 - 2 * ell)
-        * QPoly((2, 2, 1)) ** ell
-    )
+    return (_binomial_row(r - 1 - 2 * ell) * QPoly((2, 2, 1)) ** ell).shifted(m + 1)
+
+
+def _binomial_row(n: int) -> QPoly:
+    """(1+q)**n from its row of binomial coefficients."""
+    row = [1]
+    for k in range(n):
+        row.append(row[-1] * (n - k) // (k + 1))
+    return QPoly(row)
 
 
 def iter_support_specs(lie_type, rank, max_bumps=2, max_extra=3):
@@ -124,16 +144,11 @@ def iter_support_specs(lie_type, rank, max_bumps=2, max_extra=3):
 
 # Generating-function route: P_r = (2+2q+q^2) P_{r-1} - (1+2q+q^2+q^3) P_{r-2}
 # + N_r, with P_0 = P_{-1} = 0 and the family numerators below.
-_GF_SHIFT1 = QPoly((2, 2, 1))
-_GF_SHIFT2 = QPoly((1, 2, 1, 1))
 _GF_NUMERATORS = {
     "B": {1: QPoly((0, 1)), 2: QPoly((0, -1, -1)), 3: QPoly((0, 0, 1))},
     "C": {1: QPoly((0, 1)), 2: QPoly((0, -1, -1))},
     "D": {4: QPoly((0, 1, 4, 6, 3, 1)), 5: QPoly((0, -1, -4, -6, -5, -3, -1))},
 }
-
-_gf_lock = threading.Lock()
-_gf_cache = {t: [QPoly.zero()] for t in _GF_NUMERATORS}
 
 
 def gf_coefficient(lie_type: str, rank: int) -> QPoly:
@@ -141,21 +156,44 @@ def gf_coefficient(lie_type: str, rank: int) -> QPoly:
 
     Defined for families B, C, D at every rank >= 0; below the family's Lie
     minimum the series terms are simply the recurrence's formal values.
+    Raises InternalCancellationFailure if the packed result cannot hold
+    nonnegative coefficients summing to P_r(1).
     """
     if lie_type not in _GF_NUMERATORS:
         raise ValueError(f"generating-function route covers B, C, D, not {lie_type!r}")
     if rank < 0:
         raise ValueError("rank must be nonnegative")
     numerators = _GF_NUMERATORS[lie_type]
-    with _gf_lock:
-        seq = _gf_cache[lie_type]
-        while len(seq) <= rank:
-            k = len(seq)
-            prev1 = seq[k - 1]
-            prev2 = seq[k - 2] if k >= 2 else QPoly.zero()
-            term = _GF_SHIFT1 * prev1 - _GF_SHIFT2 * prev2 + numerators.get(k, QPoly.zero())
-            seq.append(term)
-        return seq[rank]
+
+    # At q = 1 the shift polynomials are 5 and 5; c_r bounds every coefficient.
+    at_one = {k: n(1) for k, n in numerators.items()}
+    c1 = c2 = 0
+    for k in range(1, rank + 1):
+        c1, c2 = 5 * c1 - 5 * c2 + at_one.get(k, 0), c1
+    # Whole bytes per field, so each field decodes without a shift.
+    w = 8 * max(1, -(-c1.bit_length() // 8))
+
+    # At q = 2**w, with d = X_{k-1} - X_{k-2}: (2+2q+q^2) X_{k-1} -
+    # (1+2q+q^2+q^3) X_{k-2} = X_{k-1} + d + 2q d + q^2 d - q^3 X_{k-2}.
+    at_w = {k: n(1 << w) for k, n in numerators.items()}
+    x1 = x2 = 0
+    for k in range(1, rank + 1):
+        d = x1 - x2
+        step = x1 + d + (d << (w + 1)) + (d << (2 * w)) - (x2 << (3 * w))
+        if k in at_w:
+            step += at_w[k]
+        x1, x2 = step, x1
+    if x1 < 0:
+        raise InternalCancellationFailure(
+            f"gf sweep for {lie_type}{rank} is negative at q = 2^{w}"
+        )
+    coeffs = unpack_fields(x1, w)
+    if sum(coeffs) != c1:
+        raise InternalCancellationFailure(
+            f"gf sweep for {lie_type}{rank} decodes to coefficients summing to "
+            f"{sum(coeffs)}, not P(1) = {c1}"
+        )
+    return QPoly(coeffs)
 
 
 # Surd route.  A pair (x, y) of integer polynomials stands for x + y*s with
@@ -220,7 +258,7 @@ def explicit_qpoly(lie_type: str, rank: int) -> QPoly:
     if lie_type == "A":
         if rank < 1:
             raise RankTooSmall("type A needs rank >= 1")
-        return QPoly.q() * QPoly((1, 1)) ** (rank - 1)
+        return _binomial_row(rank - 1).shifted(1)
     if lie_type not in _EXPLICIT:
         raise ValueError(f"unknown family {lie_type!r}")
     a_coeffs, b_coeffs, shift = _EXPLICIT[lie_type]

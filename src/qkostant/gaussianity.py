@@ -98,7 +98,14 @@ def _log_mgf(coeffs, g1: int, t: float, mu_f: float, sigma_f: float) -> float:
 
 
 def summarize(g: QPoly, t_grid=DEFAULT_T_GRID, family=None, rank=None) -> DistSummary:
-    """All Gaussian-convergence diagnostics of the distribution g induces."""
+    """All Gaussian-convergence diagnostics of the distribution g induces.
+
+    Raises ValueError for any t whose t*t/2 is not finite, since the MGF
+    error |log M(t) - t*t/2| would not be either.
+    """
+    t_grid = tuple(t_grid)
+    if not all(math.isfinite(t * t / 2.0) for t in t_grid):
+        raise ValueError(f"every t needs a finite t*t/2, got {t_grid}")
     if g.is_zero:
         raise ZeroDistribution("cannot normalize the zero polynomial")
     if any(c < 0 for c in g.coeffs):

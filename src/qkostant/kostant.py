@@ -38,7 +38,7 @@ from functools import lru_cache
 from math import prod
 
 from .errors import DimensionMismatch, FoldTooLarge
-from .polyring import QPoly
+from .polyring import QPoly, unpack_fields
 from .rootsys import RootSystem, Weight, build_root_system
 
 #: Largest box prod_i (target_i + 1) the lattice fold will allocate.
@@ -132,10 +132,4 @@ def _fold(roots, target):
                 table[i] += src << width
     packed = table[-1]
     del table
-
-    mask = (1 << width) - 1
-    out = []
-    while packed:
-        out.append(packed & mask)
-        packed >>= width
-    return out
+    return unpack_fields(packed, width)

@@ -10,6 +10,10 @@ Two numeric layers live here, both float-free:
 
 Scalars are ints or fractions.Fraction throughout; floats are rejected at
 construction time so exactness cannot silently degrade.
+
+unpack_fields is the one Kronecker decoder shared by the packed routes: a
+polynomial with coefficients in [0, 2**W) is held as its value at q = 2**W,
+one W-bit field per coefficient.
 """
 
 from __future__ import annotations
@@ -157,8 +161,9 @@ class QPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def shifted(self, k: int) -> "QPoly":
@@ -298,8 +303,9 @@ class Root5:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __float__(self) -> float:
@@ -310,6 +316,24 @@ class Root5:
 
     def __repr__(self) -> str:
         return f"Root5({self.a!r}, {self.b!r})"
+
+
+def unpack_fields(packed: int, width: int) -> list:
+    """Coefficients, lowest first, of a polynomial packed at q = 2**width.
+
+    packed must be nonnegative and every coefficient below 2**width.  The
+    integer is converted to bytes once and each field is read back from the
+    bytes it spans, so decoding is linear in the size of packed; a width
+    that is a whole number of bytes needs no shift.  The result has no
+    trailing zero fields.
+    """
+    bits = packed.bit_length()
+    buf = packed.to_bytes(-(-bits // 8), "little")
+    mask = (1 << width) - 1
+    return [
+        int.from_bytes(buf[lo >> 3:(lo + width + 7) >> 3], "little") >> (lo & 7) & mask
+        for lo in range(0, bits, width)
+    ]
 
 
 def _as_root5_or_none(v):

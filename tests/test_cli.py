@@ -116,6 +116,17 @@ def test_qpoly_inapplicable_route_is_input_error(capsys):
     assert rc == 2
 
 
+def test_qpoly_closed_routes_skip_the_root_system(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("root system built for a closed route")
+
+    monkeypatch.setattr(cli, "build_root_system", refuse)
+    for fam, route in [("C", "gf"), ("C", "explicit"), ("B", "gf"), ("A", "explicit")]:
+        rc, out, _ = run_cli(["qpoly", "--type", fam, "--rank", "40", "--route", route], capsys)
+        assert rc == 0, (fam, route)
+        assert out.splitlines()[1].startswith(f"{route},")
+
+
 def test_qpoly_strict_disagreement_exit_code(capsys, monkeypatch):
     # force one route to lie so the disagreement path is reachable
     monkeypatch.setattr(cli, "gf_coefficient", lambda t, r: QPoly((0, 9)))

@@ -93,6 +93,18 @@ def test_product_total_count():
         assert product_qpoly(spec)(1) == 2 ** (r - 1 - 2 * ell) * 5 ** ell
 
 
+def test_product_total_count_at_rank_500():
+    for entries in [(), ((2, 1),), ((10, 3), (100, 1), (250, 2), (497, 1))]:
+        spec = SupportSpec("A", 500, entries)
+        ell = spec.bump_count
+        assert product_qpoly(spec)(1) == 2 ** (500 - 1 - 2 * ell) * 5 ** ell
+
+
+def test_binomial_row_matches_power():
+    for n in range(201):
+        assert closedform._binomial_row(n) == QPoly((1, 1)) ** n, n
+
+
 def test_product_shape():
     spec = SupportSpec("A", 6, ((3, 2),))
     # q^3 (1+q)^3 (2+2q+q^2)
@@ -125,6 +137,36 @@ def test_gf_matches_oracle_on_highest_roots():
         for r in range(lo, lo + 5):
             system = build_root_system(fam, r)
             assert gf_coefficient(fam, r) == qanalog(system, system.highest_root)
+
+
+def test_gf_matches_plain_recurrence_from_rank_0():
+    # the recurrence on QPoly values, with the formal values below each
+    # family's Lie minimum included
+    for fam in "BCD":
+        numerators = closedform._GF_NUMERATORS[fam]
+        prev2 = prev1 = QPoly.zero()
+        for r in range(81):
+            if r:
+                term = QPoly((2, 2, 1)) * prev1 - QPoly((1, 2, 1, 1)) * prev2
+                prev2, prev1 = prev1, term + numerators.get(r, QPoly.zero())
+            assert all(c >= 0 for c in prev1.coeffs), (fam, r)
+            assert gf_coefficient(fam, r) == prev1, (fam, r)
+
+
+@pytest.mark.parametrize("fam, k, entry, rank, failing_check", [
+    # a -1 constant term borrows from the q field: fields sum past P(1)
+    ("D", 5, QPoly((-1, -1, -4, -6, -5, -3, -1)), 5, "summing to"),
+    ("D", 5, QPoly((-1, -1, -4, -6, -5, -3, -1)), 12, "summing to"),
+    # a negative top coefficient makes the packed value negative
+    ("C", 1, QPoly((0, 1, 0, 0, 0, -1)), 1, "negative"),
+    ("C", 1, QPoly((0, 1, 0, 0, 0, -1)), 9, "negative"),
+])
+def test_gf_negative_coefficient_fails_loudly(monkeypatch, fam, k, entry, rank, failing_check):
+    numerators = dict(closedform._GF_NUMERATORS[fam])
+    numerators[k] = entry
+    monkeypatch.setitem(closedform._GF_NUMERATORS, fam, numerators)
+    with pytest.raises(InternalCancellationFailure, match=failing_check):
+        gf_coefficient(fam, rank)
 
 
 def test_gf_rejects_bad_input():
@@ -161,7 +203,7 @@ def test_explicit_type_a():
 
 def test_explicit_matches_gf_far_out():
     for fam, lo in [("B", 2), ("C", 1), ("D", 4)]:
-        for r in [*range(lo, 50), 100, 160]:
+        for r in [*range(lo, 50), 100, 160, 300]:
             assert explicit_qpoly(fam, r) == gf_coefficient(fam, r), (fam, r)
 
 

@@ -134,6 +134,13 @@ def test_summarize_rejects_degenerate_input():
         summarize(QPoly((1, -2, 1)))
 
 
+@pytest.mark.parametrize("t", [1e200, -1e155, math.nan, math.inf])
+def test_summarize_rejects_t_without_finite_half_square(t):
+    # |log M(t) - t*t/2| cannot be finite once t*t/2 overflows
+    with pytest.raises(ValueError, match="finite"):
+        summarize(gf_coefficient("B", 30), (0.5, t))
+
+
 def test_sweep_keeps_input_order():
     ranks = (20, 8, 16, 12)
     sweep = convergence_sweep("C", ranks, t_grid=DEFAULT_T_GRID)

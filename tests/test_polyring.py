@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qkostant import NonRationalResult, QPoly, Root5
+from qkostant.polyring import unpack_fields
 
 rng = random.Random(20210)
 
@@ -52,8 +53,25 @@ def test_pow_and_shift():
         for _ in range(n):
             expect = expect * a
         assert a ** n == expect
+    bases = (QPoly((1, 1)), QPoly((2, 2, 1)), QPoly((0, -3, 0, 1)), QPoly((Fraction(1, 2), 1)))
+    for base in bases:
+        expect = QPoly.one()
+        for n in range(21):
+            assert base ** n == expect, (base, n)
+            expect = expect * base
     p = rand_poly()
     assert p.shifted(3) == p * QPoly.term(1, 3)
+
+
+def test_unpack_fields_round_trip():
+    assert unpack_fields(0, 8) == []
+    for _ in range(60):
+        top = rng.choice([1, 2, 255, 256, 2 ** 40, 3 ** 90])
+        coeffs = [rng.choice([0, top, rng.randint(0, top)]) for _ in range(rng.randint(1, 30))]
+        coeffs[-1] = rng.randint(1, top)
+        for width in {top.bit_length(), -(-top.bit_length() // 8) * 8}:
+            packed = QPoly(coeffs)(2 ** width)
+            assert unpack_fields(packed, width) == coeffs, (coeffs, width)
 
 
 def test_eval_exact():
@@ -105,3 +123,8 @@ def test_root5_pow():
     assert phi2 ** 0 == Root5(1)
     assert phi2 ** 2 == phi2 * phi2
     assert phi2 ** -1 == Root5(1) / phi2
+    for base in (phi2, Root5(-1, 2), Root5(Fraction(2, 3))):
+        expect = Root5(1)
+        for n in range(21):
+            assert base ** n == expect, (base, n)
+            expect = expect * base
