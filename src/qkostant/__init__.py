@@ -8,55 +8,55 @@ conjugate-surd formulas), derives exact part-count statistics, and measures
 Gaussian convergence of the normalized distributions.
 """
 
-from .errors import (
-    DegenerateDistribution,
-    DimensionMismatch,
-    FoldTooLarge,
-    InternalCancellationFailure,
-    InvalidSupport,
-    KostantError,
-    NonRationalResult,
-    RankTooSmall,
-    ZeroDistribution,
-)
-from .polyring import QPoly, Root5
-from .rootsys import (
-    LIE_TYPES,
-    MIN_RANK,
-    RootSystem,
-    build_root_system,
-    highest_root,
-    positive_root_count,
-)
-from .kostant import MAX_FOLD_CELLS, count_decompositions, qanalog
-from .closedform import (
-    BenderReport,
-    SupportSpec,
-    check_bender_conditions,
-    explicit_qpoly,
-    gf_coefficient,
-    iter_support_specs,
-    product_qpoly,
-    weight_of,
-)
-from .stats import (
-    MEAN_GROWTH_LIMIT,
-    TYPE_B_VARIANCE_NOTE,
-    MomentPair,
-    closed_moments,
-    moments_from_poly,
-    product_moments,
-)
-from .gaussianity import (
-    DEFAULT_T_GRID,
-    FAMILIES,
-    DistSummary,
-    convergence_sweep,
-    family_poly,
-    normal_cdf,
-    summarize,
-)
-from .verify import CheckResult, run_all, summary_line
+from importlib import import_module
+
+# Module -> the exported names it defines.  Nothing is imported until a name
+# (or a submodule) is first used (PEP 562), so a CLI request loads only its
+# own layers.
+_EXPORTS = {
+    "polyring": ("QPoly", "Root5"),
+    "rootsys": (
+        "LIE_TYPES", "MIN_RANK", "RootSystem", "build_root_system", "highest_root",
+        "positive_root_count", "FAMILIES",
+    ),
+    "kostant": ("qanalog", "count_decompositions", "MAX_FOLD_CELLS"),
+    "closedform": (
+        "SupportSpec", "weight_of", "product_qpoly", "iter_support_specs",
+        "gf_coefficient", "explicit_qpoly", "BenderReport", "check_bender_conditions",
+    ),
+    "stats": (
+        "MomentPair", "moments_from_poly", "product_moments", "closed_moments",
+        "MEAN_GROWTH_LIMIT", "TYPE_B_VARIANCE_NOTE",
+    ),
+    "gaussianity": (
+        "DistSummary", "summarize", "convergence_sweep", "family_poly", "normal_cdf",
+        "DEFAULT_T_GRID",
+    ),
+    "verify": ("CheckResult", "run_all", "summary_line"),
+    "errors": (
+        "KostantError", "RankTooSmall", "DimensionMismatch", "InvalidSupport",
+        "ZeroDistribution", "DegenerateDistribution", "NonRationalResult", "FoldTooLarge",
+        "InternalCancellationFailure",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = set(_EXPORTS) | {"cli"}
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _SUBMODULES | set(_MODULE_OF))
+
 
 __version__ = "0.1.0"
 

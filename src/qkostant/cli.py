@@ -8,24 +8,20 @@ Output is deterministic byte for byte: CSV uses a header row with minimal
 RFC-style quoting and "\n" line endings, JSON is an envelope
 {schema_version, command, parameters, payload} serialized with sorted keys,
 and every float is rounded through the %.12g format first.
+
+Every request is a fresh process, so start-up counts: the module level
+imports only what the parser needs, and each subcommand imports the layers
+it uses (and json or csv where it emits them) when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
-from fractions import Fraction
 
-from .closedform import SupportSpec, explicit_qpoly, gf_coefficient, product_qpoly, weight_of
 from .errors import KostantError
-from .gaussianity import DEFAULT_T_GRID, FAMILIES, convergence_sweep
-from .kostant import qanalog
-from .rootsys import LIE_TYPES, build_root_system, highest_root, validate_type_rank
-from .stats import TYPE_B_VARIANCE_NOTE, closed_moments, moments_from_poly
-from . import verify as verify_mod
+from .rootsys import FAMILIES, LIE_TYPES, build_root_system, highest_root, validate_type_rank
 
 SCHEMA_VERSION = "1"
 
@@ -59,7 +55,8 @@ def _json_float(x: float) -> float:
     return float(_fmt_float(x))
 
 
-def _fmt_frac(f: Fraction) -> str:
+def _fmt_frac(f) -> str:
+    """A Fraction as numerator/denominator."""
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -105,6 +102,8 @@ def _parse_support(text: str):
 
 
 def _emit_json(command, parameters, payload):
+    import json
+
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -115,6 +114,8 @@ def _emit_json(command, parameters, payload):
 
 
 def _emit_csv(header, rows):
+    import csv
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -153,8 +154,8 @@ def _build_parser():
     p.add_argument("--ranks", type=_parse_int_list, default=(25, 100, 400))
     p.add_argument("--bumps", type=int, default=0,
                    help="bumped index count for the product family")
-    p.add_argument("--t-grid", type=_parse_t_grid, default=DEFAULT_T_GRID,
-                   dest="t_grid")
+    p.add_argument("--t-grid", type=_parse_t_grid, dest="t_grid",
+                   help="comma-separated t values (default: gaussianity.DEFAULT_T_GRID)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("verify", help="run the cross-route verification suite")
@@ -185,6 +186,8 @@ def _cmd_roots(args) -> int:
 def _qpoly_tasks(args):
     """Resolve the weight and the ordered list of applicable route names."""
     if args.support is not None:
+        from .closedform import SupportSpec, weight_of
+
         spec = SupportSpec(args.lie_type, args.rank, args.support)
         return weight_of(spec), spec, ["oracle", "product"]
     if args.weight == "highest":
@@ -196,6 +199,9 @@ def _qpoly_tasks(args):
 
 
 def _cmd_qpoly(args) -> int:
+    from .closedform import explicit_qpoly, gf_coefficient, product_qpoly
+    from .kostant import check_target, qanalog
+
     weight, spec, applicable = _qpoly_tasks(args)
     if args.route == "all":
         routes = applicable
@@ -208,7 +214,9 @@ def _cmd_qpoly(args) -> int:
     computed = []
     for name in routes:
         if name == "oracle":
-            poly = qanalog(build_root_system(args.lie_type, args.rank), weight)
+            # Refuse an oversized box before the system is built.
+            target = check_target(args.rank, weight)
+            poly = qanalog(build_root_system(args.lie_type, args.rank), target)
         elif name == "product":
             poly = product_qpoly(spec)
         elif name == "gf":
@@ -251,6 +259,8 @@ def _cmd_qpoly(args) -> int:
 
 
 def _highest_poly(lie_type, rank):
+    from .closedform import explicit_qpoly, gf_coefficient
+
     validate_type_rank(lie_type, rank)
     if lie_type == "A":
         return explicit_qpoly("A", rank)
@@ -258,6 +268,8 @@ def _highest_poly(lie_type, rank):
 
 
 def _cmd_stats(args) -> int:
+    from .stats import TYPE_B_VARIANCE_NOTE, closed_moments, moments_from_poly
+
     pair = moments_from_poly(_highest_poly(args.lie_type, args.rank))
     closed_mean, closed_var = closed_moments(args.lie_type, args.rank)
     closed_mean = closed_mean.as_fraction()
@@ -297,12 +309,15 @@ def _cmd_stats(args) -> int:
 def _cmd_converge(args) -> int:
     if args.family != "product" and args.bumps:
         raise _InputError("--bumps only applies to the product family")
-    summaries = convergence_sweep(args.family, args.ranks, args.t_grid, bumps=args.bumps)
+    from .gaussianity import DEFAULT_T_GRID, convergence_sweep
+
+    t_grid = DEFAULT_T_GRID if args.t_grid is None else args.t_grid
+    summaries = convergence_sweep(args.family, args.ranks, t_grid, bumps=args.bumps)
     params = {
         "family": args.family,
         "ranks": list(args.ranks),
         "bumps": args.bumps,
-        "t_grid": [_json_float(t) for t in args.t_grid],
+        "t_grid": [_json_float(t) for t in t_grid],
     }
     if args.format == "json":
         payload = [
@@ -326,7 +341,7 @@ def _cmd_converge(args) -> int:
     else:
         header = ["family", "rank", "mean", "variance", "ks_distance", "skewness",
                   "excess_kurtosis", "max_mgf_error"]
-        header += [f"mgf_err[t={_fmt_float(t)}]" for t in args.t_grid]
+        header += [f"mgf_err[t={_fmt_float(t)}]" for t in t_grid]
         rows = []
         for s in summaries:
             row = [
@@ -343,6 +358,8 @@ def _cmd_converge(args) -> int:
 def _cmd_verify(args) -> int:
     if args.max_rank < 5:
         raise _InputError("--max-rank must be at least 5 so every family participates")
+    from . import verify as verify_mod
+
     results = verify_mod.run_all(args.max_rank)
     failed = any(c.status == "FAIL" for c in results)
     params = {"max_rank": args.max_rank}

@@ -32,6 +32,9 @@ back.  A negative packed value, or fields that do not sum to c_r (a negative
 coefficient borrows from the field above it), raises
 InternalCancellationFailure.  There is no cache: every call sweeps from
 rank 0 and keeps only its last two terms, so memory is O(size of P_r).
+gf_coefficients serves a list of ranks from one sweep to the top rank, at
+the width of the largest c_r among them, decoding and checking each
+requested rank on the way up; gf_coefficient is its one-rank case.
 
 For type A, (1+q)**n in the product and explicit routes is built as a row
 of binomial coefficients, not by repeated squaring.
@@ -45,16 +48,15 @@ vanishes there.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import InternalCancellationFailure, InvalidSupport, RankTooSmall
 from .polyring import QPoly, Root5, unpack_fields
 from .rootsys import Weight, validate_type_rank
 
 
-@dataclass(frozen=True)
-class SupportSpec:
+class SupportSpec(Record):
     """A bump pattern over the all-ones weight of a rank-r system.
 
     entries is a tuple of (index, extra) pairs: index i in 1..rank gets
@@ -67,31 +69,29 @@ class SupportSpec:
     * types B/C/D: rank >= 5 always, indices strictly inside [2, rank-3].
     """
 
-    lie_type: str
-    rank: int
-    entries: tuple
+    __slots__ = ("lie_type", "rank", "entries")
 
-    def __post_init__(self):
-        validate_type_rank(self.lie_type, self.rank)
-        entries = tuple((int(i), int(c)) for i, c in self.entries)
-        object.__setattr__(self, "entries", entries)
-        if self.lie_type != "A" and self.rank < 5:
+    def __init__(self, lie_type: str, rank: int, entries: tuple):
+        validate_type_rank(lie_type, rank)
+        entries = tuple((int(i), int(c)) for i, c in entries)
+        if lie_type != "A" and rank < 5:
             raise InvalidSupport(
-                f"type {self.lie_type} product-form weights need rank >= 5, got {self.rank}"
+                f"type {lie_type} product-form weights need rank >= 5, got {rank}"
             )
         last = None
-        hi = self.rank - 1 if self.lie_type == "A" else self.rank - 3
+        hi = rank - 1 if lie_type == "A" else rank - 3
         for i, c in entries:
             if c < 1:
                 raise InvalidSupport(f"extra count at index {i} must be >= 1, got {c}")
             if i < 2 or i > hi:
                 raise InvalidSupport(
                     f"index {i} outside the allowed interior [2, {hi}] "
-                    f"for type {self.lie_type} rank {self.rank}"
+                    f"for type {lie_type} rank {rank}"
                 )
             if last is not None and i - last < 2:
                 raise InvalidSupport(f"indices {last} and {i} are consecutive")
             last = i
+        self._assign(lie_type, rank, entries)
 
     @property
     def bump_count(self) -> int:
@@ -159,39 +159,62 @@ def gf_coefficient(lie_type: str, rank: int) -> QPoly:
     Raises InternalCancellationFailure if the packed result cannot hold
     nonnegative coefficients summing to P_r(1).
     """
+    return gf_coefficients(lie_type, (rank,))[0]
+
+
+def gf_coefficients(lie_type: str, ranks) -> tuple:
+    """gf_coefficient at each of the ranks, in input order, from one sweep.
+
+    The sweep runs to the top rank at the width of the largest P_r(1) over
+    the requested ranks and decodes each requested rank on the way up, so a
+    whole list costs what its top rank alone costs.
+    """
     if lie_type not in _GF_NUMERATORS:
         raise ValueError(f"generating-function route covers B, C, D, not {lie_type!r}")
-    if rank < 0:
+    ranks = tuple(ranks)
+    if any(r < 0 for r in ranks):
         raise ValueError("rank must be nonnegative")
+    wanted = set(ranks)
+    top = max(ranks, default=0)
     numerators = _GF_NUMERATORS[lie_type]
 
     # At q = 1 the shift polynomials are 5 and 5; c_r bounds every coefficient.
     at_one = {k: n(1) for k, n in numerators.items()}
+    counts = {0: 0}
     c1 = c2 = 0
-    for k in range(1, rank + 1):
+    for k in range(1, top + 1):
         c1, c2 = 5 * c1 - 5 * c2 + at_one.get(k, 0), c1
+        if k in wanted:
+            counts[k] = c1
     # Whole bytes per field, so each field decodes without a shift.
-    w = 8 * max(1, -(-c1.bit_length() // 8))
+    w = 8 * max(1, -(-max(counts.values()).bit_length() // 8))
 
     # At q = 2**w, with d = X_{k-1} - X_{k-2}: (2+2q+q^2) X_{k-1} -
     # (1+2q+q^2+q^3) X_{k-2} = X_{k-1} + d + 2q d + q^2 d - q^3 X_{k-2}.
     at_w = {k: n(1 << w) for k, n in numerators.items()}
+    polys = {}
     x1 = x2 = 0
-    for k in range(1, rank + 1):
-        d = x1 - x2
-        step = x1 + d + (d << (w + 1)) + (d << (2 * w)) - (x2 << (3 * w))
-        if k in at_w:
-            step += at_w[k]
-        x1, x2 = step, x1
-    if x1 < 0:
+    for k in range(top + 1):
+        if k:
+            d = x1 - x2
+            step = x1 + d + (d << (w + 1)) + (d << (2 * w)) - (x2 << (3 * w))
+            if k in at_w:
+                step += at_w[k]
+            x1, x2 = step, x1
+        if k in wanted:
+            polys[k] = _gf_decode(x1, w, counts[k], f"{lie_type}{k}")
+    return tuple(polys[r] for r in ranks)
+
+
+def _gf_decode(packed: int, w: int, count: int, label: str) -> QPoly:
+    """P_r from its value at q = 2**w, checked against P_r(1) = count."""
+    if packed < 0:
+        raise InternalCancellationFailure(f"gf sweep for {label} is negative at q = 2^{w}")
+    coeffs = unpack_fields(packed, w)
+    if sum(coeffs) != count:
         raise InternalCancellationFailure(
-            f"gf sweep for {lie_type}{rank} is negative at q = 2^{w}"
-        )
-    coeffs = unpack_fields(x1, w)
-    if sum(coeffs) != c1:
-        raise InternalCancellationFailure(
-            f"gf sweep for {lie_type}{rank} decodes to coefficients summing to "
-            f"{sum(coeffs)}, not P(1) = {c1}"
+            f"gf sweep for {label} decodes to coefficients summing to "
+            f"{sum(coeffs)}, not P(1) = {count}"
         )
     return QPoly(coeffs)
 
@@ -276,8 +299,7 @@ def explicit_qpoly(lie_type: str, rank: int) -> QPoly:
     return _div_s_squared(QPoly([c >> e for c in real.coeffs]), label)
 
 
-@dataclass(frozen=True)
-class BenderReport:
+class BenderReport(Record):
     """Outcome of the central-limit hypotheses check at q = 1.
 
     The denominator specializes to 1 - 5z + 5z**2; its roots are
@@ -286,10 +308,11 @@ class BenderReport:
     (smaller) root is simple, and evaluates each family numerator there.
     """
 
-    small_root: Root5
-    large_root: Root5
-    numerator_values: dict
-    passed: bool
+    __slots__ = ("small_root", "large_root", "numerator_values", "passed")
+
+    def __init__(self, small_root: Root5, large_root: Root5, numerator_values: dict,
+                 passed: bool):
+        self._assign(small_root, large_root, numerator_values, passed)
 
 
 def _root5_horner(int_coeffs, z: Root5) -> Root5:

@@ -22,17 +22,19 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .closedform import SupportSpec, explicit_qpoly, gf_coefficient, product_qpoly
+from ._record import Record
+from .closedform import (
+    SupportSpec,
+    explicit_qpoly,
+    gf_coefficient,
+    gf_coefficients,
+    product_qpoly,
+)
 from .errors import DegenerateDistribution, InvalidSupport, ZeroDistribution
 from .polyring import QPoly
-from .rootsys import LIE_TYPES, validate_type_rank
-
-#: Families a convergence sweep understands: the four highest-root families
-#: plus the bumped product-form family over type A.
-FAMILIES = ("A", "B", "C", "D", "product")
+from .rootsys import FAMILIES, LIE_TYPES, validate_type_rank
 
 DEFAULT_T_GRID = (-1.0, -0.5, 0.5, 1.0)
 
@@ -41,18 +43,20 @@ _HORNER_MAX_BITS = 900
 _EXP_MAX_ARG = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class DistSummary:
-    """Exact moments plus float normality diagnostics for one distribution."""
+class DistSummary(Record):
+    """Exact moments plus float normality diagnostics for one distribution.
 
-    family: str | None
-    rank: int | None
-    mean: Fraction
-    variance: Fraction
-    ks_distance: float
-    skewness: float
-    excess_kurtosis: float
-    mgf_errors: tuple  # pairs (t, |log M(t) - t^2/2|)
+    mgf_errors holds pairs (t, |log M(t) - t^2/2|).
+    """
+
+    __slots__ = ("family", "rank", "mean", "variance", "ks_distance", "skewness",
+                 "excess_kurtosis", "mgf_errors")
+
+    def __init__(self, family: str | None, rank: int | None, mean: Fraction,
+                 variance: Fraction, ks_distance: float, skewness: float,
+                 excess_kurtosis: float, mgf_errors: tuple):
+        self._assign(family, rank, mean, variance, ks_distance, skewness,
+                     excess_kurtosis, mgf_errors)
 
     @property
     def max_mgf_error(self) -> float:
@@ -88,7 +92,7 @@ def _log_mgf(coeffs, g1: int, t: float, mu_f: float, sigma_f: float) -> float:
         z = math.exp(n)
         acc = 0.0
         for c in reversed(coeffs):
-            acc = acc * z + (float(Fraction(c, g1)) if c else 0.0)
+            acc = acc * z + (c / g1 if c else 0.0)
         if 0.0 < acc < math.inf:
             return math.log(acc) - t * mu_f / sigma_f
     log_g1 = math.log(g1)
@@ -124,7 +128,7 @@ def summarize(g: QPoly, t_grid=DEFAULT_T_GRID, family=None, rank=None) -> DistSu
     cum = 0
     for k, c in enumerate(g.coeffs):
         cum += c
-        emp = float(Fraction(cum, g1))
+        emp = cum / g1
         gauss = normal_cdf((k + 0.5 - mu_f) / sigma_f)
         diff = abs(emp - gauss)
         if diff > ks:
@@ -158,8 +162,18 @@ def family_poly(family: str, rank: int, bumps: int = 0) -> QPoly:
 
 
 def convergence_sweep(family, ranks, t_grid=DEFAULT_T_GRID, bumps=0):
-    """Summaries of one family across the given ranks, in input order."""
+    """Summaries of one family across the given ranks, in input order.
+
+    The B/C/D polynomials of all ranks come from one generating-function
+    sweep to the top rank.
+    """
+    ranks = tuple(ranks)
+    if family in ("B", "C", "D"):
+        for r in ranks:
+            validate_type_rank(family, r)
+        polys = gf_coefficients(family, ranks)
+    else:
+        polys = [family_poly(family, r, bumps) for r in ranks]
     return tuple(
-        summarize(family_poly(family, r, bumps), t_grid, family=family, rank=r)
-        for r in ranks
+        summarize(g, t_grid, family=family, rank=r) for g, r in zip(polys, ranks)
     )

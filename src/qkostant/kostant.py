@@ -52,22 +52,31 @@ def qanalog(system: RootSystem, target) -> QPoly:
     zero weight (the empty multiset).  Raises FoldTooLarge when the box
     prod_i (target_i + 1) has more than MAX_FOLD_CELLS cells.
     """
+    target = check_target(system.rank, target)
+    if any(c < 0 for c in target):
+        return QPoly.zero()
+    return _qanalog_cached(system.lie_type, system.rank, target)
+
+
+def check_target(rank: int, target) -> Weight:
+    """target as a tuple, after every check qanalog makes before folding.
+
+    Needs only the rank, so a caller can refuse a weight, for instance one
+    whose box exceeds MAX_FOLD_CELLS, before building the root system.
+    """
     target = tuple(target)
-    if len(target) != system.rank:
-        raise DimensionMismatch(
-            f"weight of length {len(target)} against rank {system.rank}"
-        )
+    if len(target) != rank:
+        raise DimensionMismatch(f"weight of length {len(target)} against rank {rank}")
     for c in target:
         if not isinstance(c, int) or isinstance(c, bool):
             raise TypeError("weight coordinates must be ints")
-    if any(c < 0 for c in target):
-        return QPoly.zero()
-    cells = prod(c + 1 for c in target)
-    if cells > MAX_FOLD_CELLS:
-        raise FoldTooLarge(
-            f"lattice fold over {cells} cells exceeds the budget of {MAX_FOLD_CELLS}"
-        )
-    return _qanalog_cached(system.lie_type, system.rank, target)
+    if all(c >= 0 for c in target):
+        cells = prod(c + 1 for c in target)
+        if cells > MAX_FOLD_CELLS:
+            raise FoldTooLarge(
+                f"lattice fold over {cells} cells exceeds the budget of {MAX_FOLD_CELLS}"
+            )
+    return target
 
 
 def count_decompositions(system: RootSystem, target) -> int:

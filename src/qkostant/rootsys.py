@@ -25,12 +25,16 @@ the documented D-type fork vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record
 from .errors import RankTooSmall
 
 LIE_TYPES = ("A", "B", "C", "D")
+
+#: Families a convergence sweep understands: the four highest-root families
+#: plus the bumped product-form family over type A.
+FAMILIES = LIE_TYPES + ("product",)
 
 #: Smallest rank at which each family is defined in this package.
 MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4}
@@ -146,14 +150,13 @@ def _roots_d(rank: int):
 _BUILDERS = {"A": _roots_a, "B": _roots_b, "C": _roots_c, "D": _roots_d}
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Record):
     """An immutable positive root system in simple-root coordinates."""
 
-    lie_type: str
-    rank: int
-    positive_roots: tuple
-    highest_root: Weight
+    __slots__ = ("lie_type", "rank", "positive_roots", "highest_root")
+
+    def __init__(self, lie_type: str, rank: int, positive_roots: tuple, highest_root: Weight):
+        self._assign(lie_type, rank, positive_roots, highest_root)
 
     @property
     def count(self) -> int:

@@ -22,19 +22,20 @@ generating-function route, so it is rejected; see TYPE_B_VARIANCE_NOTE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import ZeroDistribution
 from .polyring import QPoly, Root5
 from .rootsys import validate_type_rank
 from .closedform import SupportSpec
 
 
-@dataclass(frozen=True)
-class MomentPair:
-    mean: Fraction
-    variance: Fraction
+class MomentPair(Record):
+    __slots__ = ("mean", "variance")
+
+    def __init__(self, mean: Fraction, variance: Fraction):
+        self._assign(mean, variance)
 
 
 TYPE_B_VARIANCE_NOTE = (

@@ -11,9 +11,9 @@ subcommand prints.  Identical inputs produce byte-identical reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .closedform import (
     SupportSpec,
     check_bender_conditions,
@@ -38,11 +38,11 @@ from .stats import (
 _EXTENDED_FACTOR = 2
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str  # PASS, WARN, or FAIL
-    detail: str
+class CheckResult(Record):
+    __slots__ = ("name", "status", "detail")  # status is PASS, WARN, or FAIL
+
+    def __init__(self, name: str, status: str, detail: str):
+        self._assign(name, status, detail)
 
 
 def _result(name, failures, detail_ok):

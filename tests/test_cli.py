@@ -10,7 +10,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from qkostant import QPoly, TYPE_B_VARIANCE_NOTE, cli
+from qkostant import QPoly, TYPE_B_VARIANCE_NOTE, cli, closedform
 
 
 def run_cli(argv, capsys):
@@ -127,9 +127,23 @@ def test_qpoly_closed_routes_skip_the_root_system(capsys, monkeypatch):
         assert out.splitlines()[1].startswith(f"{route},")
 
 
+def test_qpoly_fold_budget_refused_before_the_root_system(capsys, monkeypatch):
+    # A300 has 45,150 roots; its 2^300-cell box is refused before they are built
+    def refuse(*args):
+        raise AssertionError("root system built for a refused fold")
+
+    monkeypatch.setattr(cli, "build_root_system", refuse)
+    rc, out, err = run_cli(["qpoly", "--type", "A", "--rank", "300", "--route", "oracle"],
+                           capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: lattice fold over")
+
+
 def test_qpoly_strict_disagreement_exit_code(capsys, monkeypatch):
     # force one route to lie so the disagreement path is reachable
-    monkeypatch.setattr(cli, "gf_coefficient", lambda t, r: QPoly((0, 9)))
+    # the handler imports its routes when it runs, so patch them at the source
+    monkeypatch.setattr(closedform, "gf_coefficient", lambda t, r: QPoly((0, 9)))
     rc, out, _ = run_cli(["qpoly", "--type", "C", "--rank", "5"], capsys)
     assert rc == 0
     assert "false" in out
@@ -299,6 +313,40 @@ def test_cli_runs_as_module():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("index,coeffs\n")
+
+
+# Prints the modules loaded by one CLI request, after it exits.
+_MODULES_AT_EXIT = """\
+import atexit, runpy, sys
+atexit.register(lambda: sys.stderr.write("\\nMODULES " + " ".join(sorted(sys.modules))))
+runpy.run_module("qkostant.cli", run_name="__main__", alter_sys=True)
+"""
+
+_NEVER_LOADED = {"dataclasses", "inspect"}
+_IMPORT_CASES = [
+    (["roots", "--type", "B", "--rank", "3", "--format", "json"],
+     {"qkostant.closedform", "qkostant.kostant", "qkostant.polyring", "fractions"}),
+    (["qpoly", "--type", "B", "--rank", "5", "--format", "json"],
+     {"qkostant.stats", "qkostant.gaussianity", "qkostant.verify"}),
+    (["qpoly", "--type", "A", "--rank", "6", "--support", "3:1"],
+     {"qkostant.stats", "qkostant.gaussianity", "qkostant.verify"}),
+    (["stats", "--type", "C", "--rank", "6"],
+     {"qkostant.kostant", "qkostant.gaussianity", "qkostant.verify"}),
+    (["converge", "--family", "D", "--ranks", "12,8"],
+     {"qkostant.kostant", "qkostant.stats", "qkostant.verify"}),
+    (["verify", "--max-rank", "5", "--format", "csv"], {"qkostant.gaussianity"}),
+]
+
+
+@pytest.mark.parametrize("argv, absent", _IMPORT_CASES, ids=[c[0][0] for c in _IMPORT_CASES])
+def test_subcommands_import_only_their_layers(argv, absent):
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_AT_EXIT, *argv], capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.rsplit("MODULES ", 1)[1].split())
+    assert "qkostant.rootsys" in loaded
+    assert not loaded & (_NEVER_LOADED | absent)
 
 
 @pytest.mark.skipif(

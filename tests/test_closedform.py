@@ -167,6 +167,18 @@ def test_gf_negative_coefficient_fails_loudly(monkeypatch, fam, k, entry, rank, 
     monkeypatch.setitem(closedform._GF_NUMERATORS, fam, numerators)
     with pytest.raises(InternalCancellationFailure, match=failing_check):
         gf_coefficient(fam, rank)
+    # in a list sweep the rank below the top is checked when it is decoded
+    with pytest.raises(InternalCancellationFailure, match=f"{fam}{rank} .*{failing_check}"):
+        closedform.gf_coefficients(fam, (rank + 30, rank))
+
+
+def test_gf_list_sweep_matches_per_rank_calls():
+    for fam in "BCD":
+        ranks = list(range(0, 60, 3)) + [7, 7, 41, 0, 120]
+        rng.shuffle(ranks)
+        got = closedform.gf_coefficients(fam, ranks)
+        assert got == tuple(gf_coefficient(fam, r) for r in ranks), fam
+    assert closedform.gf_coefficients("B", ()) == ()
 
 
 def test_gf_rejects_bad_input():
@@ -174,6 +186,8 @@ def test_gf_rejects_bad_input():
         gf_coefficient("A", 3)
     with pytest.raises(ValueError):
         gf_coefficient("B", -1)
+    with pytest.raises(ValueError):
+        closedform.gf_coefficients("C", (5, -1))
 
 
 # ---------------------------------------------------------------- surd route
