@@ -20,6 +20,23 @@ that coordinate, so skipping it leaves every sum unchanged in any root
 order.  Every simple root below the target is folded, so the last live box
 is the whole box.
 
+Runs.  A root's swept cells are updated a run at a time, not a cell at a
+time.  Let L be the last coordinate in the root's support.  The root is 0
+on every coordinate after L, so where those coordinates are live at full
+extent, the swept cells that share coordinates 0..L form one contiguous
+run of strides[L] cells, and the whole run is one slice update
+t[a:b] = map(add, t[a:b], t[a-d:b-d]) with d = sum_i root_i * strides[i].
+(In general the run spans the longest suffix of coordinates that are live
+at full extent and where the root is 0.)  Since root_L >= 1, d is at least
+strides[L], the run's length, so every source lies before the run: in an
+earlier run of the same root, which ascending order has already finished,
+or in a cell the root does not sweep.  So each run reads exactly what the
+cell-by-cell sweep would.  In the system's lexicographic order every
+simple root alpha_j with j > L sorts before a root whose support ends at
+L (it is 0 where that root's support starts), so each coordinate after L
+is live already or has extent 1: nearly every root's work is a few long
+runs.  Any other order gives the same sums in shorter runs.
+
 For speed the polynomial at each cell is Kronecker-packed into a single
 Python integer (coefficient of q**k occupies the bit field [k*W, (k+1)*W)),
 so the inner update is one shift-and-add on native big integers.  The
@@ -34,12 +51,13 @@ Boxes over MAX_FOLD_CELLS cells are refused before any table is allocated.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from itertools import repeat
 from math import prod
+from operator import add, lshift
 
 from .errors import DimensionMismatch, FoldTooLarge
 from .polyring import QPoly, unpack_fields
-from .rootsys import RootSystem, Weight, build_root_system
+from .rootsys import RootSystem, Weight
 
 #: Largest box prod_i (target_i + 1) the lattice fold will allocate.
 MAX_FOLD_CELLS = 2 ** 22
@@ -55,7 +73,7 @@ def qanalog(system: RootSystem, target) -> QPoly:
     target = check_target(system.rank, target)
     if any(c < 0 for c in target):
         return QPoly.zero()
-    return _qanalog_cached(system.lie_type, system.rank, target)
+    return QPoly(_fold(_roots_below(system, target), target))
 
 
 def check_target(rank: int, target) -> Weight:
@@ -80,15 +98,18 @@ def check_target(rank: int, target) -> Weight:
 
 
 def count_decompositions(system: RootSystem, target) -> int:
-    """Number of multisets of positive roots summing to the target."""
-    return qanalog(system, target)(1)
+    """Number of multisets of positive roots summing to the target.
+
+    Runs the plain count sweep alone, with no packed sweep.
+    """
+    target = check_target(system.rank, target)
+    if any(c < 0 for c in target):
+        return 0
+    return _count_sweep(*_plan(_roots_below(system, target), target))[-1]
 
 
-@lru_cache(maxsize=None)
-def _qanalog_cached(lie_type: str, rank: int, target: Weight) -> QPoly:
-    system = build_root_system(lie_type, rank)
-    roots = [r for r in system.positive_roots if all(a <= b for a, b in zip(r, target))]
-    return QPoly(_fold(roots, target))
+def _roots_below(system: RootSystem, target: Weight) -> list:
+    return [r for r in system.positive_roots if all(a <= b for a, b in zip(r, target))]
 
 
 def _cell_indices(root, sizes, strides):
@@ -100,31 +121,44 @@ def _cell_indices(root, sizes, strides):
     return idxs
 
 
-def _fold(roots, target):
-    """Coefficient list of the part-count polynomial for the target."""
-    if sum(target) == 0:
-        return [1]
+def _plan(roots, target):
+    """Each root's sweep as (delta, run starts ascending, run length), and
+    the number of cells in the box."""
     sizes = [t + 1 for t in target]
     strides = [prod(sizes[i + 1:]) for i in range(len(sizes))]
-    total = prod(sizes)
-
+    plan = []
     # Each root's live box: full extent on every coordinate some root so
     # far has in its support, extent 1 (pinned to 0) on the rest.
-    sweeps = []
     live = [1] * len(sizes)
     for root in roots:
         live = [sz if rc else lv for sz, lv, rc in zip(sizes, live, root)]
-        sweeps.append((root, sum(c * s for c, s in zip(root, strides)), live))
+        # The run: the longest suffix of coordinates that are live at full
+        # extent and where the root is 0.
+        m = len(sizes)
+        while not root[m - 1] and live[m - 1] == sizes[m - 1]:
+            m -= 1
+        delta = sum(c * s for c, s in zip(root, strides))
+        plan.append((delta, _cell_indices(root[:m], live, strides), strides[m - 1]))
+    return plan, prod(sizes)
 
-    # Sweep 1: plain counts.  The target's count bounds every coefficient
-    # of its polynomial, giving the packing width.
+
+def _count_sweep(plan, total):
+    """Plain decomposition count of every cell of the box."""
     counts = [0] * total
     counts[0] = 1
-    for root, delta, box in sweeps:
-        for i in _cell_indices(root, box, strides):
-            src = counts[i - delta]
-            if src:
-                counts[i] += src
+    for delta, starts, run in plan:
+        for a in starts:
+            b = a + run
+            counts[a:b] = map(add, counts[a:b], counts[a - delta:b - delta])
+    return counts
+
+
+def _fold(roots, target):
+    """Coefficient list of the part-count polynomial for the target."""
+    plan, total = _plan(roots, target)
+    # Sweep 1: plain counts.  The target's count bounds every coefficient
+    # of its polynomial, giving the packing width.
+    counts = _count_sweep(plan, total)
     if counts[-1] == 0:
         return []
     width = counts[-1].bit_length()
@@ -134,11 +168,11 @@ def _fold(roots, target):
     # multiplying by q is a shift by one field.
     table = [0] * total
     table[0] = 1
-    for root, delta, box in sweeps:
-        for i in _cell_indices(root, box, strides):
-            src = table[i - delta]
-            if src:
-                table[i] += src << width
+    widths = repeat(width)
+    for delta, starts, run in plan:
+        for a in starts:
+            b = a + run
+            table[a:b] = map(add, table[a:b], map(lshift, table[a - delta:b - delta], widths))
     packed = table[-1]
     del table
     return unpack_fields(packed, width)

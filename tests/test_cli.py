@@ -5,12 +5,13 @@ import math
 import shutil
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from qkostant import QPoly, TYPE_B_VARIANCE_NOTE, cli, closedform
+from qkostant import QPoly, TYPE_B_VARIANCE_NOTE, cli, closedform, qanalog
 
 
 def run_cli(argv, capsys):
@@ -267,6 +268,40 @@ def test_verify_rejects_small_max_rank(capsys):
     rc, _, err = run_cli(["verify", "--max-rank", "4"], capsys)
     assert rc == 2
     assert "at least 5" in err
+
+
+def test_verify_over_budget_max_rank_refused_before_any_check(capsys, monkeypatch):
+    # B15's highest root has a 2*3^14-cell box; no root system is built first
+    from qkostant import verify
+
+    def refuse(*args):
+        raise AssertionError("verify started work on a refused max rank")
+
+    monkeypatch.setattr(verify, "build_root_system", refuse)
+    start = time.perf_counter()
+    rc, out, err = run_cli(["verify", "--max-rank", "15"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: lattice fold over")
+
+
+def test_verify_folds_each_bump_weight_once(monkeypatch):
+    from qkostant import verify
+
+    folded = []
+
+    def counting_qanalog(system, target):
+        folded.append((system.lie_type, system.rank, tuple(target)))
+        return qanalog(system, target)
+
+    monkeypatch.setattr(verify, "qanalog", counting_qanalog)
+    verify.run_all(5)
+    repeated = {key for key in folded if folded.count(key) > 1}
+    # only the pinned B2 example, which is no bump weight, is folded twice
+    assert repeated == {("B", 2, (1, 2))}
+    bumps = {(s.lie_type, s.rank, closedform.weight_of(s)) for s in verify._spec_suite(5)}
+    assert bumps <= set(folded)
 
 
 # ------------------------------------------------------------- exit codes

@@ -1,5 +1,6 @@
 """The lattice-fold counter versus a direct multiset enumerator."""
 
+import itertools
 import math
 import random
 import time
@@ -149,6 +150,43 @@ def test_fold_width_fits_a_coefficient_equal_to_the_count():
     # the whole 2-bit field
     roots = [(0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 0, 0)]
     assert _fold(roots, (1, 1, 1, 1)) == [0, 0, 2]
+
+
+def per_cell_fold(roots, target):
+    """The lattice fold one cell at a time on a dict of coefficient lists.
+
+    Cells are visited in ascending lexicographic order, which is the packed
+    order _fold uses, so each root's geometric series is realized in place.
+    """
+    cells = list(itertools.product(*(range(t + 1) for t in target)))
+    table = {cell: [] for cell in cells}
+    table[cells[0]] = [1]
+    for root in roots:
+        for cell in cells:
+            src = tuple(c - rc for c, rc in zip(cell, root))
+            if min(src) < 0 or not table[src]:
+                continue
+            shifted = [0] + table[src]
+            table[cell] = [a + b for a, b in
+                           itertools.zip_longest(table[cell], shifted, fillvalue=0)]
+    coeffs = table[tuple(target)]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def test_fold_runs_match_a_per_cell_fold():
+    # every weight with coordinates in {0, 1, 2} up to rank 4: zeros at the
+    # front, middle and end give size-1 axes, and the reversed root order
+    # leaves the trailing axes unlive, so runs shrink to single cells
+    for t in LIE_TYPES:
+        for r in range(MIN_RANK[t], 5):
+            system = build_root_system(t, r)
+            for w in all_weights(r, 2):
+                roots = [root for root in system.positive_roots
+                         if all(a <= b for a, b in zip(root, w))]
+                for order in (roots, roots[::-1]):
+                    assert _fold(order, w) == per_cell_fold(order, w), (t, r, w, order)
 
 
 def _small_weights():
