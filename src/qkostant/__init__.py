@@ -60,21 +60,4 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "QPoly", "Root5",
-    "LIE_TYPES", "MIN_RANK", "RootSystem", "build_root_system",
-    "highest_root", "positive_root_count",
-    "qanalog", "count_decompositions", "MAX_FOLD_CELLS",
-    "SupportSpec", "weight_of", "product_qpoly", "iter_support_specs",
-    "gf_coefficient", "explicit_qpoly",
-    "BenderReport", "check_bender_conditions",
-    "MomentPair", "moments_from_poly", "product_moments", "closed_moments",
-    "MEAN_GROWTH_LIMIT", "TYPE_B_VARIANCE_NOTE",
-    "DistSummary", "summarize", "convergence_sweep", "family_poly", "normal_cdf",
-    "DEFAULT_T_GRID", "FAMILIES",
-    "CheckResult", "run_all", "summary_line",
-    "KostantError", "RankTooSmall", "DimensionMismatch", "InvalidSupport",
-    "ZeroDistribution", "DegenerateDistribution", "NonRationalResult", "FoldTooLarge",
-    "InternalCancellationFailure",
-    "__version__",
-]
+__all__ = [*_MODULE_OF, "__version__"]

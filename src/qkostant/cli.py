@@ -183,47 +183,35 @@ def _cmd_roots(args) -> int:
     return EXIT_OK
 
 
-def _qpoly_tasks(args):
-    """Resolve the weight and the ordered list of applicable route names."""
-    if args.support is not None:
-        from .closedform import SupportSpec, weight_of
-
-        spec = SupportSpec(args.lie_type, args.rank, args.support)
-        return weight_of(spec), spec, ["oracle", "product"]
-    if args.weight == "highest":
-        weight = highest_root(args.lie_type, args.rank)
-        routes = ["oracle", "explicit"] if args.lie_type == "A" else ["oracle", "gf", "explicit"]
-        return weight, None, routes
-    validate_type_rank(args.lie_type, args.rank)
-    return tuple(args.weight), None, ["oracle"]
-
-
 def _cmd_qpoly(args) -> int:
-    from .closedform import explicit_qpoly, gf_coefficient, product_qpoly
+    from . import closedform
     from .kostant import check_target, qanalog
 
-    weight, spec, applicable = _qpoly_tasks(args)
-    if args.route == "all":
-        routes = applicable
-    elif args.route in applicable:
-        routes = [args.route]
+    def oracle():
+        # Refuse an oversized box before the system is built.
+        target = check_target(args.rank, weight)
+        return qanalog(build_root_system(args.lie_type, args.rank), target)
+
+    # The applicable routes, in output order: route name -> computation.
+    routes = {"oracle": oracle}
+    if args.support is not None:
+        spec = closedform.SupportSpec(args.lie_type, args.rank, args.support)
+        weight = closedform.weight_of(spec)
+        routes["product"] = lambda: closedform.product_qpoly(spec)
+    elif args.weight == "highest":
+        weight = highest_root(args.lie_type, args.rank)
+        if args.lie_type != "A":
+            routes["gf"] = lambda: closedform.gf_coefficient(args.lie_type, args.rank)
+        routes["explicit"] = lambda: closedform.explicit_qpoly(args.lie_type, args.rank)
     else:
+        validate_type_rank(args.lie_type, args.rank)
+        weight = tuple(args.weight)
+    if args.route != "all" and args.route not in routes:
         raise _InputError(
-            f"route {args.route} does not apply here (applicable: {', '.join(applicable)})"
+            f"route {args.route} does not apply here (applicable: {', '.join(routes)})"
         )
-    computed = []
-    for name in routes:
-        if name == "oracle":
-            # Refuse an oversized box before the system is built.
-            target = check_target(args.rank, weight)
-            poly = qanalog(build_root_system(args.lie_type, args.rank), target)
-        elif name == "product":
-            poly = product_qpoly(spec)
-        elif name == "gf":
-            poly = gf_coefficient(args.lie_type, args.rank)
-        else:
-            poly = explicit_qpoly(args.lie_type, args.rank)
-        computed.append((name, poly))
+    chosen = routes if args.route == "all" else (args.route,)
+    computed = [(name, routes[name]()) for name in chosen]
     agree = None
     if len(computed) > 1:
         first = computed[0][1]
@@ -258,19 +246,11 @@ def _cmd_qpoly(args) -> int:
     return EXIT_OK
 
 
-def _highest_poly(lie_type, rank):
-    from .closedform import explicit_qpoly, gf_coefficient
-
-    validate_type_rank(lie_type, rank)
-    if lie_type == "A":
-        return explicit_qpoly("A", rank)
-    return gf_coefficient(lie_type, rank)
-
-
 def _cmd_stats(args) -> int:
+    from .closedform import highest_qpolys
     from .stats import TYPE_B_VARIANCE_NOTE, closed_moments, moments_from_poly
 
-    pair = moments_from_poly(_highest_poly(args.lie_type, args.rank))
+    pair = moments_from_poly(highest_qpolys(args.lie_type, (args.rank,))[0])
     closed_mean, closed_var = closed_moments(args.lie_type, args.rank)
     closed_mean = closed_mean.as_fraction()
     closed_var = closed_var.as_fraction()

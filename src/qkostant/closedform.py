@@ -39,6 +39,11 @@ requested rank on the way up; gf_coefficient is its one-rank case.
 For type A, (1+q)**n in the product and explicit routes is built as a row
 of binomial coefficients, not by repeated squaring.
 
+highest_qpolys is the one place that picks a highest root's closed route:
+the binomial row of explicit_qpoly for type A, one gf_coefficients sweep for
+B, C and D.  The stats and converge subcommands and the convergence sweep
+all reach the highest-root polynomial through it.
+
 check_bender_conditions verifies the hypotheses of the classical central
 limit theorem for coefficient arrays of rational generating functions at
 q = 1: the dominant denominator root is simple and no family numerator
@@ -204,6 +209,20 @@ def gf_coefficients(lie_type: str, ranks) -> tuple:
         if k in wanted:
             polys[k] = _gf_decode(x1, w, counts[k], f"{lie_type}{k}")
     return tuple(polys[r] for r in ranks)
+
+
+def highest_qpolys(lie_type: str, ranks) -> tuple:
+    """The highest root's part-count polynomial at each rank, in input order.
+
+    Every rank is validated first, so one below the Lie minimum raises
+    RankTooSmall before any work starts.
+    """
+    ranks = tuple(ranks)
+    for r in ranks:
+        validate_type_rank(lie_type, r)
+    if lie_type == "A":
+        return tuple(explicit_qpoly("A", r) for r in ranks)
+    return gf_coefficients(lie_type, ranks)
 
 
 def _gf_decode(packed: int, w: int, count: int, label: str) -> QPoly:

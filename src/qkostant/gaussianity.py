@@ -25,16 +25,10 @@ import sys
 from fractions import Fraction
 
 from ._record import Record
-from .closedform import (
-    SupportSpec,
-    explicit_qpoly,
-    gf_coefficient,
-    gf_coefficients,
-    product_qpoly,
-)
+from .closedform import SupportSpec, highest_qpolys, product_qpoly
 from .errors import DegenerateDistribution, InvalidSupport, ZeroDistribution
 from .polyring import QPoly
-from .rootsys import FAMILIES, LIE_TYPES, validate_type_rank
+from .rootsys import FAMILIES, LIE_TYPES
 
 DEFAULT_T_GRID = (-1.0, -0.5, 0.5, 1.0)
 
@@ -142,17 +136,12 @@ def summarize(g: QPoly, t_grid=DEFAULT_T_GRID, family=None, rank=None) -> DistSu
 def family_poly(family: str, rank: int, bumps: int = 0) -> QPoly:
     """The part-count polynomial a convergence sweep studies at one rank.
 
-    Highest-root families use their closed routes (product form for A,
-    generating function for B/C/D).  The "product" family is the type-A
-    product-form weight bumped by one extra copy at indices 2, 4, ...,
-    2*bumps, which requires rank > 2*bumps.
+    Highest-root families use closedform.highest_qpolys.  The "product"
+    family is the type-A product-form weight bumped by one extra copy at
+    indices 2, 4, ..., 2*bumps, which requires rank > 2*bumps.
     """
     if family in LIE_TYPES:
-        validate_type_rank(family, rank)
-    if family in ("B", "C", "D"):
-        return gf_coefficient(family, rank)
-    if family == "A":
-        return explicit_qpoly("A", rank)
+        return highest_qpolys(family, (rank,))[0]
     if family == "product":
         if bumps < 0:
             raise InvalidSupport(f"bump count must be >= 0, got {bumps}")
@@ -164,14 +153,12 @@ def family_poly(family: str, rank: int, bumps: int = 0) -> QPoly:
 def convergence_sweep(family, ranks, t_grid=DEFAULT_T_GRID, bumps=0):
     """Summaries of one family across the given ranks, in input order.
 
-    The B/C/D polynomials of all ranks come from one generating-function
-    sweep to the top rank.
+    The highest-root polynomials of all ranks come from one
+    closedform.highest_qpolys call.
     """
     ranks = tuple(ranks)
-    if family in ("B", "C", "D"):
-        for r in ranks:
-            validate_type_rank(family, r)
-        polys = gf_coefficients(family, ranks)
+    if family in LIE_TYPES:
+        polys = highest_qpolys(family, ranks)
     else:
         polys = [family_poly(family, r, bumps) for r in ranks]
     return tuple(

@@ -2,14 +2,12 @@
 
 Two numeric layers live here, both float-free:
 
-* QPoly      -- dense polynomials in one variable q with int/Fraction
-                coefficients, canonically normalized (no trailing zeros,
-                integer-valued Fractions demoted to int).
+* QPoly      -- dense polynomials in one variable q with int coefficients,
+                canonically normalized (no trailing zeros).  Every route
+                produces integer polynomials, so any other coefficient type
+                (Fraction, float, bool) is rejected at construction time.
 * Root5      -- elements a + b*sqrt(5) of the real quadratic number field,
                 with Fraction components.
-
-Scalars are ints or fractions.Fraction throughout; floats are rejected at
-construction time so exactness cannot silently degrade.
 
 unpack_fields is the one Kronecker decoder shared by the packed routes: a
 polynomial with coefficients in [0, 2**W) is held as its value at q = 2**W,
@@ -22,22 +20,20 @@ from fractions import Fraction
 
 from .errors import NonRationalResult
 
-Scalar = int | Fraction
+
+def _is_int(c) -> bool:
+    return isinstance(c, int) and not isinstance(c, bool)
 
 
 def _canon_scalar(c):
-    """Validate and canonicalize one coefficient (Fraction 4/1 becomes int 4)."""
-    if isinstance(c, bool):
-        raise TypeError("bool is not a polynomial coefficient")
-    if isinstance(c, int):
+    """Validate one coefficient: an int that is not a bool."""
+    if isinstance(c, int) and not isinstance(c, bool):  # _is_int, inlined on the hot path
         return c
-    if isinstance(c, Fraction):
-        return int(c) if c.denominator == 1 else c
-    raise TypeError(f"exact scalar required, got {type(c).__name__}")
+    raise TypeError(f"int coefficient required, got {type(c).__name__}")
 
 
 class QPoly:
-    """A polynomial in q with exact coefficients, lowest degree first."""
+    """A polynomial in q with integer coefficients, lowest degree first."""
 
     __slots__ = ("_coeffs",)
 
@@ -91,7 +87,7 @@ class QPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, QPoly):
             return self._coeffs == other._coeffs
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if _is_int(other):
             return self == QPoly((other,))
         return NotImplemented
 
@@ -104,7 +100,7 @@ class QPoly:
     def _coerce(self, other):
         if isinstance(other, QPoly):
             return other
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if _is_int(other):
             return QPoly((other,))
         return None
 
@@ -135,7 +131,7 @@ class QPoly:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if _is_int(other):
             if other == 0:
                 return QPoly.zero()
             return QPoly(tuple(c * other for c in self._coeffs))

@@ -6,7 +6,11 @@ reserved for the one documented defect (the family-B closed-form variance
 token, see stats.TYPE_B_VARIANCE_NOTE); everything else is strict.
 
 run_all(max_rank) drives the whole suite and is what the CLI's verify
-subcommand prints.  Identical inputs produce byte-identical reports.
+subcommand prints.  Identical inputs produce byte-identical reports.  It
+computes each polynomial once: the checks read tables built before the first
+check runs, except for the polynomials only one check needs (the highest-root
+folds of route-agreement, the type-A rows of chain-identity-A and the pinned
+values of fixed-examples).
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .closedform import (
     check_bender_conditions,
     explicit_qpoly,
     gf_coefficient,
+    gf_coefficients,
     iter_support_specs,
     product_qpoly,
     weight_of,
@@ -29,6 +34,7 @@ from .rootsys import LIE_TYPES, MIN_RANK, build_root_system, highest_root, posit
 from .stats import (
     MEAN_GROWTH_LIMIT,
     TYPE_B_VARIANCE_NOTE,
+    MomentPair,
     closed_moments,
     moments_from_poly,
     product_moments,
@@ -45,138 +51,38 @@ class CheckResult(Record):
         self._assign(name, status, detail)
 
 
-def _result(name, failures, detail_ok):
+def _check(name, cases, detail):
+    """PASS with detail, or FAIL naming the first four (label, ok) cases
+    that are not ok."""
+    failures = [label for label, ok in cases if not ok]
     if failures:
         shown = "; ".join(failures[:4])
         more = "" if len(failures) <= 4 else f" (+{len(failures) - 4} more)"
         return CheckResult(name, "FAIL", shown + more)
-    return CheckResult(name, "PASS", detail_ok)
-
-
-def _ranks(lie_type, max_rank):
-    return range(MIN_RANK[lie_type], max_rank + 1)
-
-
-def _check_root_counts(max_rank):
-    failures, n = [], 0
-    for t in LIE_TYPES:
-        for r in _ranks(t, max_rank):
-            n += 1
-            system = build_root_system(t, r)
-            if system.count != positive_root_count(t, r):
-                failures.append(f"{t}{r}: {system.count} != {positive_root_count(t, r)}")
-    return _result("root-counts", failures, f"{n} systems up to rank {max_rank}")
-
-
-def _check_highest_membership(max_rank):
-    failures, n = [], 0
-    for t in LIE_TYPES:
-        for r in _ranks(t, max_rank):
-            n += 1
-            if highest_root(t, r) not in build_root_system(t, r):
-                failures.append(f"{t}{r}: highest root not in listing")
-    return _result("highest-root-membership", failures, f"{n} systems")
-
-
-def _check_chain_identity(max_rank, oracle):
-    # the all-ones weight of A_r is the A_r bump weight with no bumps
-    failures = []
-    for r in range(1, max_rank + 1):
-        if oracle[SupportSpec("A", r, ())] != explicit_qpoly("A", r):
-            failures.append(f"A{r}")
-    return _result("chain-identity-A", failures, f"ranks 1..{max_rank}")
+    return CheckResult(name, "PASS", detail)
 
 
 def _spec_suite(max_rank):
     for t in LIE_TYPES:
-        for r in _ranks(t, max_rank):
+        for r in range(MIN_RANK[t], max_rank + 1):
             yield from iter_support_specs(t, r)
 
 
-def _check_product_vs_oracle(oracle):
-    failures = []
-    for spec, poly in oracle.items():
-        if poly != product_qpoly(spec):
-            failures.append(f"{spec.lie_type}{spec.rank} {spec.entries}")
-    return _result("product-vs-oracle", failures, f"{len(oracle)} bump weights")
+def _variance_cases(moments, lie_types):
+    return [
+        (f"{t}{r}", var.as_fraction() == pair.variance)
+        for (t, r), ((_, var), pair) in moments.items() if t in lie_types
+    ]
 
 
-def _check_total_counts(oracle):
-    failures = []
-    for spec, poly in oracle.items():
-        expect = 2 ** (spec.rank - 1 - 2 * spec.bump_count) * 5 ** spec.bump_count
-        if poly(1) != expect:
-            failures.append(f"{spec.lie_type}{spec.rank} {spec.entries}")
-    return _result("total-counts", failures, f"{len(oracle)} bump weights")
-
-
-def _check_route_agreement(max_rank):
-    failures, n = [], 0
-    for t in ("B", "C", "D"):
-        for r in _ranks(t, max_rank):
-            n += 1
-            system = build_root_system(t, r)
-            oracle = qanalog(system, system.highest_root)
-            if not (oracle == gf_coefficient(t, r) == explicit_qpoly(t, r)):
-                failures.append(f"{t}{r}")
-    return _result("route-agreement", failures, f"oracle=gf=explicit, {n} highest roots")
-
-
-def _check_gf_vs_explicit(max_rank):
-    top = _EXTENDED_FACTOR * max_rank
-    failures, n = [], 0
-    for t, lo in (("B", 2), ("C", 1), ("D", 4)):
-        for r in range(lo, top + 1):
-            n += 1
-            if gf_coefficient(t, r) != explicit_qpoly(t, r):
-                failures.append(f"{t}{r}")
-    return _result("gf-vs-explicit", failures, f"{n} ranks up to {top}")
-
-
-def _check_product_moments(max_rank):
-    failures, n = [], 0
-    for spec in _spec_suite(max_rank):
-        n += 1
-        if product_moments(spec) != moments_from_poly(product_qpoly(spec)):
-            failures.append(f"{spec.lie_type}{spec.rank} {spec.entries}")
-    return _result("product-moments", failures, f"{n} bump weights")
-
-
-def _check_closed_mean(max_rank):
-    failures, n = [], 0
-    for t in ("B", "C", "D"):
-        for r in _ranks(t, max_rank):
-            n += 1
-            mean, _ = closed_moments(t, r)
-            if mean.as_fraction() != moments_from_poly(gf_coefficient(t, r)).mean:
-                failures.append(f"{t}{r}")
-    return _result("closed-mean", failures, f"B/C/D, {n} ranks")
-
-
-def _check_closed_variance_cd(max_rank):
-    failures, n = [], 0
-    for t in ("C", "D"):
-        for r in _ranks(t, max_rank):
-            n += 1
-            _, var = closed_moments(t, r)
-            if var.as_fraction() != moments_from_poly(gf_coefficient(t, r)).variance:
-                failures.append(f"{t}{r}")
-    return _result("closed-variance-CD", failures, f"C/D, {n} ranks")
-
-
-def _check_closed_variance_b(max_rank):
-    failures, n = [], 0
-    for r in _ranks("B", max_rank):
-        n += 1
-        _, var = closed_moments("B", r)
-        if var.as_fraction() != moments_from_poly(gf_coefficient("B", r)).variance:
-            failures.append(f"B{r}")
-    if failures:
-        return _result("closed-variance-B", failures, "")
+def _check_closed_variance_b(moments):
+    cases = _variance_cases(moments, "B")
+    if not all(ok for _, ok in cases):
+        return _check("closed-variance-B", cases, "")
     return CheckResult(
         "closed-variance-B",
         "WARN",
-        f"{TYPE_B_VARIANCE_NOTE}; corrected reading matches the gf route at {n} ranks",
+        f"{TYPE_B_VARIANCE_NOTE}; corrected reading matches the gf route at {len(cases)} ranks",
     )
 
 
@@ -194,78 +100,111 @@ def _check_bender():
 
 def _check_mean_growth():
     r0 = 60
-    failures = []
+    cases = []
     limit = float(MEAN_GROWTH_LIMIT)
     for t in ("B", "C", "D"):
         older, _ = closed_moments(t, r0 - 1)
         newer, _ = closed_moments(t, r0)
         inc = float(newer.as_fraction() - older.as_fraction())
-        if abs(inc - limit) > 1e-9:
-            failures.append(f"{t}: increment {inc!r} vs limit {limit!r}")
-    return _result(
-        "mean-growth-limit", failures, f"increment at rank {r0} within 1e-09 of (7+sqrt(5))/10"
+        cases.append((f"{t}: increment {inc!r} vs limit {limit!r}", abs(inc - limit) <= 1e-9))
+    return _check(
+        "mean-growth-limit", cases, f"increment at rank {r0} within 1e-09 of (7+sqrt(5))/10"
     )
 
 
 def _check_fixed_examples():
     b2 = build_root_system("B", 2)
+    b2_poly = qanalog(b2, (1, 2))
+    c3_poly = gf_coefficient("C", 3)
+    a3_poly = explicit_qpoly("A", 3)
     checks = [
         ("A3 root count", build_root_system("A", 3).count == 6),
         ("B2 roots", b2.positive_roots == ((0, 1), (1, 0), (1, 1), (1, 2))),
         ("D4 root count", build_root_system("D", 4).count == 12),
         ("C3 highest root", highest_root("C", 3) == (2, 2, 1)),
         ("B4 highest root", highest_root("B", 4) == (1, 2, 2, 2)),
-        ("B2 highest-root poly", qanalog(b2, (1, 2)) == QPoly((0, 1, 1, 1))),
-        ("C3 gf poly", gf_coefficient("C", 3) == QPoly((0, 1, 2, 4, 2, 1))),
+        ("B2 highest-root poly", b2_poly == QPoly((0, 1, 1, 1))),
+        ("C3 gf poly", c3_poly == QPoly((0, 1, 2, 4, 2, 1))),
         ("D4 gf poly", gf_coefficient("D", 4) == QPoly((0, 1, 4, 6, 3, 1))),
-        ("A3 chain poly", explicit_qpoly("A", 3) == QPoly((0, 1, 2, 1))),
-        ("A3 stats", (lambda m: m.mean == 2 and m.variance == Fraction(1, 2))(
-            moments_from_poly(explicit_qpoly("A", 3)))),
-        ("B2 stats", (lambda m: m.mean == 2 and m.variance == Fraction(2, 3))(
-            moments_from_poly(qanalog(b2, (1, 2))))),
-        ("C3 stats", (lambda m: m.mean == 3 and m.variance == Fraction(6, 5))(
-            moments_from_poly(gf_coefficient("C", 3)))),
-        ("bump moments r5", (lambda m: m.mean == 3 and m.variance == 1)(
-            product_moments(SupportSpec("A", 5, ())))),
-        ("bump moments r5 idx3", (lambda m: (m.mean, m.variance)
-         == (Fraction(19, 5), Fraction(53, 50)))(
-            product_moments(SupportSpec("A", 5, ((3, 1),))))),
+        ("A3 chain poly", a3_poly == QPoly((0, 1, 2, 1))),
+        ("A3 stats", moments_from_poly(a3_poly) == MomentPair(2, Fraction(1, 2))),
+        ("B2 stats", moments_from_poly(b2_poly) == MomentPair(2, Fraction(2, 3))),
+        ("C3 stats", moments_from_poly(c3_poly) == MomentPair(3, Fraction(6, 5))),
+        ("bump moments r5", product_moments(SupportSpec("A", 5, ())) == MomentPair(3, 1)),
+        ("bump moments r5 idx3", product_moments(SupportSpec("A", 5, ((3, 1),)))
+         == MomentPair(Fraction(19, 5), Fraction(53, 50))),
     ]
-    failures = [name for name, ok in checks if not ok]
-    return _result("fixed-examples", failures, f"{len(checks)} pinned values")
+    return _check("fixed-examples", checks, f"{len(checks)} pinned values")
 
 
 def run_all(max_rank: int = 8):
     """The full suite, in a fixed order, as a list of CheckResult."""
     if max_rank < 5:
         raise ValueError("max_rank must be at least 5 so every family participates")
+    systems = [(t, r) for t in LIE_TYPES for r in range(MIN_RANK[t], max_rank + 1)]
+    highest = [(t, r) for t, r in systems if t != "A"]
     # Refuse an over-budget max_rank before any check runs: every weight
     # the suite folds goes through the fold's own budget check first.  The
     # highest roots come first; their boxes outgrow the budget soonest.
-    for t in ("B", "C", "D"):
-        for r in _ranks(t, max_rank):
-            check_target(r, highest_root(t, r))
+    for t, r in highest:
+        check_target(r, highest_root(t, r))
     bumps = {spec: weight_of(spec) for spec in _spec_suite(max_rank)}
     for spec, weight in bumps.items():
         check_target(spec.rank, weight)
-    # Each bump weight is folded once; three checks read its polynomial.
+
+    # Each polynomial is computed once; the checks below read these tables.
     oracle = {
         spec: qanalog(build_root_system(spec.lie_type, spec.rank), weight)
         for spec, weight in bumps.items()
     }
+    product = {spec: product_qpoly(spec) for spec in bumps}
+    label = {spec: f"{spec.lie_type}{spec.rank} {spec.entries}" for spec in bumps}
+    # The B/C/D highest-root gf and explicit polynomials from each family's
+    # first explicit rank up to the extended rank, one gf sweep per family.
+    top = _EXTENDED_FACTOR * max_rank
+    gf, explicit = {}, {}
+    for t, lo in (("B", 2), ("C", 1), ("D", 4)):
+        ranks = range(lo, top + 1)
+        gf.update(zip([(t, r) for r in ranks], gf_coefficients(t, ranks)))
+        explicit.update(((t, r), explicit_qpoly(t, r)) for r in ranks)
+    moments = {(t, r): (closed_moments(t, r), moments_from_poly(gf[t, r])) for t, r in highest}
+    cd_ranks = sum(1 for t, _ in highest if t in "CD")
+    counts = [(t, r, build_root_system(t, r).count, positive_root_count(t, r)) for t, r in systems]
     return [
-        _check_root_counts(max_rank),
-        _check_highest_membership(max_rank),
+        _check("root-counts", [(f"{t}{r}: {n} != {want}", n == want) for t, r, n, want in counts],
+               f"{len(systems)} systems up to rank {max_rank}"),
+        _check("highest-root-membership", [
+            (f"{t}{r}: highest root not in listing", highest_root(t, r) in build_root_system(t, r))
+            for t, r in systems
+        ], f"{len(systems)} systems"),
         _check_fixed_examples(),
-        _check_chain_identity(max_rank, oracle),
-        _check_product_vs_oracle(oracle),
-        _check_total_counts(oracle),
-        _check_route_agreement(max_rank),
-        _check_gf_vs_explicit(max_rank),
-        _check_product_moments(max_rank),
-        _check_closed_mean(max_rank),
-        _check_closed_variance_cd(max_rank),
-        _check_closed_variance_b(max_rank),
+        # the all-ones weight of A_r is the A_r bump weight with no bumps
+        _check("chain-identity-A", [
+            (f"A{r}", oracle[SupportSpec("A", r, ())] == explicit_qpoly("A", r))
+            for r in range(1, max_rank + 1)
+        ], f"ranks 1..{max_rank}"),
+        _check("product-vs-oracle", [(label[s], oracle[s] == product[s]) for s in bumps],
+               f"{len(bumps)} bump weights"),
+        _check("total-counts", [
+            (label[s], oracle[s](1) == 2 ** (s.rank - 1 - 2 * s.bump_count) * 5 ** s.bump_count)
+            for s in bumps
+        ], f"{len(bumps)} bump weights"),
+        _check("route-agreement", [
+            (f"{t}{r}", qanalog(build_root_system(t, r), highest_root(t, r))
+             == gf[t, r] == explicit[t, r])
+            for t, r in highest
+        ], f"oracle=gf=explicit, {len(highest)} highest roots"),
+        _check("gf-vs-explicit", [(f"{t}{r}", gf[t, r] == explicit[t, r]) for t, r in gf],
+               f"{len(gf)} ranks up to {top}"),
+        _check("product-moments", [
+            (label[s], product_moments(s) == moments_from_poly(product[s])) for s in bumps
+        ], f"{len(bumps)} bump weights"),
+        _check("closed-mean", [
+            (f"{t}{r}", mean.as_fraction() == pair.mean)
+            for (t, r), ((mean, _), pair) in moments.items()
+        ], f"B/C/D, {len(moments)} ranks"),
+        _check("closed-variance-CD", _variance_cases(moments, "CD"), f"C/D, {cd_ranks} ranks"),
+        _check_closed_variance_b(moments),
         _check_bender(),
         _check_mean_growth(),
     ]

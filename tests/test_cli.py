@@ -289,19 +289,122 @@ def test_verify_over_budget_max_rank_refused_before_any_check(capsys, monkeypatc
 def test_verify_folds_each_bump_weight_once(monkeypatch):
     from qkostant import verify
 
-    folded = []
+    folded, products, explicits = [], [], []
 
     def counting_qanalog(system, target):
         folded.append((system.lie_type, system.rank, tuple(target)))
         return qanalog(system, target)
 
+    def counting_product(spec):
+        products.append(spec)
+        return closedform.product_qpoly(spec)
+
+    def counting_explicit(lie_type, rank):
+        explicits.append((lie_type, rank))
+        return closedform.explicit_qpoly(lie_type, rank)
+
     monkeypatch.setattr(verify, "qanalog", counting_qanalog)
+    monkeypatch.setattr(verify, "product_qpoly", counting_product)
+    monkeypatch.setattr(verify, "explicit_qpoly", counting_explicit)
     verify.run_all(5)
     repeated = {key for key in folded if folded.count(key) > 1}
     # only the pinned B2 example, which is no bump weight, is folded twice
     assert repeated == {("B", 2, (1, 2))}
-    bumps = {(s.lie_type, s.rank, closedform.weight_of(s)) for s in verify._spec_suite(5)}
+    specs = list(verify._spec_suite(5))
+    bumps = {(s.lie_type, s.rank, closedform.weight_of(s)) for s in specs}
     assert bumps <= set(folded)
+    # every bump weight's product form is computed once
+    assert sorted(products, key=repr) == sorted(specs, key=repr)
+    # every highest root's explicit polynomial is computed once, apart from
+    # the pinned A3 example
+    assert {key for key in explicits if explicits.count(key) > 1} == {("A", 3)}
+    assert set(explicits) == {("A", r) for r in range(1, 6)} | {
+        (t, r) for t, lo in (("B", 2), ("C", 1), ("D", 4)) for r in range(lo, 11)
+    }
+
+
+_WARN_B = (
+    "closed-variance-B", "WARN",
+    f"{TYPE_B_VARIANCE_NOTE}; corrected reading matches the gf route at 7 ranks",
+)
+_A7_SPECS = "A7 (); A7 ((2, 1),); A7 ((2, 2),); A7 ((2, 3),) (+66 more)"
+
+
+def _wrong_explicit(lie_type, rank):
+    if (lie_type, rank) in {("B", 7), ("A", 4)}:
+        return QPoly((0, 9))
+    return closedform.explicit_qpoly(lie_type, rank)
+
+
+def _wrong_product(spec):
+    if (spec.lie_type, spec.rank) == ("A", 7):
+        return QPoly((0, 9))
+    return closedform.product_qpoly(spec)
+
+
+def _wrong_closed_moments(lie_type, rank):
+    from qkostant import stats
+
+    mean, var = stats.closed_moments(lie_type, rank)
+    if (lie_type, rank) == ("C", 5):
+        mean = mean + 1
+    if lie_type == "B":
+        var = var + 1
+    return mean, var
+
+
+_REAL_GF_DECODE = closedform._gf_decode
+
+
+def _wrong_gf_decode(packed, w, count, label):
+    if label == "D6":
+        return QPoly((0, 9))
+    return _REAL_GF_DECODE(packed, w, count, label)
+
+
+_VERIFY_FAULTS = [
+    ("verify", "explicit_qpoly", _wrong_explicit, [
+        ("chain-identity-A", "FAIL", "A4"),
+        ("route-agreement", "FAIL", "B7"),
+        ("gf-vs-explicit", "FAIL", "B7"),
+        _WARN_B,
+    ]),
+    ("verify", "product_qpoly", _wrong_product, [
+        ("product-vs-oracle", "FAIL", _A7_SPECS),
+        ("product-moments", "FAIL", _A7_SPECS),
+        _WARN_B,
+    ]),
+    ("verify", "closed_moments", _wrong_closed_moments, [
+        ("closed-mean", "FAIL", "C5"),
+        ("closed-variance-B", "FAIL", "B2; B3; B4; B5 (+3 more)"),
+    ]),
+    ("closedform", "_gf_decode", _wrong_gf_decode, [
+        ("route-agreement", "FAIL", "D6"),
+        ("gf-vs-explicit", "FAIL", "D6"),
+        ("closed-mean", "FAIL", "D6"),
+        ("closed-variance-CD", "FAIL", "D6"),
+        _WARN_B,
+    ]),
+]
+
+
+@pytest.mark.parametrize("module, name, fault, expected", _VERIFY_FAULTS,
+                         ids=[f"{m}.{n}" for m, n, _, _ in _VERIFY_FAULTS])
+def test_verify_checks_fail_on_injected_faults(monkeypatch, module, name, fault, expected):
+    from qkostant import verify
+
+    monkeypatch.setattr({"verify": verify, "closedform": closedform}[module], name, fault)
+    results = verify.run_all(8)
+    assert [(c.name, c.status, c.detail) for c in results if c.status != "PASS"] == expected
+
+
+def test_verify_failure_exits_1(capsys, monkeypatch):
+    from qkostant import verify
+
+    monkeypatch.setattr(verify, "product_qpoly", lambda spec: QPoly((0, 9)))
+    rc, out, _ = run_cli(["verify", "--max-rank", "5"], capsys)
+    assert rc == 1
+    assert any(line.startswith("FAIL product-vs-oracle: ") for line in out.splitlines())
 
 
 # ------------------------------------------------------------- exit codes

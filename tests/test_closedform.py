@@ -9,6 +9,7 @@ from qkostant import closedform
 from qkostant import (
     InternalCancellationFailure,
     InvalidSupport,
+    MIN_RANK,
     QPoly,
     RankTooSmall,
     Root5,
@@ -178,6 +179,12 @@ def test_gf_list_sweep_matches_per_rank_calls():
         rng.shuffle(ranks)
         got = closedform.gf_coefficients(fam, ranks)
         assert got == tuple(gf_coefficient(fam, r) for r in ranks), fam
+        # highest_qpolys serves ranks at or above the Lie minimum the same way
+        ranks = [r for r in ranks if r >= MIN_RANK[fam]]
+        assert closedform.highest_qpolys(fam, ranks) == tuple(
+            gf_coefficient(fam, r) for r in ranks), fam
+    ranks = [9, 1, 30, 9, 4]
+    assert closedform.highest_qpolys("A", ranks) == tuple(explicit_qpoly("A", r) for r in ranks)
     assert closedform.gf_coefficients("B", ()) == ()
 
 
@@ -188,6 +195,8 @@ def test_gf_rejects_bad_input():
         gf_coefficient("B", -1)
     with pytest.raises(ValueError):
         closedform.gf_coefficients("C", (5, -1))
+    with pytest.raises(RankTooSmall):
+        closedform.highest_qpolys("C", (5, 2))
 
 
 # ---------------------------------------------------------------- surd route

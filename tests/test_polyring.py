@@ -19,8 +19,6 @@ def test_canonical_form():
     assert QPoly((1, 0, 0)) == QPoly((1,))
     assert QPoly(()).is_zero
     assert QPoly((0, 0)).is_zero
-    assert QPoly((Fraction(4, 2),)).coeffs == (2,)
-    assert QPoly((Fraction(1, 2),)).coeffs == (Fraction(1, 2),)
     assert QPoly((0, 1)).degree == 1
     assert QPoly.zero().degree == -1
 
@@ -30,6 +28,11 @@ def test_floats_rejected():
         QPoly((1.5,))
     with pytest.raises(TypeError):
         QPoly((True,))
+    # coefficients are integers only; a Fraction is refused even when whole
+    with pytest.raises(TypeError):
+        QPoly((Fraction(4, 2),))
+    with pytest.raises(TypeError):
+        QPoly((Fraction(1, 2), 1))
 
 
 def test_ring_axioms_sampled():
@@ -53,7 +56,7 @@ def test_pow_and_shift():
         for _ in range(n):
             expect = expect * a
         assert a ** n == expect
-    bases = (QPoly((1, 1)), QPoly((2, 2, 1)), QPoly((0, -3, 0, 1)), QPoly((Fraction(1, 2), 1)))
+    bases = (QPoly((1, 1)), QPoly((2, 2, 1)), QPoly((0, -3, 0, 1)))
     for base in bases:
         expect = QPoly.one()
         for n in range(21):
