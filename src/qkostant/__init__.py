@@ -25,8 +25,8 @@ _EXPORTS = {
         "gf_coefficient", "explicit_qpoly", "BenderReport", "check_bender_conditions",
     ),
     "stats": (
-        "MomentPair", "moments_from_poly", "product_moments", "closed_moments",
-        "MEAN_GROWTH_LIMIT", "TYPE_B_VARIANCE_NOTE",
+        "MomentPair", "moments_from_poly", "moments_from_jet", "product_moments",
+        "closed_moments", "MEAN_GROWTH_LIMIT", "TYPE_B_VARIANCE_NOTE",
     ),
     "gaussianity": (
         "DistSummary", "summarize", "convergence_sweep", "family_poly", "normal_cdf",

@@ -2,7 +2,8 @@
 
 Subcommands: roots, qpoly, stats, converge, verify.  Exit codes: 0 success,
 1 verification failure, 2 invalid input, 3 route disagreement under
---strict, 64 malformed flags.
+--strict, 64 malformed flags, 141 (128 + SIGPIPE) when the reader closes
+stdout before the output is written, as in `qkostant roots ... | head -1`.
 
 Output is deterministic byte for byte: CSV uses a header row with minimal
 RFC-style quoting and "\n" line endings, JSON is an envelope
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .errors import KostantError
@@ -30,6 +32,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_DISAGREEMENT = 3
 EXIT_USAGE = 64
+EXIT_BROKEN_PIPE = 141
 
 
 class _UsageError(Exception):
@@ -247,10 +250,10 @@ def _cmd_qpoly(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    from .closedform import highest_qpolys
-    from .stats import TYPE_B_VARIANCE_NOTE, closed_moments, moments_from_poly
+    from .closedform import highest_jets
+    from .stats import TYPE_B_VARIANCE_NOTE, closed_moments, moments_from_jet
 
-    pair = moments_from_poly(highest_qpolys(args.lie_type, (args.rank,))[0])
+    pair = moments_from_jet(highest_jets(args.lie_type, (args.rank,))[0])
     closed_mean, closed_var = closed_moments(args.lie_type, args.rank)
     closed_mean = closed_mean.as_fraction()
     closed_var = closed_var.as_fraction()
@@ -389,7 +392,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Nobody reads stdout any more: send it to devnull, so the flush at
+        # shutdown writes nothing, and exit as a SIGPIPE-killed process would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

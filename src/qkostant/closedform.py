@@ -20,29 +20,41 @@ Three independent alternatives to the lattice-fold oracle live here:
   divides it by 2**e * (q**2+4), checking that both divisions are exact
   instead of assuming it.
 
+The jet sweep.  Only three numbers of P_r are needed for its mean and
+variance: the jet (P_r(1), P_r'(1), P_r''(1)/2), which is P_r(1 + e) modulo
+e**3.  Reducing modulo (q-1)**3 is a ring map, so the recurrence runs on
+jets as it does on polynomials, with the shift polynomials 2+2q+q**2 and
+1+2q+q**2+q**3 becoming (5, 4, 1) and (5, 7, 4): each step costs a few
+multiplications of O(r)-bit integers by small ones, O(r**2) bit operations
+to rank r against the packed sweep's O(r**3).  gf_jets exposes the sweep;
+highest_jets serves the stats subcommand from it without building P_r.
+
 The gf sweep.  Every coefficient of P_r is nonnegative, so each is at most
-P_r(1) = c_r, and c_r comes from a first sweep of the recurrence at q = 1:
-c_k = 5 c_{k-1} - 5 c_{k-2} + N_k(1).  With W = c_r's bit length rounded up
-to a whole byte, the second sweep runs the recurrence at q = 2**W on plain
-Python integers: multiplying by the fixed sparse polynomials is a few shifts
-and adds.  That sweep is exact integer linear arithmetic, so the last value
-is P_r(2**W) whatever carries or borrows the intermediate terms hold, and
-one linear-time byte decode (polyring.unpack_fields) reads the coefficients
-back.  A negative packed value, or fields that do not sum to c_r (a negative
-coefficient borrows from the field above it), raises
+P_r(1), the first entry of the jet.  With W = the largest requested P_r(1)'s
+bit length rounded up to a whole byte, the packed sweep runs the recurrence
+at q = 2**W on plain Python integers: multiplying by the fixed sparse
+polynomials is a few shifts and adds.  That sweep is exact integer linear
+arithmetic, so the last value is P_r(2**W) whatever carries or borrows the
+intermediate terms hold, and one linear-time byte decode
+(polyring.unpack_fields) reads the coefficients back.  The decoded
+coefficients must reproduce the whole jet, not just the sum: a negative
+packed value, fields that do not sum to P_r(1) (a negative coefficient
+borrows from the field above it), or fields with the right sum but the
+wrong P'(1) or P''(1)/2 (a misplaced field) raise
 InternalCancellationFailure.  There is no cache: every call sweeps from
 rank 0 and keeps only its last two terms, so memory is O(size of P_r).
-gf_coefficients serves a list of ranks from one sweep to the top rank, at
-the width of the largest c_r among them, decoding and checking each
-requested rank on the way up; gf_coefficient is its one-rank case.
+gf_coefficients serves a list of ranks from one jet sweep and one packed
+sweep to the top rank, decoding and checking each requested rank on the
+way up; gf_coefficient is its one-rank case.
 
 For type A, (1+q)**n in the product and explicit routes is built as a row
 of binomial coefficients, not by repeated squaring.
 
 highest_qpolys is the one place that picks a highest root's closed route:
 the binomial row of explicit_qpoly for type A, one gf_coefficients sweep for
-B, C and D.  The stats and converge subcommands and the convergence sweep
-all reach the highest-root polynomial through it.
+B, C and D.  The converge subcommand and the convergence sweep reach the
+highest-root polynomial through it; highest_jets makes the same choice for
+the jet alone (gf_jets for B, C and D).
 
 check_bender_conditions verifies the hypotheses of the classical central
 limit theorem for coefficient arrays of rational generating functions at
@@ -57,7 +69,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import InternalCancellationFailure, InvalidSupport, RankTooSmall
-from .polyring import QPoly, Root5, unpack_fields
+from .polyring import QPoly, Root5, jet_at_one, unpack_fields
 from .rootsys import Weight, validate_type_rank
 
 
@@ -147,8 +159,10 @@ def iter_support_specs(lie_type, rank, max_bumps=2, max_extra=3):
                 yield SupportSpec(lie_type, rank, tuple(zip(idxs, extras)))
 
 
-# Generating-function route: P_r = (2+2q+q^2) P_{r-1} - (1+2q+q^2+q^3) P_{r-2}
-# + N_r, with P_0 = P_{-1} = 0 and the family numerators below.
+# Generating-function route: P_r = S1 P_{r-1} - S2 P_{r-2} + N_r, with
+# P_0 = P_{-1} = 0, the shift polynomials S1, S2 and the family numerators
+# below.
+_GF_SHIFTS = (QPoly((2, 2, 1)), QPoly((1, 2, 1, 1)))
 _GF_NUMERATORS = {
     "B": {1: QPoly((0, 1)), 2: QPoly((0, -1, -1)), 3: QPoly((0, 0, 1))},
     "C": {1: QPoly((0, 1)), 2: QPoly((0, -1, -1))},
@@ -161,10 +175,42 @@ def gf_coefficient(lie_type: str, rank: int) -> QPoly:
 
     Defined for families B, C, D at every rank >= 0; below the family's Lie
     minimum the series terms are simply the recurrence's formal values.
-    Raises InternalCancellationFailure if the packed result cannot hold
-    nonnegative coefficients summing to P_r(1).
+    Raises InternalCancellationFailure unless the packed result decodes to
+    nonnegative coefficients with the jet gf_jets gives P_r.
     """
     return gf_coefficients(lie_type, (rank,))[0]
+
+
+def gf_jets(lie_type: str, ranks) -> tuple:
+    """(P_r(1), P_r'(1), P_r''(1)/2) at each of the ranks, in input order.
+
+    The same recurrence as gf_coefficients, under the same rank rules, run
+    in Z[q]/((q-1)**3): one sweep of integer triples to the top rank.
+    """
+    ranks = tuple(ranks)
+    if lie_type not in _GF_NUMERATORS:
+        raise ValueError(f"generating-function route covers B, C, D, not {lie_type!r}")
+    if any(r < 0 for r in ranks):
+        raise ValueError("rank must be nonnegative")
+    wanted = set(ranks)
+    numerators = {k: jet_at_one(n.coeffs) for k, n in _GF_NUMERATORS[lie_type].items()}
+    (a0, a1, a2), (b0, b1, b2) = (jet_at_one(s.coeffs) for s in _GF_SHIFTS)
+    # (x0, x1, x2) is the jet of P_{k-1}, (y0, y1, y2) that of P_{k-2}; a
+    # product of jets keeps the terms of e-degree below 3.
+    x0 = x1 = x2 = y0 = y1 = y2 = 0
+    jets = {}
+    for k in range(max(ranks, default=0) + 1):
+        if k:
+            n0, n1, n2 = numerators.get(k, (0, 0, 0))
+            x0, x1, x2, y0, y1, y2 = (
+                a0 * x0 - b0 * y0 + n0,
+                a0 * x1 + a1 * x0 - b0 * y1 - b1 * y0 + n1,
+                a0 * x2 + a1 * x1 + a2 * x0 - b0 * y2 - b1 * y1 - b2 * y0 + n2,
+                x0, x1, x2,
+            )
+        if k in wanted:
+            jets[k] = (x0, x1, x2)
+    return tuple(jets[r] for r in ranks)
 
 
 def gf_coefficients(lie_type: str, ranks) -> tuple:
@@ -174,41 +220,35 @@ def gf_coefficients(lie_type: str, ranks) -> tuple:
     the requested ranks and decodes each requested rank on the way up, so a
     whole list costs what its top rank alone costs.
     """
-    if lie_type not in _GF_NUMERATORS:
-        raise ValueError(f"generating-function route covers B, C, D, not {lie_type!r}")
     ranks = tuple(ranks)
-    if any(r < 0 for r in ranks):
-        raise ValueError("rank must be nonnegative")
-    wanted = set(ranks)
-    top = max(ranks, default=0)
-    numerators = _GF_NUMERATORS[lie_type]
-
-    # At q = 1 the shift polynomials are 5 and 5; c_r bounds every coefficient.
-    at_one = {k: n(1) for k, n in numerators.items()}
-    counts = {0: 0}
-    c1 = c2 = 0
-    for k in range(1, top + 1):
-        c1, c2 = 5 * c1 - 5 * c2 + at_one.get(k, 0), c1
-        if k in wanted:
-            counts[k] = c1
-    # Whole bytes per field, so each field decodes without a shift.
-    w = 8 * max(1, -(-max(counts.values()).bit_length() // 8))
+    jets = dict(zip(ranks, gf_jets(lie_type, ranks)))
+    # P_r(1) bounds every coefficient.  Whole bytes per field, so each field
+    # decodes without a shift.
+    w = 8 * max(1, -(-max((j[0] for j in jets.values()), default=0).bit_length() // 8))
 
     # At q = 2**w, with d = X_{k-1} - X_{k-2}: (2+2q+q^2) X_{k-1} -
     # (1+2q+q^2+q^3) X_{k-2} = X_{k-1} + d + 2q d + q^2 d - q^3 X_{k-2}.
-    at_w = {k: n(1 << w) for k, n in numerators.items()}
+    at_w = {k: n(1 << w) for k, n in _GF_NUMERATORS[lie_type].items()}
     polys = {}
     x1 = x2 = 0
-    for k in range(top + 1):
+    for k in range(max(ranks, default=0) + 1):
         if k:
             d = x1 - x2
             step = x1 + d + (d << (w + 1)) + (d << (2 * w)) - (x2 << (3 * w))
             if k in at_w:
                 step += at_w[k]
             x1, x2 = step, x1
-        if k in wanted:
-            polys[k] = _gf_decode(x1, w, counts[k], f"{lie_type}{k}")
+        if k in jets:
+            polys[k] = _gf_decode(x1, w, jets[k], f"{lie_type}{k}")
     return tuple(polys[r] for r in ranks)
+
+
+def _validated(lie_type: str, ranks) -> tuple:
+    """ranks as a tuple, each checked against the Lie minimum of its type."""
+    ranks = tuple(ranks)
+    for r in ranks:
+        validate_type_rank(lie_type, r)
+    return ranks
 
 
 def highest_qpolys(lie_type: str, ranks) -> tuple:
@@ -217,23 +257,39 @@ def highest_qpolys(lie_type: str, ranks) -> tuple:
     Every rank is validated first, so one below the Lie minimum raises
     RankTooSmall before any work starts.
     """
-    ranks = tuple(ranks)
-    for r in ranks:
-        validate_type_rank(lie_type, r)
+    ranks = _validated(lie_type, ranks)
     if lie_type == "A":
         return tuple(explicit_qpoly("A", r) for r in ranks)
     return gf_coefficients(lie_type, ranks)
 
 
-def _gf_decode(packed: int, w: int, count: int, label: str) -> QPoly:
-    """P_r from its value at q = 2**w, checked against P_r(1) = count."""
+def highest_jets(lie_type: str, ranks) -> tuple:
+    """The jet (P(1), P'(1), P''(1)/2) of each highest_qpolys polynomial.
+
+    Validated as highest_qpolys is.  Type A takes the jet of its binomial
+    row; B, C and D come from gf_jets, so no polynomial is built.
+    """
+    ranks = _validated(lie_type, ranks)
+    if lie_type == "A":
+        return tuple(jet_at_one(explicit_qpoly("A", r).coeffs) for r in ranks)
+    return gf_jets(lie_type, ranks)
+
+
+def _gf_decode(packed: int, w: int, jet: tuple, label: str) -> QPoly:
+    """P_r from its value at q = 2**w, checked against its jet at q = 1."""
     if packed < 0:
         raise InternalCancellationFailure(f"gf sweep for {label} is negative at q = 2^{w}")
     coeffs = unpack_fields(packed, w)
-    if sum(coeffs) != count:
+    got = jet_at_one(coeffs)
+    if got[0] != jet[0]:
         raise InternalCancellationFailure(
             f"gf sweep for {label} decodes to coefficients summing to "
-            f"{sum(coeffs)}, not P(1) = {count}"
+            f"{got[0]}, not P(1) = {jet[0]}"
+        )
+    if got != jet:
+        raise InternalCancellationFailure(
+            f"gf sweep for {label} decodes to coefficients with (P'(1), P''(1)/2) = "
+            f"{got[1:]}, not {jet[1:]}"
         )
     return QPoly(coeffs)
 

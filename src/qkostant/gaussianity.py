@@ -27,7 +27,7 @@ from fractions import Fraction
 from ._record import Record
 from .closedform import SupportSpec, highest_qpolys, product_qpoly
 from .errors import DegenerateDistribution, InvalidSupport, ZeroDistribution
-from .polyring import QPoly
+from .polyring import QPoly, power_sums
 from .rootsys import FAMILIES, LIE_TYPES
 
 DEFAULT_T_GRID = (-1.0, -0.5, 0.5, 1.0)
@@ -64,12 +64,7 @@ def normal_cdf(x: float) -> float:
 
 def _central_moments(g: QPoly):
     """(g(1), mean, m2, m3, m4) with everything after g(1) an exact Fraction."""
-    cs = g.coeffs
-    g1 = g(1)
-    e1 = sum(k * c for k, c in enumerate(cs))
-    e2 = sum(k * k * c for k, c in enumerate(cs))
-    e3 = sum(k ** 3 * c for k, c in enumerate(cs))
-    e4 = sum(k ** 4 * c for k, c in enumerate(cs))
+    g1, e1, e2, e3, e4 = power_sums(g.coeffs, 4)
     mu = Fraction(e1, g1)
     r2, r3, r4 = Fraction(e2, g1), Fraction(e3, g1), Fraction(e4, g1)
     m2 = r2 - mu * mu

@@ -12,11 +12,16 @@ Two numeric layers live here, both float-free:
 unpack_fields is the one Kronecker decoder shared by the packed routes: a
 polynomial with coefficients in [0, 2**W) is held as its value at q = 2**W,
 one W-bit field per coefficient.
+
+power_sums gives the exact sums of k**j * c_k (j = 0..top) that every
+moment computation reads, and jet_at_one turns its first three sums into
+the jet (P(1), P'(1), P''(1)/2): the coefficients of P(1 + e) modulo e**3.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import NonRationalResult
 
@@ -330,6 +335,28 @@ def unpack_fields(packed: int, width: int) -> list:
         int.from_bytes(buf[lo >> 3:(lo + width + 7) >> 3], "little") >> (lo & 7) & mask
         for lo in range(0, bits, width)
     ]
+
+
+def power_sums(coeffs, top: int) -> list:
+    """[sum of k**j * c_k over k, for j = 0..top].
+
+    Only the small weights k**j are held in a list; each product with a
+    coefficient is summed as it is made, so no copy of a large polynomial
+    is built.
+    """
+    ks = range(len(coeffs))
+    weights = [1] * len(coeffs)
+    sums = [sum(coeffs)]
+    for _ in range(top):
+        weights = list(map(mul, weights, ks))
+        sums.append(sum(map(mul, coeffs, weights)))
+    return sums
+
+
+def jet_at_one(coeffs) -> tuple:
+    """(P(1), P'(1), P''(1)/2) of the polynomial with these coefficients."""
+    s0, s1, s2 = power_sums(coeffs, 2)
+    return s0, s1, (s2 - s1) // 2
 
 
 def _as_root5_or_none(v):

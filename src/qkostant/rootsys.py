@@ -169,7 +169,9 @@ class RootSystem(Record):
         return f"RootSystem({self.lie_type}{self.rank}, {self.count} positive roots)"
 
 
-@lru_cache(maxsize=None)
+# verify --max-rank m builds 4m - 6 distinct systems, so 64 serves every max
+# rank the fold budget admits (up to 14) without building one twice.
+@lru_cache(maxsize=64)
 def build_root_system(lie_type: str, rank: int) -> RootSystem:
     """Construct the positive system, sorted lexicographically."""
     validate_type_rank(lie_type, rank)

@@ -4,8 +4,11 @@ Normalizing a part-count polynomial g by g(1) gives a probability
 distribution on part counts; the mean and variance of that distribution
 are rational and are computed here by three routes that must agree:
 
-* moments_from_poly: directly from g, via mu = g'(1)/g(1) and
-  sigma^2 = (g'(1) + g''(1))/g(1) - mu^2.
+* moments_from_jet: from the jet (u0, u1, u2) = (g(1), g'(1), g''(1)/2)
+  alone, via mu = u1/u0 and sigma^2 = (2*u2 + u1)/u0 - mu^2.
+  moments_from_poly takes the jet of g; the stats subcommand reads the
+  highest root's jet from closedform.highest_jets, which for B, C and D is
+  the gf recurrence run on jets, so no polynomial is built.
 * product_moments: for the factored product-form weights, the factors
   contribute independent summands: mu = (r+1)/2 + m - L/5 and
   sigma^2 = (r-1)/4 + 3L/50.
@@ -26,7 +29,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import ZeroDistribution
-from .polyring import QPoly, Root5
+from .polyring import QPoly, Root5, jet_at_one
 from .rootsys import validate_type_rank
 from .closedform import SupportSpec
 
@@ -49,17 +52,23 @@ TYPE_B_VARIANCE_NOTE = (
 MEAN_GROWTH_LIMIT = Root5(Fraction(7, 10), Fraction(1, 10))
 
 
+def moments_from_jet(jet) -> MomentPair:
+    """Exact part-count mean and variance from (g(1), g'(1), g''(1)/2).
+
+    g(1) must be positive.
+    """
+    u0, u1, u2 = jet
+    mean = Fraction(u1, u0)
+    return MomentPair(mean, Fraction(2 * u2 + u1, u0) - mean * mean)
+
+
 def moments_from_poly(g: QPoly) -> MomentPair:
     """Exact part-count mean and variance of the distribution g induces."""
     if g.is_zero:
         raise ZeroDistribution("cannot normalize the zero polynomial")
     if any(c < 0 for c in g.coeffs):
         raise ValueError("part-count polynomial has a negative coefficient")
-    g1 = g(1)
-    first = sum(k * c for k, c in enumerate(g.coeffs))
-    second = sum(k * k * c for k, c in enumerate(g.coeffs))
-    mean = Fraction(first, g1)
-    return MomentPair(mean, Fraction(second, g1) - mean * mean)
+    return moments_from_jet(jet_at_one(g.coeffs))
 
 
 def product_moments(spec: SupportSpec) -> MomentPair:

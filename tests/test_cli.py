@@ -174,6 +174,26 @@ def test_stats_json_values(capsys):
     assert payload["note"] == ""
 
 
+@pytest.mark.parametrize("lie_type", ["B", "C", "D"])
+def test_stats_runs_no_packed_sweep(capsys, monkeypatch, lie_type):
+    from qkostant.stats import moments_from_poly
+
+    pair = moments_from_poly(closedform.gf_coefficient(lie_type, 800))
+
+    def refuse(*args):
+        raise AssertionError("stats decoded a packed gf sweep")
+
+    monkeypatch.setattr(closedform, "_gf_decode", refuse)
+    rc, out, _ = run_cli(["stats", "--type", lie_type, "--rank", "800"], capsys)
+    assert rc == 0
+    row = out.splitlines()[1].split(",")
+    assert row[:6] == [
+        lie_type, "800", cli._fmt_frac(pair.mean), cli._fmt_float(float(pair.mean)),
+        cli._fmt_frac(pair.variance), cli._fmt_float(float(pair.variance)),
+    ]
+    assert row[8:10] == ["true", "true"]
+
+
 # -------------------------------------------------------------- converge
 
 def test_converge_csv_shape_and_determinism(capsys):
@@ -451,6 +471,20 @@ def test_cli_runs_as_module():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("index,coeffs\n")
+
+
+def test_closed_stdout_pipe_exits_141_without_traceback():
+    # A120 lists 7260 roots, far more than a pipe buffer holds, so the CLI is
+    # still writing when the reader goes away.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qkostant.cli", "roots", "--type", "A", "--rank", "120"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"index,coeffs\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err, err
 
 
 # Prints the modules loaded by one CLI request, after it exits.

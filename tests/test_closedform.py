@@ -197,6 +197,48 @@ def test_gf_rejects_bad_input():
         closedform.gf_coefficients("C", (5, -1))
     with pytest.raises(RankTooSmall):
         closedform.highest_qpolys("C", (5, 2))
+    with pytest.raises(ValueError):
+        closedform.gf_jets("A", (3,))
+    with pytest.raises(ValueError):
+        closedform.gf_jets("D", (5, -1))
+    with pytest.raises(RankTooSmall):
+        closedform.highest_jets("D", (3,))
+
+
+def _jet(p):
+    """(P(1), P'(1), P''(1)/2) by differentiating the polynomial."""
+    d = p.derivative()
+    return p(1), d(1), d.derivative()(1) // 2
+
+
+def test_gf_jets_match_the_decoded_polynomials():
+    ranks = list(range(81)) + [250, 513, 7, 7, 0, 513]
+    random.Random(808).shuffle(ranks)
+    for fam in "BCD":
+        polys = closedform.gf_coefficients(fam, ranks)
+        assert closedform.gf_jets(fam, ranks) == tuple(_jet(p) for p in polys), fam
+        ranks_ok = [r for r in ranks if r >= MIN_RANK[fam]]
+        assert closedform.highest_jets(fam, ranks_ok) == tuple(
+            _jet(p) for p in closedform.highest_qpolys(fam, ranks_ok)), fam
+    ranks = [9, 1, 30, 9, 4, 200]
+    assert closedform.highest_jets("A", ranks) == tuple(
+        _jet(explicit_qpoly("A", r)) for r in ranks)
+    assert closedform.gf_jets("B", ()) == closedform.highest_jets("C", ()) == ()
+
+
+def test_gf_decode_checks_the_derivatives(monkeypatch):
+    # swapping two unequal adjacent fields keeps their sum but moves P'(1)
+    real_unpack = closedform.unpack_fields
+
+    def swapped(packed, width):
+        coeffs = real_unpack(packed, width)
+        k = next(k for k in range(len(coeffs) - 1) if coeffs[k] != coeffs[k + 1])
+        coeffs[k], coeffs[k + 1] = coeffs[k + 1], coeffs[k]
+        return coeffs
+
+    monkeypatch.setattr(closedform, "unpack_fields", swapped)
+    with pytest.raises(InternalCancellationFailure, match=r"B30 .*P'\(1\)"):
+        gf_coefficient("B", 30)
 
 
 # ---------------------------------------------------------------- surd route

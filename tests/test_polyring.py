@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qkostant import NonRationalResult, QPoly, Root5
-from qkostant.polyring import unpack_fields
+from qkostant.polyring import jet_at_one, power_sums, unpack_fields
 
 rng = random.Random(20210)
 
@@ -75,6 +75,18 @@ def test_unpack_fields_round_trip():
         for width in {top.bit_length(), -(-top.bit_length() // 8) * 8}:
             packed = QPoly(coeffs)(2 ** width)
             assert unpack_fields(packed, width) == coeffs, (coeffs, width)
+
+
+def test_power_sums_and_jet():
+    assert power_sums([], 4) == [0] * 5
+    assert jet_at_one(()) == (0, 0, 0)
+    local = random.Random(4242)
+    for _ in range(40):
+        coeffs = [local.randint(-10 ** 20, 10 ** 20) for _ in range(local.randint(0, 31))]
+        assert power_sums(coeffs, 4) == [
+            sum(k ** j * c for k, c in enumerate(coeffs)) for j in range(5)]
+        p, d = QPoly(coeffs), QPoly(coeffs).derivative()
+        assert jet_at_one(coeffs) == (p(1), d(1), d.derivative()(1) // 2)
 
 
 def test_eval_exact():

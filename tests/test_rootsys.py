@@ -82,6 +82,18 @@ def test_sorted_and_deterministic():
         assert again.positive_roots == system.positive_roots
 
 
+def test_root_system_cache_is_bounded_and_serves_verify():
+    from qkostant import verify
+
+    info = build_root_system.cache_info()
+    assert info.maxsize is not None and info.maxsize >= 32
+    build_root_system.cache_clear()
+    verify.run_all(8)
+    info = build_root_system.cache_info()
+    # every miss built a distinct system and none was evicted and built again
+    assert info.misses == info.currsize == 26
+
+
 def test_rank_validation():
     for t, bad in (("A", 0), ("B", 1), ("C", 2), ("D", 3)):
         with pytest.raises(RankTooSmall):

@@ -7,6 +7,7 @@ import pytest
 
 from qkostant import (
     MEAN_GROWTH_LIMIT,
+    MomentPair,
     NonRationalResult,
     QPoly,
     Root5,
@@ -17,6 +18,7 @@ from qkostant import (
     explicit_qpoly,
     gf_coefficient,
     iter_support_specs,
+    moments_from_jet,
     moments_from_poly,
     product_moments,
     qanalog,
@@ -33,6 +35,19 @@ def test_moments_from_small_poly():
     mp = moments_from_poly(QPoly((0, 1, 1, 1)))  # B2 highest root
     assert mp.mean == 2
     assert mp.variance == Fraction(2, 3)
+
+
+def test_moments_from_jet_match_moments_from_poly():
+    from qkostant.closedform import highest_jets
+
+    # (g(1), g'(1), g''(1)/2) of the B2 highest root q + q^2 + q^3
+    assert moments_from_jet((3, 6, 4)) == MomentPair(2, Fraction(2, 3))
+    for fam, ranks in (("A", (1, 9, 40)), ("B", (2, 17, 60)), ("C", (3, 30)), ("D", (4, 41))):
+        for r, jet in zip(ranks, highest_jets(fam, ranks)):
+            poly = explicit_qpoly(fam, r)
+            assert moments_from_jet(jet) == moments_from_poly(poly), (fam, r)
+            mean, var = closed_moments(fam, r)
+            assert moments_from_jet(jet) == MomentPair(mean.as_fraction(), var.as_fraction())
 
 
 def test_moments_reject_bad_distributions():
