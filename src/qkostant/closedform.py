@@ -266,12 +266,16 @@ def highest_qpolys(lie_type: str, ranks) -> tuple:
 def highest_jets(lie_type: str, ranks) -> tuple:
     """The jet (P(1), P'(1), P''(1)/2) of each highest_qpolys polynomial.
 
-    Validated as highest_qpolys is.  Type A takes the jet of its binomial
-    row; B, C and D come from gf_jets, so no polynomial is built.
+    Validated as highest_qpolys is.  No polynomial is built: B, C and D come
+    from gf_jets, and type A's q*(1+q)**n with n = r-1 has the closed-form
+    jet (2**n, (r+1)*2**(r-2), n*(n+3)*2**(n-3)).
     """
     ranks = _validated(lie_type, ranks)
     if lie_type == "A":
-        return tuple(jet_at_one(explicit_qpoly("A", r).coeffs) for r in ranks)
+        return tuple(
+            (1 << (r - 1), ((r + 1) << r) >> 2, (((r - 1) * (r + 2)) << (r - 1)) >> 3)
+            for r in ranks
+        )
     return gf_jets(lie_type, ranks)
 
 

@@ -46,7 +46,19 @@ the way.  Only the target cell is decoded, and each of its coefficients is
 at most its plain count g(1), so a first integer-only sweep that computes
 g(1) gives a width W = g(1).bit_length() in which the decoding is exact.
 
-Boxes over MAX_FOLD_CELLS cells are refused before any table is allocated.
+Many targets.  qanalogs serves a list of targets from one fold over their
+join, the componentwise maximum, and reads each target's polynomial from
+its own cell of that one table.  Roots are nonnegative, so a root that is
+not below a target adds nothing to that target's cell, and folding the
+join's extra roots leaves it unchanged.  The packed sweep is exact integer
+linear arithmetic, so every cell holds its own polynomial at q = 2**W, and
+any cell whose coefficients fit in W bits decodes exactly: with W the
+largest bit length of the counts at the targets' cells, each target does.
+qanalog is the one-target case, whose width is its own count's bit length.
+
+Boxes over MAX_FOLD_CELLS cells are refused before any table is allocated;
+for qanalogs that is the join's box, even when every target's own box is
+within the budget.
 """
 
 from __future__ import annotations
@@ -70,10 +82,24 @@ def qanalog(system: RootSystem, target) -> QPoly:
     zero weight (the empty multiset).  Raises FoldTooLarge when the box
     prod_i (target_i + 1) has more than MAX_FOLD_CELLS cells.
     """
-    target = check_target(system.rank, target)
-    if any(c < 0 for c in target):
-        return QPoly.zero()
-    return QPoly(_fold(_roots_below(system, target), target))
+    return qanalogs(system, (target,))[0]
+
+
+def qanalogs(system: RootSystem, targets) -> tuple:
+    """qanalog at each of the targets, in input order, from one fold.
+
+    Every target is checked as qanalog checks it, and one with a negative
+    coordinate gives QPoly zero.  The rest are read from one fold over
+    their join (componentwise maximum), so FoldTooLarge is raised when the
+    join's box has more than MAX_FOLD_CELLS cells.
+    """
+    targets = [check_target(system.rank, t) for t in targets]
+    live = [t for t in targets if all(c >= 0 for c in t)]
+    if not live:
+        return tuple(QPoly.zero() for _ in targets)
+    join = check_target(system.rank, [max(c) for c in zip(*live)])
+    polys = dict(zip(live, _fold_cells(_roots_below(system, join), join, live)))
+    return tuple(QPoly(polys[t]) if t in polys else QPoly.zero() for t in targets)
 
 
 def check_target(rank: int, target) -> Weight:
@@ -155,14 +181,29 @@ def _count_sweep(plan, total):
 
 def _fold(roots, target):
     """Coefficient list of the part-count polynomial for the target."""
-    plan, total = _plan(roots, target)
-    # Sweep 1: plain counts.  The target's count bounds every coefficient
-    # of its polynomial, giving the packing width.
+    return _fold_cells(roots, target, (target,))[0]
+
+
+def _cell(target, box):
+    """Packed index of the target's cell in the box prod_i [0, box_i]."""
+    idx = 0
+    for c, b in zip(target, box):
+        idx = idx * (b + 1) + c
+    return idx
+
+
+def _fold_cells(roots, box, targets):
+    """Coefficient list of each target's polynomial, from one fold over the
+    box, which holds every target."""
+    plan, total = _plan(roots, box)
+    cells = [_cell(t, box) for t in targets]
+    # Sweep 1: plain counts.  Each target's count bounds every coefficient
+    # of its polynomial; the largest gives the packing width.
     counts = _count_sweep(plan, total)
-    if counts[-1] == 0:
-        return []
-    width = counts[-1].bit_length()
+    width = max(counts[c] for c in cells).bit_length()
     del counts
+    if not width:
+        return [[] for _ in cells]
 
     # Sweep 2: same fold with each cell's polynomial packed into one int;
     # multiplying by q is a shift by one field.
@@ -173,6 +214,6 @@ def _fold(roots, target):
         for a in starts:
             b = a + run
             table[a:b] = map(add, table[a:b], map(lshift, table[a - delta:b - delta], widths))
-    packed = table[-1]
+    packed = [table[c] for c in cells]
     del table
-    return unpack_fields(packed, width)
+    return [unpack_fields(p, width) for p in packed]

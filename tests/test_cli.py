@@ -194,6 +194,20 @@ def test_stats_runs_no_packed_sweep(capsys, monkeypatch, lie_type):
     assert row[8:10] == ["true", "true"]
 
 
+def test_stats_type_a_builds_no_binomial_row(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError("stats built a binomial row")
+
+    monkeypatch.setattr(closedform, "_binomial_row", refuse)
+    rc, out, _ = run_cli(["stats", "--type", "A", "--rank", "20000"], capsys)
+    assert rc == 0
+    assert out == (
+        "type,rank,mean,mean_float,variance,variance_float,closed_mean,closed_variance,"
+        "mean_agrees,variance_agrees,note\n"
+        "A,20000,20001/2,10000.5,19999/4,4999.75,20001/2,19999/4,true,true,\n"
+    )
+
+
 # -------------------------------------------------------------- converge
 
 def test_converge_csv_shape_and_determinism(capsys):
@@ -308,12 +322,18 @@ def test_verify_over_budget_max_rank_refused_before_any_check(capsys, monkeypatc
 
 def test_verify_folds_each_bump_weight_once(monkeypatch):
     from qkostant import verify
+    from qkostant.kostant import qanalogs
 
-    folded, products, explicits = [], [], []
+    folded, groups, products, explicits = [], [], [], []
 
     def counting_qanalog(system, target):
         folded.append((system.lie_type, system.rank, tuple(target)))
         return qanalog(system, target)
+
+    def counting_qanalogs(system, targets):
+        targets = [tuple(w) for w in targets]
+        groups.append((system.lie_type, system.rank, targets))
+        return qanalogs(system, targets)
 
     def counting_product(spec):
         products.append(spec)
@@ -324,15 +344,27 @@ def test_verify_folds_each_bump_weight_once(monkeypatch):
         return closedform.explicit_qpoly(lie_type, rank)
 
     monkeypatch.setattr(verify, "qanalog", counting_qanalog)
+    monkeypatch.setattr(verify, "qanalogs", counting_qanalogs)
     monkeypatch.setattr(verify, "product_qpoly", counting_product)
     monkeypatch.setattr(verify, "explicit_qpoly", counting_explicit)
     verify.run_all(5)
-    repeated = {key for key in folded if folded.count(key) > 1}
+    batched = [(t, r, w) for t, r, targets in groups for w in targets]
+    requested = folded + batched
+    repeated = {key for key in requested if requested.count(key) > 1}
     # only the pinned B2 example, which is no bump weight, is folded twice
     assert repeated == {("B", 2, (1, 2))}
     specs = list(verify._spec_suite(5))
-    bumps = {(s.lie_type, s.rank, closedform.weight_of(s)) for s in specs}
-    assert bumps <= set(folded)
+    # every bump weight is requested exactly once across the qanalogs calls
+    assert sorted(batched) == sorted((s.lie_type, s.rank, closedform.weight_of(s)) for s in specs)
+
+    # one qanalogs call per (type, rank, bumped index set)
+    def bumped(weight):
+        return tuple(i for i, c in enumerate(weight, 1) if c > 1)
+
+    keys = [{(t, r, bumped(w)) for w in targets} for t, r, targets in groups]
+    assert all(len(key) == 1 for key in keys)
+    assert sorted(key.pop() for key in keys) == sorted(
+        {(s.lie_type, s.rank, tuple(i for i, _ in s.entries)) for s in specs})
     # every bump weight's product form is computed once
     assert sorted(products, key=repr) == sorted(specs, key=repr)
     # every highest root's explicit polynomial is computed once, apart from
@@ -341,6 +373,23 @@ def test_verify_folds_each_bump_weight_once(monkeypatch):
     assert set(explicits) == {("A", r) for r in range(1, 6)} | {
         (t, r) for t, lo in (("B", 2), ("C", 1), ("D", 4)) for r in range(lo, 11)
     }
+
+
+def test_verify_budget_check_allocates_nothing_per_rank():
+    # the highest roots are checked one at a time, so a huge max rank is
+    # refused at B15 before any list of its systems or weights is built
+    import tracemalloc
+
+    from qkostant import FoldTooLarge, verify
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(FoldTooLarge, match="lattice fold over 9565938 cells"):
+            verify.run_all(10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 _WARN_B = (

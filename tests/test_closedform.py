@@ -23,6 +23,7 @@ from qkostant import (
     qanalog,
     weight_of,
 )
+from qkostant.polyring import jet_at_one
 
 rng = random.Random(5150)
 
@@ -224,6 +225,13 @@ def test_gf_jets_match_the_decoded_polynomials():
     assert closedform.highest_jets("A", ranks) == tuple(
         _jet(explicit_qpoly("A", r)) for r in ranks)
     assert closedform.gf_jets("B", ()) == closedform.highest_jets("C", ()) == ()
+
+
+def test_type_a_jet_is_the_closed_form():
+    assert closedform.highest_jets("A", (1, 2, 3)) == ((1, 1, 0), (2, 3, 1), (4, 8, 5))
+    ranks = range(1, 301)
+    assert closedform.highest_jets("A", ranks) == tuple(
+        jet_at_one(explicit_qpoly("A", r).coeffs) for r in ranks)
 
 
 def test_gf_decode_checks_the_derivatives(monkeypatch):

@@ -18,7 +18,7 @@ from qkostant import (
     explicit_qpoly,
     qanalog,
 )
-from qkostant.kostant import _fold
+from qkostant.kostant import _fold, qanalogs
 
 rng = random.Random(977)
 
@@ -130,6 +130,46 @@ def test_count_is_value_at_one():
     system = build_root_system("C", 4)
     w = (2, 2, 2, 1)
     assert count_decompositions(system, w) == qanalog(system, w)(1)
+
+
+def test_qanalogs_match_per_target_qanalog():
+    # duplicates, the zero weight and a negative coordinate in one list
+    system = build_root_system("C", 4)
+    targets = [(1, 2, 1, 1), (0, 0, 0, 0), (2, 2, 2, 1), (1, 2, 1, 1), (1, -1, 0, 2), (3, 0, 1, 0)]
+    assert qanalogs(system, targets) == tuple(qanalog(system, w) for w in targets)
+    assert qanalogs(system, [(0, -1, 0, 0)]) == (QPoly.zero(),)
+    assert qanalogs(system, []) == ()
+
+
+def test_qanalogs_over_targets_of_different_shapes():
+    pick = random.Random(4242)
+    for t in LIE_TYPES:
+        for r in range(MIN_RANK[t], 7):
+            system = build_root_system(t, r)
+            for _ in range(3):
+                targets = [tuple(pick.randint(0, 2) for _ in range(r))
+                           for _ in range(pick.randint(1, 5))]
+                assert qanalogs(system, targets) == tuple(
+                    qanalog(system, w) for w in targets), (t, r, targets)
+
+
+def test_qanalogs_width_fits_the_widest_target():
+    # the first target needs a 1-bit field, the second (the B4 highest root,
+    # 40 decompositions with coefficients up to 11) a wider one
+    system = build_root_system("B", 4)
+    narrow, wide = (1, 0, 0, 0), (1, 2, 2, 2)
+    assert count_decompositions(system, narrow).bit_length() == 1
+    assert count_decompositions(system, wide).bit_length() > 2
+    assert qanalogs(system, [narrow, wide]) == (qanalog(system, narrow), qanalog(system, wide))
+
+
+def test_qanalogs_budget_is_checked_on_the_join():
+    # each target's box has 4001 cells, their join's 4001**2 > MAX_FOLD_CELLS
+    system = build_root_system("A", 2)
+    start = time.perf_counter()
+    with pytest.raises(FoldTooLarge):
+        qanalogs(system, [(4000, 0), (0, 4000)])
+    assert time.perf_counter() - start < 1.0
 
 
 def test_repeat_calls_deterministic():
