@@ -149,7 +149,10 @@ def convergence_sweep(family, ranks, t_grid=DEFAULT_T_GRID, bumps=0):
     """Summaries of one family across the given ranks, in input order.
 
     The highest-root polynomials of all ranks come from one
-    closedform.highest_qpolys call.
+    closedform.highest_qpolys call: the binomial row for A, and for B, C
+    and D the holonomic coefficient recurrence, O(r**2) bit operations per
+    rank, with one gf jet sweep and one gf sweep modulo q**3 to the top rank
+    for its seeds and checks.
     """
     ranks = tuple(ranks)
     if family in LIE_TYPES:

@@ -314,6 +314,99 @@ def test_cancellation_failure_is_loud():
     assert not issubclass(InternalCancellationFailure, KostantError)
 
 
+# ----------------------------------------------------------- holonomic route
+
+_FAR_RANK = {"B": 200, "C": 201, "D": 202}
+
+
+def test_holonomic_route_matches_gf_and_explicit():
+    for fam in "BCD":
+        ranks = (*range(MIN_RANK[fam], 61), _FAR_RANK[fam])
+        got = closedform.highest_qpolys(fam, ranks)
+        assert got == closedform.gf_coefficients(fam, ranks), fam
+        assert got == tuple(explicit_qpoly(fam, r) for r in ranks), fam
+
+
+def test_ode_tables_annihilate_the_gf_polynomials():
+    for fam in "BCD":
+        shift = closedform._EXPLICIT[fam][2]
+        ranks = (*range(MIN_RANK[fam], 61), _FAR_RANK[fam])
+        for r, p in zip(ranks, closedform.gf_coefficients(fam, ranks)):
+            c0, c1, c2 = (QPoly(c) for c in closedform._ode_at(fam, r - shift))
+            d = p.derivative()
+            assert c2 * d.derivative() + c1 * d + c0 * p == QPoly.zero(), (fam, r)
+        # q-degree at most 11, e-degree at most 3, and c2 linear in e
+        tables = closedform._ODE[fam]
+        assert max(len(t) for t in tables) <= 12, fam
+        assert max(len(row) for t in tables for row in t) <= 4, fam
+        assert max(len(row) for row in tables[2]) <= 2, fam
+
+
+def test_recurrence_leading_factor():
+    # u + n*v + n*(n-1)*w for the p_n term: 8(n-1)(n-2) for B and D,
+    # (16e+8)(n-1)(n-2) for C, so p1 and p2 are free and p_n is solvable
+    # for every n >= 3
+    for fam in "BCD":
+        for e in (0, 1, 7, 500):
+            c0, c1, c2 = closedform._ode_at(fam, e)
+            u, v, w = c0[0], c1[1], c2[2]
+            scale = 16 * e + 8 if fam == "C" else 8
+            for n in range(12):
+                assert u + n * v + n * (n - 1) * w == scale * (n - 1) * (n - 2), (fam, e, n)
+
+
+def _perturbed(fam, k, j, i, delta):
+    """closedform._ODE[fam] with delta added to c_k's q**j e**i entry."""
+    tables = [list(t) for t in closedform._ODE[fam]]
+    row = list(tables[k][j]) + [0] * (i + 1 - len(tables[k][j]))
+    row[i] += delta
+    tables[k][j] = tuple(row)
+    return tuple(tuple(t) for t in tables)
+
+
+@pytest.mark.parametrize("fam, k, j, i, delta, failing_check", [
+    ("B", 0, 0, 0, 1, "remainder"),
+    ("D", 2, 5, 1, -1, "remainder"),
+    ("D", 0, 1, 2, 1, "negative"),
+    ("B", 0, 0, 0, -16, "zero leading factor"),
+    ("C", 1, 0, 0, 1, "divisible by q"),
+    ("D", 2, 1, 2, 1, "divisible by q"),
+])
+def test_holonomic_perturbed_table_fails_loudly(monkeypatch, fam, k, j, i, delta, failing_check):
+    monkeypatch.setitem(closedform._ODE, fam, _perturbed(fam, k, j, i, delta))
+    with pytest.raises(InternalCancellationFailure, match=f"{fam}40 .*{failing_check}"):
+        closedform.highest_qpolys(fam, (40,))
+
+
+def test_no_table_perturbation_returns_a_polynomial(monkeypatch):
+    # every entry, including one e-degree past each row, moved by +-1: the
+    # route must raise, never return
+    for fam in "BCD":
+        real = closedform._ODE[fam]
+        for k, table in enumerate(real):
+            for j, row in enumerate(table):
+                for i in range(len(row) + 1):
+                    for delta in (1, -1):
+                        monkeypatch.setitem(closedform._ODE, fam,
+                                            _perturbed(fam, k, j, i, delta))
+                        with pytest.raises(InternalCancellationFailure):
+                            closedform.highest_qpolys(fam, (40,))
+                        monkeypatch.setitem(closedform._ODE, fam, real)
+
+
+@pytest.mark.parametrize("slot, failing_check", [(0, r"P\(1\) ="), (1, r"P'\(1\)")])
+def test_holonomic_checks_the_gf_jet(monkeypatch, slot, failing_check):
+    real_jets = closedform.gf_jets
+
+    def off_by_one(lie_type, ranks):
+        return tuple(j[:slot] + (j[slot] + 1,) + j[slot + 1:]
+                     for j in real_jets(lie_type, ranks))
+
+    monkeypatch.setattr(closedform, "gf_jets", off_by_one)
+    with pytest.raises(InternalCancellationFailure, match=f"D30 .*{failing_check}"):
+        closedform.highest_qpolys("D", (30,))
+
+
 # ------------------------------------------------------------- CLT hypotheses
 
 def test_bender_conditions():

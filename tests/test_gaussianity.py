@@ -20,6 +20,7 @@ from qkostant import (
     summarize,
 )
 from qkostant import gaussianity
+from qkostant.closedform import highest_qpolys
 
 rng = random.Random(31459)
 
@@ -86,7 +87,7 @@ def test_horner_and_logsumexp_paths_agree(monkeypatch):
 def test_large_rank_uses_logsumexp_without_overflow():
     # rank 1300 exceeds the Horner degree cap; the sweep must still finish,
     # and the error at t=1 tracks skewness/6 (about 0.002 here)
-    g = gf_coefficient("B", 1300)
+    g = highest_qpolys("B", (1300,))[0]
     assert g.degree > gaussianity._HORNER_MAX_DEGREE
     s = summarize(g, t_grid=(1.0,))
     assert s.max_mgf_error < 3e-3
