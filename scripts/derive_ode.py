@@ -1,4 +1,4 @@
-"""Derive the holonomic tables _ODE in src/qkostant/closedform.py.
+"""Derive the holonomic tables _ODE in src/qkostant/holonomic.py.
 
 Development tool only: it needs sympy, which the package does not depend
 on, and neither the package nor its tests import it.  Run from the
@@ -6,7 +6,7 @@ repository root:
 
     PYTHONPATH=src python3 scripts/derive_ode.py
 
-and it prints the literal `_ODE = {...}` block that closedform.py holds.
+and it prints the literal `_ODE = {...}` block that holonomic.py holds.
 
 For family B, C or D with e = rank - shift, the highest-root polynomial is
 P = g + conj(g) with g = (A + B*s)*(T + q*s)**e / (2**(e+1) * (q**2+4)),

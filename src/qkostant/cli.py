@@ -5,10 +5,14 @@ Subcommands: roots, qpoly, stats, converge, verify.  Exit codes: 0 success,
 --strict, 64 malformed flags, 141 (128 + SIGPIPE) when the reader closes
 stdout before the output is written, as in `qkostant roots ... | head -1`.
 
-Output is deterministic byte for byte: CSV uses a header row with minimal
-RFC-style quoting and "\n" line endings, JSON is an envelope
-{schema_version, command, parameters, payload} serialized with sorted keys,
-and every float is rounded through the %.12g format first.
+Each subcommand computes its result once, as one _Output record of typed
+values (parameters, payload, CSV header and rows, text lines, exit code),
+and _emit renders that record in the requested format, deterministic byte
+for byte: JSON is an envelope {schema_version, command, parameters,
+payload} serialized with sorted keys, CSV a header row with minimal
+RFC-style quoting and "\n" line endings, text (verify only) one line per
+check.  There is one rounding rule: every float is rounded through %.12g
+where it is computed (_round), so CSV and JSON print the same value.
 
 Every request is a fresh process, so start-up counts: the module level
 imports only what the parser needs, and each subcommand imports the layers
@@ -22,6 +26,7 @@ import math
 import os
 import sys
 
+from ._record import Record
 from .errors import KostantError
 from .rootsys import FAMILIES, LIE_TYPES, build_root_system, highest_root, validate_type_rank
 
@@ -50,12 +55,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt_float(x: float) -> str:
-    return format(x, ".12g")
-
-
-def _json_float(x: float) -> float:
-    return float(_fmt_float(x))
+def _round(x: float) -> float:
+    """x rounded through %.12g: the one rounding rule for every output float."""
+    return float(format(x, ".12g"))
 
 
 def _fmt_frac(f) -> str:
@@ -95,8 +97,7 @@ def _parse_support(text: str):
         halves = part.split(":")
         if len(halves) != 2:
             raise argparse.ArgumentTypeError(
-                f"support entries look like index:extra, got {part!r}"
-            )
+                f"support entries look like index:extra, got {part!r}")
         try:
             entries.append((int(halves[0]), int(halves[1])))
         except ValueError:
@@ -104,24 +105,49 @@ def _parse_support(text: str):
     return tuple(entries)
 
 
-def _emit_json(command, parameters, payload):
-    import json
+class _Output(Record):
+    """One request's result, held once as typed values for every renderer.
 
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "parameters": parameters,
-        "payload": payload,
-    }
-    print(json.dumps(record, indent=2, sort_keys=True))
+    params and payload fill the JSON envelope, header and rows the CSV
+    table; text holds verify's text lines, and code is the exit code.
+    """
+
+    __slots__ = ("params", "payload", "header", "rows", "text", "code")
+
+    def __init__(self, params, payload, header, rows, text=(), code=EXIT_OK):
+        self._assign(params, payload, header, rows, text, code)
 
 
-def _emit_csv(header, rows):
-    import csv
+def _cell(v):
+    """One CSV cell: %.12g floats, true/false, an empty None, comma-joined
+    int sequences; anything else as it is."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return format(v, ".12g")
+    if v is None:
+        return ""
+    if isinstance(v, tuple):
+        return ",".join(map(str, v))
+    return v
 
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+
+def _emit(fmt: str, command: str, out: _Output) -> None:
+    """Write one request's output in its format: json, csv or text."""
+    if fmt == "json":
+        import json
+
+        print(json.dumps({"schema_version": SCHEMA_VERSION, "command": command,
+                          "parameters": out.params, "payload": out.payload},
+                         indent=2, sort_keys=True))
+    elif fmt == "csv":
+        import csv
+
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(out.header)
+        writer.writerows([_cell(v) for v in row] for row in out.rows)
+    else:
+        print("\n".join(out.text))
 
 
 def _build_parser():
@@ -168,25 +194,15 @@ def _build_parser():
     return parser
 
 
-def _cmd_roots(args) -> int:
+def _cmd_roots(args) -> _Output:
     system = build_root_system(args.lie_type, args.rank)
-    params = {"type": args.lie_type, "rank": args.rank}
-    if args.format == "json":
-        payload = [
-            {"index": i, "coeffs": list(root)}
-            for i, root in enumerate(system.positive_roots)
-        ]
-        _emit_json("roots", params, payload)
-    else:
-        rows = [
-            (i, ",".join(str(c) for c in root))
-            for i, root in enumerate(system.positive_roots)
-        ]
-        _emit_csv(("index", "coeffs"), rows)
-    return EXIT_OK
+    header = ("index", "coeffs")
+    rows = list(enumerate(system.positive_roots))
+    payload = [dict(zip(header, row)) for row in rows]
+    return _Output({"type": args.lie_type, "rank": args.rank}, payload, header, rows)
 
 
-def _cmd_qpoly(args) -> int:
+def _cmd_qpoly(args) -> _Output:
     from . import closedform
     from .kostant import check_target, qanalog
 
@@ -208,7 +224,7 @@ def _cmd_qpoly(args) -> int:
         routes["explicit"] = lambda: closedform.explicit_qpoly(args.lie_type, args.rank)
     else:
         validate_type_rank(args.lie_type, args.rank)
-        weight = tuple(args.weight)
+        weight = args.weight
     if args.route != "all" and args.route not in routes:
         raise _InputError(
             f"route {args.route} does not apply here (applicable: {', '.join(routes)})"
@@ -220,152 +236,87 @@ def _cmd_qpoly(args) -> int:
         first = computed[0][1]
         agree = all(poly == first for _, poly in computed[1:])
 
-    params = {
-        "type": args.lie_type,
-        "rank": args.rank,
-        "weight": list(weight),
-        "route": args.route,
-        "strict": args.strict,
+    params = {"type": args.lie_type, "rank": args.rank, "weight": weight,
+              "route": args.route, "strict": args.strict}
+    header = ("route", "degree", "coeffs", "agree")
+    rows = [(name, poly.degree, poly.coeffs, agree) for name, poly in computed]
+    payload = {
+        "weight": weight,
+        "routes": [dict(zip(header[:3], row)) for row in rows],
+        "agree": agree,
     }
-    if args.format == "json":
-        payload = {
-            "weight": list(weight),
-            "routes": [
-                {"route": name, "degree": poly.degree, "coeffs": list(poly.coeffs)}
-                for name, poly in computed
-            ],
-            "agree": agree,
-        }
-        _emit_json("qpoly", params, payload)
-    else:
-        agree_text = "" if agree is None else ("true" if agree else "false")
-        rows = [
-            (name, poly.degree, ",".join(str(c) for c in poly.coeffs), agree_text)
-            for name, poly in computed
-        ]
-        _emit_csv(("route", "degree", "coeffs", "agree"), rows)
-    if args.strict and agree is False:
-        return EXIT_DISAGREEMENT
-    return EXIT_OK
+    code = EXIT_DISAGREEMENT if args.strict and agree is False else EXIT_OK
+    return _Output(params, payload, header, rows, code=code)
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(args) -> _Output:
     from .closedform import highest_jets
     from .stats import TYPE_B_VARIANCE_NOTE, closed_moments, moments_from_jet
 
     pair = moments_from_jet(highest_jets(args.lie_type, (args.rank,))[0])
-    closed_mean, closed_var = closed_moments(args.lie_type, args.rank)
-    closed_mean = closed_mean.as_fraction()
-    closed_var = closed_var.as_fraction()
-    note = TYPE_B_VARIANCE_NOTE if args.lie_type == "B" else ""
-    values = {
+    closed_mean, closed_var = (m.as_fraction() for m in closed_moments(args.lie_type, args.rank))
+    params = {"type": args.lie_type, "rank": args.rank}
+    payload = {
         "mean": _fmt_frac(pair.mean),
-        "mean_float": _json_float(float(pair.mean)),
+        "mean_float": _round(float(pair.mean)),
         "variance": _fmt_frac(pair.variance),
-        "variance_float": _json_float(float(pair.variance)),
+        "variance_float": _round(float(pair.variance)),
         "closed_mean": _fmt_frac(closed_mean),
         "closed_variance": _fmt_frac(closed_var),
         "mean_agrees": closed_mean == pair.mean,
         "variance_agrees": closed_var == pair.variance,
-        "note": note,
+        "note": TYPE_B_VARIANCE_NOTE if args.lie_type == "B" else "",
     }
-    params = {"type": args.lie_type, "rank": args.rank}
-    if args.format == "json":
-        _emit_json("stats", params, values)
-    else:
-        header = (
-            "type", "rank", "mean", "mean_float", "variance", "variance_float",
-            "closed_mean", "closed_variance", "mean_agrees", "variance_agrees", "note",
-        )
-        row = (
-            args.lie_type, args.rank, values["mean"], _fmt_float(float(pair.mean)),
-            values["variance"], _fmt_float(float(pair.variance)),
-            values["closed_mean"], values["closed_variance"],
-            "true" if values["mean_agrees"] else "false",
-            "true" if values["variance_agrees"] else "false",
-            note,
-        )
-        _emit_csv(header, [row])
-    return EXIT_OK
+    header = (*params, *payload)
+    rows = [(*params.values(), *payload.values())]
+    return _Output(params, payload, header, rows)
 
 
-def _cmd_converge(args) -> int:
+def _cmd_converge(args) -> _Output:
     if args.family != "product" and args.bumps:
         raise _InputError("--bumps only applies to the product family")
     from .gaussianity import DEFAULT_T_GRID, convergence_sweep
 
     t_grid = DEFAULT_T_GRID if args.t_grid is None else args.t_grid
     summaries = convergence_sweep(args.family, args.ranks, t_grid, bumps=args.bumps)
-    params = {
-        "family": args.family,
-        "ranks": list(args.ranks),
-        "bumps": args.bumps,
-        "t_grid": [_json_float(t) for t in t_grid],
-    }
-    if args.format == "json":
-        payload = [
-            {
-                "family": s.family,
-                "rank": s.rank,
-                "mean": _fmt_frac(s.mean),
-                "variance": _fmt_frac(s.variance),
-                "ks_distance": _json_float(s.ks_distance),
-                "skewness": _json_float(s.skewness),
-                "excess_kurtosis": _json_float(s.excess_kurtosis),
-                "max_mgf_error": _json_float(s.max_mgf_error),
-                "mgf_errors": [
-                    {"t": _json_float(t), "abs_error": _json_float(e)}
-                    for t, e in s.mgf_errors
-                ],
-            }
-            for s in summaries
-        ]
-        _emit_json("converge", params, payload)
-    else:
-        header = ["family", "rank", "mean", "variance", "ks_distance", "skewness",
-                  "excess_kurtosis", "max_mgf_error"]
-        header += [f"mgf_err[t={_fmt_float(t)}]" for t in t_grid]
-        rows = []
-        for s in summaries:
-            row = [
-                s.family, s.rank, _fmt_frac(s.mean), _fmt_frac(s.variance),
-                _fmt_float(s.ks_distance), _fmt_float(s.skewness),
-                _fmt_float(s.excess_kurtosis), _fmt_float(s.max_mgf_error),
-            ]
-            row += [_fmt_float(e) for _, e in s.mgf_errors]
-            rows.append(row)
-        _emit_csv(header, rows)
-    return EXIT_OK
+    params = {"family": args.family, "ranks": args.ranks, "bumps": args.bumps,
+              "t_grid": tuple(_round(t) for t in t_grid)}
+    payload = [
+        {
+            "family": s.family,
+            "rank": s.rank,
+            "mean": _fmt_frac(s.mean),
+            "variance": _fmt_frac(s.variance),
+            "ks_distance": _round(s.ks_distance),
+            "skewness": _round(s.skewness),
+            "excess_kurtosis": _round(s.excess_kurtosis),
+            "max_mgf_error": _round(s.max_mgf_error),
+            "mgf_errors": [{"t": _round(t), "abs_error": _round(e)} for t, e in s.mgf_errors],
+        }
+        for s in summaries
+    ]
+    columns = ("family", "rank", "mean", "variance", "ks_distance", "skewness",
+               "excess_kurtosis", "max_mgf_error")
+    header = [*columns, *(f"mgf_err[t={_cell(t)}]" for t in params["t_grid"])]
+    rows = [[*(s[k] for k in columns), *(m["abs_error"] for m in s["mgf_errors"])]
+            for s in payload]
+    return _Output(params, payload, header, rows)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> _Output:
     if args.max_rank < 5:
         raise _InputError("--max-rank must be at least 5 so every family participates")
     from . import verify as verify_mod
 
     results = verify_mod.run_all(args.max_rank)
-    failed = any(c.status == "FAIL" for c in results)
-    params = {"max_rank": args.max_rank}
-    if args.format == "json":
-        payload = {
-            "checks": [
-                {"name": c.name, "status": c.status, "detail": c.detail} for c in results
-            ],
-            "summary": {
-                "passed": sum(1 for c in results if c.status == "PASS"),
-                "warnings": sum(1 for c in results if c.status == "WARN"),
-                "failed": sum(1 for c in results if c.status == "FAIL"),
-            },
-        }
-        _emit_json("verify", params, payload)
-    elif args.format == "csv":
-        _emit_csv(("name", "status", "detail"),
-                  [(c.name, c.status, c.detail) for c in results])
-    else:
-        for c in results:
-            print(f"{c.status} {c.name}: {c.detail}")
-        print(f"{verify_mod.summary_line(results)} (max rank {args.max_rank})")
-    return EXIT_VERIFY_FAILED if failed else EXIT_OK
+    counts = verify_mod.tally(results)
+    header = ("name", "status", "detail")
+    rows = [(c.name, c.status, c.detail) for c in results]
+    payload = {"checks": [dict(zip(header, row)) for row in rows], "summary": counts}
+    text = [f"{c.status} {c.name}: {c.detail}" for c in results]
+    text.append(f"{verify_mod.summary_line(results)} (max rank {args.max_rank})")
+    code = EXIT_VERIFY_FAILED if counts["failed"] else EXIT_OK
+    return _Output({"max_rank": args.max_rank}, payload, header, rows, text, code)
 
 
 _HANDLERS = {
@@ -385,10 +336,12 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _HANDLERS[args.command](args)
+        out = _HANDLERS[args.command](args)
     except (_InputError, KostantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    _emit(args.format, args.command, out)
+    return out.code
 
 
 def entry() -> None:

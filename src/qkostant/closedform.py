@@ -20,7 +20,9 @@ Four alternatives to the lattice-fold oracle live here:
   divides it by 2**e * (q**2+4), checking that both divisions are exact
   instead of assuming it.
 * the holonomic route (behind highest_qpolys): the same highest-root
-  polynomial from the linear recurrence its coefficients satisfy (below).
+  polynomial from the linear recurrence its coefficients satisfy.  It and
+  its tables live in the holonomic module, which only a B/C/D
+  highest_qpolys call imports, so qpoly, stats and verify never compile it.
 
 The jet sweep.  Only three numbers of P_r are needed for its mean and
 variance: the jet (P_r(1), P_r'(1), P_r''(1)/2), which is P_r(1 + h) modulo
@@ -49,31 +51,17 @@ gf_coefficients serves a list of ranks from one jet sweep and one packed
 sweep to the top rank, decoding and checking each requested rank on the
 way up; gf_coefficient is its one-rank case.
 
-The holonomic route.  With e = rank - shift, P_r is a sum of two conjugate
-terms whose logarithmic derivatives lie in Q(q, e)(s), so eliminating them
-from P, P' and P'' gives c2*P'' + c1*P' + c0*P = 0 with c0, c1, c2 in Z[q, e]
-of q-degree at most 11 and e-degree at most 3 (the _ODE tables, derived by
-scripts/derive_ode.py): P_r is D-finite in q (Stanley, "Differentiably
-finite power series", Eur. J. Combin. 1, 1980).  The coefficient of q**n
-in that equation is an order-9 recurrence for the coefficients p_n, whose
-leading factor is 8(n-1)(n-2) for B and D and (16e+8)(n-1)(n-2) for C.
-Seeded with (p0, p1, p2) from the gf recurrence run in Z[q]/(q**3), each
-later p_n up to the degree (the height of the highest root) is one exact
-division of a sum of nine small-times-big products: O(r**2) bit operations
-for all 2r coefficients.  A table whose c1 or c2 is not divisible by q or q**2, a zero
-leading factor, a nonzero remainder, a negative coefficient, or
-coefficients without gf_jets' jet raise InternalCancellationFailure.
-
 For type A, (1+q)**n in the product and explicit routes is built as a row
 of binomial coefficients, not by repeated squaring.
 
 highest_qpolys is the one place that picks a highest root's closed route:
-the binomial row of explicit_qpoly for type A, the holonomic route for B, C
-and D.  The converge subcommand, the convergence sweep and family_poly reach
-the highest-root polynomial through it; highest_jets makes the same choice
-for the jet alone (gf_jets for B, C and D).  gf_coefficient(s) and
-explicit_qpoly stay independent routes: qpoly --route and verify call them
-directly and compare them with each other and with the fold.
+the binomial row of explicit_qpoly for type A, the holonomic route
+(holonomic.holonomic_qpolys) for B, C and D.  The converge subcommand, the
+convergence sweep and family_poly reach the highest-root polynomial through
+it; highest_jets makes the same choice for the jet alone (gf_jets for B, C
+and D).  gf_coefficient(s) and explicit_qpoly stay independent routes:
+qpoly --route and verify call them directly and compare them with each
+other and with the fold.
 
 check_bender_conditions verifies the hypotheses of the classical central
 limit theorem for coefficient arrays of rational generating functions at
@@ -89,7 +77,7 @@ from fractions import Fraction
 from ._record import Record
 from .errors import InternalCancellationFailure, InvalidSupport, RankTooSmall
 from .polyring import QPoly, Root5, jet_at_one, unpack_fields
-from .rootsys import Weight, highest_root, validate_type_rank
+from .rootsys import Weight, validate_type_rank
 
 
 class SupportSpec(Record):
@@ -124,6 +112,8 @@ class SupportSpec(Record):
                     f"index {i} outside the allowed interior [2, {hi}] "
                     f"for type {lie_type} rank {rank}"
                 )
+            if last is not None and i <= last:
+                raise InvalidSupport(f"indices must strictly increase, got {last} then {i}")
             if last is not None and i - last < 2:
                 raise InvalidSupport(f"indices {last} and {i} are consecutive")
             last = i
@@ -209,18 +199,13 @@ def gf_jets(lie_type: str, ranks) -> tuple:
     return _gf_truncated(lie_type, ranks, jet_at_one)
 
 
-def _low_terms(coeffs) -> tuple:
-    """(p0, p1, p2): the image of a polynomial in Z[q]/(q**3)."""
-    return (tuple(coeffs) + (0, 0, 0))[:3]
-
-
 def _gf_truncated(lie_type: str, ranks, reduce) -> tuple:
     """The gf recurrence's P_r at each rank, in a quotient ring of triples.
 
     reduce maps a coefficient tuple to its image (x0, x1, x2): jet_at_one
-    for Z[q]/((q-1)**3), _low_terms for Z[q]/(q**3).  Both rings multiply
-    images as power series in (q-1), respectively q, truncated after the
-    square, so one sweep serves both.
+    for Z[q]/((q-1)**3), holonomic._low_terms for Z[q]/(q**3).  Both rings
+    multiply images as power series in (q-1), respectively q, truncated
+    after the square, so one sweep serves both.
     """
     ranks = tuple(ranks)
     if lie_type not in _GF_NUMERATORS:
@@ -295,7 +280,9 @@ def highest_qpolys(lie_type: str, ranks) -> tuple:
     ranks = _validated(lie_type, ranks)
     if lie_type == "A":
         return tuple(explicit_qpoly("A", r) for r in ranks)
-    return _holonomic_qpolys(lie_type, ranks)
+    from .holonomic import holonomic_qpolys
+
+    return holonomic_qpolys(lie_type, ranks)
 
 
 def highest_jets(lie_type: str, ranks) -> tuple:
@@ -351,39 +338,6 @@ _EXPLICIT = {
     "C": ((0, 4, 0, 1), (0, 0, 1), 1),
     "D": ((0, 4, 16, 25, 16, 10, 3, 1), (0, 2, 9, 12, 8, 3, 1), 4),
 }
-
-# Holonomic route: with e = rank - shift, P_r solves c2*P'' + c1*P' + c0*P = 0
-# where c0, c1, c2 are in Z[q, e], held as tuples over the q-degree of tuples
-# over the e-degree (derived, and reprinted, by scripts/derive_ode.py).
-_ODE = {
-    "B": (
-        ((16,), (4, -32), (-182, -112, -64), (-386, -184, 24), (-388, -80, -30, -32),
-         (-316, -325, -89, -4), (-114, -108, -22, -8), (14, -118, -86, -8),
-         (22, -7, -14, -1), (30, 11, -9, -2)),
-        ((), (-16,), (-4, 32), (146, 56, 32), (272, 60, 32), (292, 114, 56),
-         (280, 204, 16), (114, 108, 20), (64, 116, 14), (2, 20, 2), (0, 15, 3)),
-        ((), (), (8,), (12, -16), (-30, -32), (-69, -20), (-88, -28), (-102, -12),
-         (-52, -9), (-41, -6), (-8, -1), (-5, -1)),
-    ),
-    "C": (
-        ((16, 32), (64, 48, 32), (94, 44), (88, 42, 12, 32), (68, 104, 46, 4),
-         (20, 42, 14, 8), (6, 30, 46, 8), (-4, -4, 7, 1), (-2, -3, 3, 2)),
-        ((), (-16, -32), (-64, -48, -32), (-94, -44, -32), (-88, -64, -56),
-         (-68, -112, -16), (-20, -56, -20), (-6, -54, -14), (4, -10, -2), (2, -5, -3)),
-        ((), (), (8, 16), (32, 32), (50, 20), (56, 28), (52, 12), (28, 9), (18, 6),
-         (4, 1), (2, 1)),
-    ),
-    "D": (
-        ((16,), (-12, -32), (-242, -272, -64), (-16, -32, -8), (-204, -352, -190, -32),
-         (-310, -209, -45, -4), (-94, -82, -38, -8), (-300, -274, -82, -8),
-         (-28, -25, -8, -1), (-30, -37, -15, -2)),
-        ((), (-16,), (12, 32), (130, 152, 32), (40, 92, 32), (152, 186, 56),
-         (144, 84, 16), (82, 72, 20), (128, 84, 14), (10, 8, 2), (18, 15, 3)),
-        ((), (), (8,), (-4, -16), (-30, -32), (-9, -20), (-32, -28), (-22, -12),
-         (-14, -9), (-17, -6), (-2, -1), (-3, -1)),
-    ),
-}
-
 
 def _pair_mul(u, v):
     """(x1 + y1*s)(x2 + y2*s) as a pair."""
@@ -446,61 +400,6 @@ def explicit_qpoly(lie_type: str, rank: int) -> QPoly:
     if any(c & mask for c in real.coeffs):
         raise InternalCancellationFailure(f"2^{e} does not divide the surd sum for {label}")
     return _div_s_squared(QPoly([c >> e for c in real.coeffs]), label)
-
-
-def _ode_at(lie_type: str, e: int) -> tuple:
-    """The integer coefficient lists of c0, c1, c2 in _ODE[lie_type] at e."""
-    return tuple(
-        [sum(c * e ** i for i, c in enumerate(row)) for row in table]
-        for table in _ODE[lie_type]
-    )
-
-
-def _holonomic_qpolys(lie_type: str, ranks: tuple) -> tuple:
-    """B/C/D highest-root polynomials from the coefficient recurrence.
-
-    ranks must already be validated.  Each polynomial is seeded with
-    (p0, p1, p2) from the gf recurrence in Z[q]/(q**3); every later
-    coefficient is one exact division, and the result must be nonnegative
-    with the jet gf_jets gives, or InternalCancellationFailure is raised.
-    """
-    distinct = tuple(dict.fromkeys(ranks))
-    seeds = _gf_truncated(lie_type, distinct, _low_terms)
-    jets = gf_jets(lie_type, distinct)
-    polys = {r: _holonomic(lie_type, r, s, j) for r, s, j in zip(distinct, seeds, jets)}
-    return tuple(polys[r] for r in ranks)
-
-
-def _holonomic(lie_type: str, rank: int, seed: tuple, jet: tuple) -> QPoly:
-    """P_rank's coefficients to its degree (the highest root's height), each
-    past the seed solved from the recurrence at q**n, then checked."""
-    label = f"holonomic recurrence for {lie_type}{rank}"
-    c0, c1, c2 = _ode_at(lie_type, rank - _EXPLICIT[lie_type][2])
-    # The coefficient of q**n in c2*P'' + c1*P' + c0*P is the sum over m of
-    # (u_m + t*v_m + t*(t-1)*w_m) * p_{n-m}, t = n - m, with (u_m, v_m, w_m) =
-    # (c0[m], c1[m+1], c2[m+2]).  Terms of c1 below q or of c2 below q**2
-    # would reach p_{n+1} or p_{n+2}.
-    if c1[0] or c2[0] or c2[1]:
-        raise InternalCancellationFailure(f"{label} needs c1 divisible by q and c2 by q^2")
-    (u, v, w), *rest = zip(c0, c1[1:], c2[2:], strict=True)
-    degree = sum(highest_root(lie_type, rank))
-    p = list(seed[:degree + 1])
-    for n in range(len(p), degree + 1):
-        acc = 0
-        for m, (um, vm, wm) in enumerate(rest[:n], 1):
-            t = n - m
-            acc += (um + t * (vm + (t - 1) * wm)) * p[t]
-        lead = u + n * (v + (n - 1) * w)
-        if not lead:
-            raise InternalCancellationFailure(f"{label} has a zero leading factor at q^{n}")
-        c, rem = divmod(-acc, lead)
-        if rem:
-            raise InternalCancellationFailure(f"{label} leaves a remainder at q^{n}")
-        if c < 0:
-            raise InternalCancellationFailure(f"{label} gives a negative coefficient at q^{n}")
-        p.append(c)
-    _check_jet(p, jet, f"{label} gives")
-    return QPoly(p)
 
 
 class BenderReport(Record):

@@ -221,9 +221,18 @@ def run_all(max_rank: int = 8):
     ]
 
 
+_TALLY_KEYS = {"PASS": "passed", "WARN": "warnings", "FAIL": "failed"}
+
+
+def tally(results) -> dict:
+    """The number of results per status, as {passed, warnings, failed}."""
+    counts = dict.fromkeys(_TALLY_KEYS.values(), 0)
+    for c in results:
+        counts[_TALLY_KEYS[c.status]] += 1
+    return counts
+
+
 def summary_line(results) -> str:
-    passed = sum(1 for c in results if c.status == "PASS")
-    warned = sum(1 for c in results if c.status == "WARN")
-    failed = sum(1 for c in results if c.status == "FAIL")
-    plural = "" if warned == 1 else "s"
-    return f"verify: {passed} passed, {warned} warning{plural}, {failed} failed"
+    n = tally(results)
+    plural = "" if n["warnings"] == 1 else "s"
+    return f"verify: {n['passed']} passed, {n['warnings']} warning{plural}, {n['failed']} failed"

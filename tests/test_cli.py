@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: output bytes, JSON schema, exit codes."""
 
+import hashlib
 import json
 import math
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -29,6 +31,22 @@ def check_json(stdout):
     record = json.loads(stdout)
     jsonschema.validate(record, load_schema())
     return record
+
+
+# ---------------------------------------------------------- pinned stdout
+
+# Exit code and stdout sha256 per argv, every subcommand in every format;
+# re-record after an intended output change with
+# `python3 scripts/generate_golden.py --cli`.
+_PINNED = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "cli_stdout.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED))
+def test_cli_stdout_matches_pinned_digest(capsys, key):
+    rc, out, _ = run_cli(key.split(" "), capsys)
+    assert rc == _PINNED[key]["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED[key]["sha256"]
 
 
 # ----------------------------------------------------------------- roots
@@ -188,8 +206,8 @@ def test_stats_runs_no_packed_sweep(capsys, monkeypatch, lie_type):
     assert rc == 0
     row = out.splitlines()[1].split(",")
     assert row[:6] == [
-        lie_type, "800", cli._fmt_frac(pair.mean), cli._fmt_float(float(pair.mean)),
-        cli._fmt_frac(pair.variance), cli._fmt_float(float(pair.variance)),
+        lie_type, "800", cli._fmt_frac(pair.mean), format(float(pair.mean), ".12g"),
+        cli._fmt_frac(pair.variance), format(float(pair.variance), ".12g"),
     ]
     assert row[8:10] == ["true", "true"]
 
@@ -548,14 +566,15 @@ _IMPORT_CASES = [
     (["roots", "--type", "B", "--rank", "3", "--format", "json"],
      {"qkostant.closedform", "qkostant.kostant", "qkostant.polyring", "fractions"}),
     (["qpoly", "--type", "B", "--rank", "5", "--format", "json"],
-     {"qkostant.stats", "qkostant.gaussianity", "qkostant.verify"}),
+     {"qkostant.stats", "qkostant.gaussianity", "qkostant.verify", "qkostant.holonomic"}),
     (["qpoly", "--type", "A", "--rank", "6", "--support", "3:1"],
-     {"qkostant.stats", "qkostant.gaussianity", "qkostant.verify"}),
+     {"qkostant.stats", "qkostant.gaussianity", "qkostant.verify", "qkostant.holonomic"}),
     (["stats", "--type", "C", "--rank", "6"],
-     {"qkostant.kostant", "qkostant.gaussianity", "qkostant.verify"}),
+     {"qkostant.kostant", "qkostant.gaussianity", "qkostant.verify", "qkostant.holonomic"}),
     (["converge", "--family", "D", "--ranks", "12,8"],
      {"qkostant.kostant", "qkostant.stats", "qkostant.verify"}),
-    (["verify", "--max-rank", "5", "--format", "csv"], {"qkostant.gaussianity"}),
+    (["verify", "--max-rank", "5", "--format", "csv"],
+     {"qkostant.gaussianity", "qkostant.holonomic"}),
 ]
 
 

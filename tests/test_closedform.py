@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qkostant import closedform
+from qkostant import closedform, holonomic
 from qkostant import (
     InternalCancellationFailure,
     InvalidSupport,
@@ -52,8 +52,12 @@ def test_spec_rejects_bad_patterns():
         SupportSpec("A", 5, ((5, 1),))  # touches the right edge
     with pytest.raises(InvalidSupport):
         SupportSpec("B", 6, ((4, 1),))  # interior for B6 is [2, 3]
-    with pytest.raises(InvalidSupport):
+    with pytest.raises(InvalidSupport, match="indices 3 and 4 are consecutive"):
         SupportSpec("A", 8, ((3, 1), (4, 1)))  # consecutive
+    with pytest.raises(InvalidSupport, match="strictly increase, got 5 then 3"):
+        SupportSpec("A", 9, ((5, 1), (3, 1)))  # decreasing
+    with pytest.raises(InvalidSupport, match="strictly increase, got 3 then 3"):
+        SupportSpec("A", 9, ((3, 1), (3, 1)))  # repeated
     with pytest.raises(InvalidSupport):
         SupportSpec("A", 8, ((5, 1), (3, 1)))  # out of order
     with pytest.raises(InvalidSupport):
@@ -332,11 +336,11 @@ def test_ode_tables_annihilate_the_gf_polynomials():
         shift = closedform._EXPLICIT[fam][2]
         ranks = (*range(MIN_RANK[fam], 61), _FAR_RANK[fam])
         for r, p in zip(ranks, closedform.gf_coefficients(fam, ranks)):
-            c0, c1, c2 = (QPoly(c) for c in closedform._ode_at(fam, r - shift))
+            c0, c1, c2 = (QPoly(c) for c in holonomic._ode_at(fam, r - shift))
             d = p.derivative()
             assert c2 * d.derivative() + c1 * d + c0 * p == QPoly.zero(), (fam, r)
         # q-degree at most 11, e-degree at most 3, and c2 linear in e
-        tables = closedform._ODE[fam]
+        tables = holonomic._ODE[fam]
         assert max(len(t) for t in tables) <= 12, fam
         assert max(len(row) for t in tables for row in t) <= 4, fam
         assert max(len(row) for row in tables[2]) <= 2, fam
@@ -348,7 +352,7 @@ def test_recurrence_leading_factor():
     # for every n >= 3
     for fam in "BCD":
         for e in (0, 1, 7, 500):
-            c0, c1, c2 = closedform._ode_at(fam, e)
+            c0, c1, c2 = holonomic._ode_at(fam, e)
             u, v, w = c0[0], c1[1], c2[2]
             scale = 16 * e + 8 if fam == "C" else 8
             for n in range(12):
@@ -356,8 +360,8 @@ def test_recurrence_leading_factor():
 
 
 def _perturbed(fam, k, j, i, delta):
-    """closedform._ODE[fam] with delta added to c_k's q**j e**i entry."""
-    tables = [list(t) for t in closedform._ODE[fam]]
+    """holonomic._ODE[fam] with delta added to c_k's q**j e**i entry."""
+    tables = [list(t) for t in holonomic._ODE[fam]]
     row = list(tables[k][j]) + [0] * (i + 1 - len(tables[k][j]))
     row[i] += delta
     tables[k][j] = tuple(row)
@@ -373,7 +377,7 @@ def _perturbed(fam, k, j, i, delta):
     ("D", 2, 1, 2, 1, "divisible by q"),
 ])
 def test_holonomic_perturbed_table_fails_loudly(monkeypatch, fam, k, j, i, delta, failing_check):
-    monkeypatch.setitem(closedform._ODE, fam, _perturbed(fam, k, j, i, delta))
+    monkeypatch.setitem(holonomic._ODE, fam, _perturbed(fam, k, j, i, delta))
     with pytest.raises(InternalCancellationFailure, match=f"{fam}40 .*{failing_check}"):
         closedform.highest_qpolys(fam, (40,))
 
@@ -382,16 +386,16 @@ def test_no_table_perturbation_returns_a_polynomial(monkeypatch):
     # every entry, including one e-degree past each row, moved by +-1: the
     # route must raise, never return
     for fam in "BCD":
-        real = closedform._ODE[fam]
+        real = holonomic._ODE[fam]
         for k, table in enumerate(real):
             for j, row in enumerate(table):
                 for i in range(len(row) + 1):
                     for delta in (1, -1):
-                        monkeypatch.setitem(closedform._ODE, fam,
+                        monkeypatch.setitem(holonomic._ODE, fam,
                                             _perturbed(fam, k, j, i, delta))
                         with pytest.raises(InternalCancellationFailure):
                             closedform.highest_qpolys(fam, (40,))
-                        monkeypatch.setitem(closedform._ODE, fam, real)
+                        monkeypatch.setitem(holonomic._ODE, fam, real)
 
 
 @pytest.mark.parametrize("slot, failing_check", [(0, r"P\(1\) ="), (1, r"P'\(1\)")])
