@@ -97,6 +97,7 @@ CLI_ARGV = (
     ("verify", "--max-rank", "5"),
     ("verify", "--max-rank", "5", "--format", "csv"),
     ("verify", "--max-rank", "5", "--format", "json"),
+    ("verify", "--max-rank", "8"),
 )
 
 

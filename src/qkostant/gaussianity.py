@@ -28,7 +28,7 @@ from ._record import Record
 from .closedform import SupportSpec, highest_qpolys, product_qpoly
 from .errors import DegenerateDistribution, InvalidSupport, ZeroDistribution
 from .polyring import QPoly, power_sums
-from .rootsys import FAMILIES, LIE_TYPES
+from .rootsys import FAMILIES, LIE_TYPES, validate_type_rank
 
 DEFAULT_T_GRID = (-1.0, -0.5, 0.5, 1.0)
 
@@ -135,30 +135,38 @@ def family_poly(family: str, rank: int, bumps: int = 0) -> QPoly:
     family is the type-A product-form weight bumped by one extra copy at
     indices 2, 4, ..., 2*bumps, which requires rank > 2*bumps.
     """
+    return _family_polys(family, (rank,), bumps)[0]
+
+
+def _family_polys(family, ranks, bumps):
+    """family_poly at each rank, after every rank is checked."""
     if family in LIE_TYPES:
-        return highest_qpolys(family, (rank,))[0]
-    if family == "product":
-        if bumps < 0:
-            raise InvalidSupport(f"bump count must be >= 0, got {bumps}")
-        entries = tuple((2 * i, 1) for i in range(1, bumps + 1))
-        return product_qpoly(SupportSpec("A", rank, entries))
-    raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+        return highest_qpolys(family, ranks)
+    if family != "product":
+        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+    if bumps < 0:
+        raise InvalidSupport(f"bump count must be >= 0, got {bumps}")
+    for r in ranks:
+        validate_type_rank("A", r)
+        if r <= 2 * bumps:
+            raise InvalidSupport(
+                f"product family with --bumps {bumps} needs rank > {2 * bumps}, got {r}"
+            )
+    entries = tuple((2 * i, 1) for i in range(1, bumps + 1))
+    return [product_qpoly(SupportSpec("A", r, entries)) for r in ranks]
 
 
 def convergence_sweep(family, ranks, t_grid=DEFAULT_T_GRID, bumps=0):
     """Summaries of one family across the given ranks, in input order.
 
-    The highest-root polynomials of all ranks come from one
-    closedform.highest_qpolys call: the binomial row for A, and for B, C
-    and D the holonomic coefficient recurrence, O(r**2) bit operations per
-    rank, with one gf jet sweep and one gf sweep modulo q**3 to the top rank
-    for its seeds and checks.
+    Every rank is checked before any polynomial is built.  The highest-root
+    polynomials of all ranks come from one closedform.highest_qpolys call:
+    the binomial row for A, and for B, C and D the holonomic coefficient
+    recurrence, O(r**2) bit operations per rank, with one gf jet sweep and
+    one gf sweep modulo q**3 to the top rank for its seeds and checks.
     """
     ranks = tuple(ranks)
-    if family in LIE_TYPES:
-        polys = highest_qpolys(family, ranks)
-    else:
-        polys = [family_poly(family, r, bumps) for r in ranks]
+    polys = _family_polys(family, ranks, bumps)
     return tuple(
         summarize(g, t_grid, family=family, rank=r) for g, r in zip(polys, ranks)
     )

@@ -46,19 +46,22 @@ the way.  Only the target cell is decoded, and each of its coefficients is
 at most its plain count g(1), so a first integer-only sweep that computes
 g(1) gives a width W = g(1).bit_length() in which the decoding is exact.
 
-Many targets.  qanalogs serves a list of targets from one fold over their
-join, the componentwise maximum, and reads each target's polynomial from
-its own cell of that one table.  Roots are nonnegative, so a root that is
-not below a target adds nothing to that target's cell, and folding the
-join's extra roots leaves it unchanged.  The packed sweep is exact integer
-linear arithmetic, so every cell holds its own polynomial at q = 2**W, and
-any cell whose coefficients fit in W bits decodes exactly: with W the
-largest bit length of the counts at the targets' cells, each target does.
-qanalog is the one-target case, whose width is its own count's bit length.
+Many targets.  qanalogs serves a list of targets from one fold per maximal
+target.  Walked by descending coordinate sum, each target joins the first
+maximal target so far that dominates it componentwise, or becomes one
+itself; each maximal target's fold reads all its members from their own
+cells of that one table.  Roots are nonnegative, so a root that is not
+below a member adds nothing to the member's cell, and folding the maximal
+target's extra roots leaves it unchanged.  The packed sweep is exact
+integer linear arithmetic, so every cell holds its own polynomial at
+q = 2**W, and any cell whose coefficients fit in W bits decodes exactly:
+with W the largest bit length of the counts at the members' cells, each
+member does.  qanalog is the one-target case, whose width is its own
+count's bit length.
 
-Boxes over MAX_FOLD_CELLS cells are refused before any table is allocated;
-for qanalogs that is the join's box, even when every target's own box is
-within the budget.
+Boxes over MAX_FOLD_CELLS cells are refused before any table is allocated.
+Every fold's box is one target's own box, so for qanalogs the budget
+applies to each target's box and no fold allocates more than the largest.
 """
 
 from __future__ import annotations
@@ -86,19 +89,24 @@ def qanalog(system: RootSystem, target) -> QPoly:
 
 
 def qanalogs(system: RootSystem, targets) -> tuple:
-    """qanalog at each of the targets, in input order, from one fold.
+    """qanalog at each of the targets, in input order, one fold per maximal
+    target.
 
-    Every target is checked as qanalog checks it, and one with a negative
-    coordinate gives QPoly zero.  The rest are read from one fold over
-    their join (componentwise maximum), so FoldTooLarge is raised when the
-    join's box has more than MAX_FOLD_CELLS cells.
+    Every target is checked as qanalog checks it, so FoldTooLarge is raised
+    when any target's box has more than MAX_FOLD_CELLS cells, and one with a
+    negative coordinate gives QPoly zero.  The rest are de-duplicated and
+    each is read from the fold of the first maximal target that dominates
+    it componentwise.
     """
     targets = [check_target(system.rank, t) for t in targets]
-    live = [t for t in targets if all(c >= 0 for c in t)]
-    if not live:
-        return tuple(QPoly.zero() for _ in targets)
-    join = check_target(system.rank, [max(c) for c in zip(*live)])
-    polys = dict(zip(live, _fold_cells(_roots_below(system, join), join, live)))
+    covers = {}  # maximal target -> the targets read from its fold
+    live = dict.fromkeys(t for t in targets if all(c >= 0 for c in t))
+    for t in sorted(live, key=sum, reverse=True):
+        top = next((m for m in covers if all(a <= b for a, b in zip(t, m))), t)
+        covers.setdefault(top, []).append(t)
+    polys = {}
+    for top, members in covers.items():
+        polys.update(zip(members, _fold_cells(_roots_below(system, top), top, members)))
     return tuple(QPoly(polys[t]) if t in polys else QPoly.zero() for t in targets)
 
 

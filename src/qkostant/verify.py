@@ -8,12 +8,18 @@ token, see stats.TYPE_B_VARIANCE_NOTE); everything else is strict.
 run_all(max_rank) drives the whole suite and is what the CLI's verify
 subcommand prints.  Identical inputs produce byte-identical reports.  It
 computes each polynomial once: the checks read tables built before the first
-check runs, except for the polynomials only one check needs (the highest-root
-folds of route-agreement, the type-A rows of chain-identity-A and the pinned
-values of fixed-examples).  The bump weights are folded one group per fold:
-the specs of one type, rank and bumped index set are read from one
-kostant.qanalogs fold over their join, which is the group's member with every
-extra at its largest, so no fold is larger than one the suite runs anyway.
+check runs, except for the polynomials only one check needs (the type-A rows
+of chain-identity-A and the pinned values of fixed-examples).
+
+Every fold runs in the max-rank system of its type.  The positive roots of
+X_R that vanish on alpha_1..alpha_{R-r} are the positive roots of X_r on the
+remaining diagram (Bourbaki, Lie Groups and Lie Algebras, Ch. VI), and every
+positive root is a nonnegative combination of simple roots, so padding a
+rank-r weight w with R - r leading zeros gives K_{X_R}(0, ..., 0, w) =
+K_{X_r}(w), coefficient for coefficient.  So the bump weights of each type
+are read from one kostant.qanalogs call at max_rank, as are the B/C/D
+highest roots of each family, and each call folds once per maximal padded
+weight: no fold is larger than one requested weight's own box.
 """
 
 from __future__ import annotations
@@ -158,16 +164,22 @@ def run_all(max_rank: int = 8):
     systems = list(_systems(max_rank))
     highest = [(t, r) for t, r in systems if t != "A"]
     bumps = {spec: weight_of(spec) for spec in _spec_suite(max_rank)}
-    groups = {}
     for spec, weight in bumps.items():
         check_target(spec.rank, weight)
-        key = (spec.lie_type, spec.rank, tuple(i for i, _ in spec.entries))
-        groups.setdefault(key, []).append(spec)
 
     # Each polynomial is computed once; the checks below read these tables.
-    oracle = {}
-    for (t, r, _), specs in groups.items():
-        oracle.update(zip(specs, qanalogs(build_root_system(t, r), [bumps[s] for s in specs])))
+    def nested(t, weights):
+        """qanalogs in type t's max-rank system, each weight padded to it."""
+        return qanalogs(build_root_system(t, max_rank),
+                        [(0,) * (max_rank - len(w)) + w for w in weights])
+
+    oracle, folds = {}, {}
+    for t in LIE_TYPES:
+        specs = [s for s in bumps if s.lie_type == t]
+        oracle.update(zip(specs, nested(t, [bumps[s] for s in specs])))
+    for t in "BCD":
+        keys = [key for key in highest if key[0] == t]
+        folds.update(zip(keys, nested(t, [highest_root(*key) for key in keys])))
     product = {spec: product_qpoly(spec) for spec in bumps}
     label = {spec: f"{spec.lie_type}{spec.rank} {spec.entries}" for spec in bumps}
     # The B/C/D highest-root gf and explicit polynomials from each family's
@@ -201,8 +213,7 @@ def run_all(max_rank: int = 8):
             for s in bumps
         ], f"{len(bumps)} bump weights"),
         _check("route-agreement", [
-            (f"{t}{r}", qanalog(build_root_system(t, r), highest_root(t, r))
-             == gf[t, r] == explicit[t, r])
+            (f"{t}{r}", folds[t, r] == gf[t, r] == explicit[t, r])
             for t, r in highest
         ], f"oracle=gf=explicit, {len(highest)} highest roots"),
         _check("gf-vs-explicit", [(f"{t}{r}", gf[t, r] == explicit[t, r]) for t, r in gf],

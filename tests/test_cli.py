@@ -13,7 +13,15 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from qkostant import QPoly, TYPE_B_VARIANCE_NOTE, cli, closedform, qanalog
+from qkostant import (
+    MIN_RANK,
+    QPoly,
+    TYPE_B_VARIANCE_NOTE,
+    cli,
+    closedform,
+    highest_root,
+    qanalog,
+)
 
 
 def run_cli(argv, capsys):
@@ -266,12 +274,17 @@ def test_converge_bumps_only_for_product(capsys):
     ["converge", "--family", "B", "--ranks", "-3"],
     ["converge", "--family", "C", "--ranks", "2"],
     ["converge", "--family", "product", "--ranks", "20", "--bumps", "-1"],
+    ["converge", "--family", "product", "--ranks", "10", "--bumps", "5"],
+    ["converge", "--family", "product", "--ranks", "20,3", "--bumps", "2"],
 ])
 def test_converge_out_of_range_exit_2(capsys, argv):
     rc, out, err = run_cli(argv, capsys)
     assert rc == 2
     assert out == ""
     assert err.startswith("error:")
+    if "--bumps" in argv and argv[argv.index("--bumps") + 1] != "-1":
+        # the error names the option the user gave, not an interior index
+        assert "--bumps" in err and "index" not in err
 
 
 def _reject_constant(name):
@@ -338,11 +351,10 @@ def test_verify_over_budget_max_rank_refused_before_any_check(capsys, monkeypatc
     assert err.startswith("error: lattice fold over")
 
 
-def test_verify_folds_each_bump_weight_once(monkeypatch):
-    from qkostant import verify
-    from qkostant.kostant import qanalogs
+def test_verify_folds_each_maximal_weight_once(monkeypatch):
+    from qkostant import kostant, verify
 
-    folded, groups, products, explicits = [], [], [], []
+    folded, calls, boxes, products, explicits = [], [], [], [], []
 
     def counting_qanalog(system, target):
         folded.append((system.lie_type, system.rank, tuple(target)))
@@ -350,8 +362,12 @@ def test_verify_folds_each_bump_weight_once(monkeypatch):
 
     def counting_qanalogs(system, targets):
         targets = [tuple(w) for w in targets]
-        groups.append((system.lie_type, system.rank, targets))
-        return qanalogs(system, targets)
+        calls.append((system.lie_type, system.rank, targets))
+        return kostant.qanalogs(system, targets)
+
+    def counting_fold_cells(roots, box, targets):
+        boxes.append(box)
+        return fold_cells(roots, box, targets)
 
     def counting_product(spec):
         products.append(spec)
@@ -361,28 +377,36 @@ def test_verify_folds_each_bump_weight_once(monkeypatch):
         explicits.append((lie_type, rank))
         return closedform.explicit_qpoly(lie_type, rank)
 
+    fold_cells = kostant._fold_cells
     monkeypatch.setattr(verify, "qanalog", counting_qanalog)
     monkeypatch.setattr(verify, "qanalogs", counting_qanalogs)
+    monkeypatch.setattr(kostant, "_fold_cells", counting_fold_cells)
     monkeypatch.setattr(verify, "product_qpoly", counting_product)
     monkeypatch.setattr(verify, "explicit_qpoly", counting_explicit)
     verify.run_all(5)
-    batched = [(t, r, w) for t, r, targets in groups for w in targets]
-    requested = folded + batched
-    repeated = {key for key in requested if requested.count(key) > 1}
-    # only the pinned B2 example, which is no bump weight, is folded twice
-    assert repeated == {("B", 2, (1, 2))}
+    # the only single-target fold is the pinned B2 example
+    assert folded == [("B", 2, (1, 2))]
+    # one qanalogs call per Lie type for the bump weights, then one per B/C/D
+    # family for the highest roots, all in the rank-5 system
+    assert [(t, r) for t, r, _ in calls] == [
+        ("A", 5), ("B", 5), ("C", 5), ("D", 5), ("B", 5), ("C", 5), ("D", 5)]
+
+    def padded(weight):
+        return (0,) * (5 - len(weight)) + weight
+
     specs = list(verify._spec_suite(5))
-    # every bump weight is requested exactly once across the qanalogs calls
-    assert sorted(batched) == sorted((s.lie_type, s.rank, closedform.weight_of(s)) for s in specs)
-
-    # one qanalogs call per (type, rank, bumped index set)
-    def bumped(weight):
-        return tuple(i for i, c in enumerate(weight, 1) if c > 1)
-
-    keys = [{(t, r, bumped(w)) for w in targets} for t, r, targets in groups]
-    assert all(len(key) == 1 for key in keys)
-    assert sorted(key.pop() for key in keys) == sorted(
-        {(s.lie_type, s.rank, tuple(i for i, _ in s.entries)) for s in specs})
+    bump_calls = [(t, w) for t, _, targets in calls[:4] for w in targets]
+    # every padded bump weight is requested exactly once
+    assert sorted(bump_calls) == sorted(
+        (s.lie_type, padded(closedform.weight_of(s))) for s in specs)
+    assert len(set(bump_calls)) == len(bump_calls)
+    assert [(t, targets) for t, _, targets in calls[4:]] == [
+        (t, [padded(highest_root(t, r)) for r in range(MIN_RANK[t], 6)]) for t in "BCD"]
+    # one fold per maximal weight, each over one requested weight's own
+    # box: eight of them, and one more for the pinned B2 example
+    assert len(boxes) == 8 + 1
+    requested = {w for _, _, targets in calls for w in targets}
+    assert set(boxes) <= requested | {(1, 2)}
     # every bump weight's product form is computed once
     assert sorted(products, key=repr) == sorted(specs, key=repr)
     # every highest root's explicit polynomial is computed once, apart from

@@ -163,12 +163,49 @@ def test_qanalogs_width_fits_the_widest_target():
     assert qanalogs(system, [narrow, wide]) == (qanalog(system, narrow), qanalog(system, wide))
 
 
-def test_qanalogs_budget_is_checked_on_the_join():
+def test_qanalogs_fold_each_maximal_target_in_its_own_box(monkeypatch):
+    from qkostant import kostant
+
+    boxes = []
+    fold_cells = kostant._fold_cells
+
+    def counting_fold_cells(roots, box, targets):
+        boxes.append(box)
+        return fold_cells(roots, box, targets)
+
+    monkeypatch.setattr(kostant, "_fold_cells", counting_fold_cells)
     # each target's box has 4001 cells, their join's 4001**2 > MAX_FOLD_CELLS
+    system = build_root_system("A", 2)
+    targets = [(4000, 0), (0, 4000)]
+    want = tuple(qanalog(system, w) for w in targets)
+    boxes.clear()
+    assert qanalogs(system, targets) == want
+    assert boxes == targets
+
+    # duplicates and dominated targets are read from the maximal ones' folds,
+    # and the results keep input order
+    system = build_root_system("C", 4)
+    small, big, side = (1, 2, 1, 1), (2, 2, 2, 1), (3, 0, 1, 0)
+    targets = [small, (0, 0, 0, 0), big, small, side, big]
+    want = {w: qanalog(system, w) for w in targets}
+    for order in (targets, targets[::-1]):
+        boxes.clear()
+        assert qanalogs(system, order) == tuple(want[w] for w in order)
+        assert boxes == [big, side]
+
+    # maximal targets of equal coordinate sum are folded in input order
+    system = build_root_system("A", 2)
+    for order in ([(2, 0), (1, 0), (0, 2)], [(0, 2), (1, 0), (2, 0)]):
+        boxes.clear()
+        assert qanalogs(system, order) == tuple(qanalog(system, w) for w in order)
+        assert boxes[:2] == [order[0], order[2]]
+
+
+def test_qanalogs_budget_is_checked_on_each_target():
     system = build_root_system("A", 2)
     start = time.perf_counter()
     with pytest.raises(FoldTooLarge):
-        qanalogs(system, [(4000, 0), (0, 4000)])
+        qanalogs(system, [(1, 1), (3000, 3000)])
     assert time.perf_counter() - start < 1.0
 
 

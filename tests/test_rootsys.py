@@ -65,6 +65,22 @@ def test_coefficients_and_support_shape():
                     assert gap == {r - 2}
 
 
+def test_lower_ranks_embed_on_the_last_simple_roots():
+    # the roots of X_R that vanish on alpha_1..alpha_{R-r} are the roots of
+    # X_r on the remaining diagram, in the same sorted order, and each
+    # padded highest root lies below the rank-R one
+    for t in LIE_TYPES:
+        for big in range(MIN_RANK[t], 15):
+            roots = build_root_system(t, big).positive_roots
+            top = highest_root(t, big)
+            for r in range(MIN_RANK[t], big + 1):
+                pad = big - r
+                below = tuple(root[pad:] for root in roots if not any(root[:pad]))
+                assert below == build_root_system(t, r).positive_roots, (t, big, r)
+                padded = (0,) * pad + highest_root(t, r)
+                assert all(a <= b for a, b in zip(padded, top)), (t, big, r)
+
+
 def test_simple_roots_present():
     for t in LIE_TYPES:
         r = MIN_RANK[t] + 2
