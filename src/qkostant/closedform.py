@@ -196,27 +196,16 @@ def gf_jets(lie_type: str, ranks) -> tuple:
     The same recurrence as gf_coefficients, under the same rank rules, run
     in Z[q]/((q-1)**3): one sweep of integer triples to the top rank.
     """
-    return _gf_truncated(lie_type, ranks, jet_at_one)
-
-
-def _gf_truncated(lie_type: str, ranks, reduce) -> tuple:
-    """The gf recurrence's P_r at each rank, in a quotient ring of triples.
-
-    reduce maps a coefficient tuple to its image (x0, x1, x2): jet_at_one
-    for Z[q]/((q-1)**3), holonomic._low_terms for Z[q]/(q**3).  Both rings
-    multiply images as power series in (q-1), respectively q, truncated
-    after the square, so one sweep serves both.
-    """
     ranks = tuple(ranks)
     if lie_type not in _GF_NUMERATORS:
         raise ValueError(f"generating-function route covers B, C, D, not {lie_type!r}")
     if any(r < 0 for r in ranks):
         raise ValueError("rank must be nonnegative")
     wanted = set(ranks)
-    numerators = {k: reduce(n.coeffs) for k, n in _GF_NUMERATORS[lie_type].items()}
-    (a0, a1, a2), (b0, b1, b2) = (reduce(s.coeffs) for s in _GF_SHIFTS)
-    # (x0, x1, x2) is the image of P_{k-1}, (y0, y1, y2) that of P_{k-2}; a
-    # product keeps the terms of degree below 3.
+    numerators = {k: jet_at_one(n.coeffs) for k, n in _GF_NUMERATORS[lie_type].items()}
+    (a0, a1, a2), (b0, b1, b2) = (jet_at_one(s.coeffs) for s in _GF_SHIFTS)
+    # (x0, x1, x2) is the jet of P_{k-1}, (y0, y1, y2) that of P_{k-2}; a
+    # product keeps the terms below h**3.
     x0 = x1 = x2 = y0 = y1 = y2 = 0
     images = {}
     for k in range(max(ranks, default=0) + 1):
@@ -418,21 +407,14 @@ class BenderReport(Record):
         self._assign(small_root, large_root, numerator_values, passed)
 
 
-def _root5_horner(int_coeffs, z: Root5) -> Root5:
-    acc = Root5(0)
-    for c in reversed(int_coeffs):
-        acc = acc * z + c
-    return acc
-
-
 def check_bender_conditions() -> BenderReport:
     """Verify the rational-GF central-limit hypotheses for B, C, D at q = 1."""
     small = Root5(Fraction(1, 2), Fraction(-1, 10))
     large = Root5(Fraction(1, 2), Fraction(1, 10))
-    den = [1, -5, 5]
+    den = QPoly((1, -5, 5))
     ok = (
-        _root5_horner(den, small) == Root5(0)
-        and _root5_horner(den, large) == Root5(0)
+        den(small) == Root5(0)
+        and den(large) == Root5(0)
         and small + large == Root5(1)
         and small * large == Root5(Fraction(1, 5))
         and small != large  # distinct roots, so the dominant one is simple
@@ -441,8 +423,7 @@ def check_bender_conditions() -> BenderReport:
     for fam in sorted(_GF_NUMERATORS):
         terms = _GF_NUMERATORS[fam]
         top = max(terms)
-        coeffs = [terms.get(k, QPoly.zero())(1) for k in range(top + 1)]
-        val = _root5_horner(coeffs, small)
+        val = QPoly([terms.get(k, QPoly.zero())(1) for k in range(top + 1)])(small)
         values[fam] = val
         ok = ok and val != Root5(0)
     return BenderReport(small, large, values, ok)

@@ -8,12 +8,16 @@ _ODE tables below, derived by scripts/derive_ode.py): P_r is D-finite in q
 (Stanley, "Differentiably finite power series", Eur. J. Combin. 1, 1980).  The coefficient of q**n
 in that equation is an order-9 recurrence for the coefficients p_n, whose
 leading factor is 8(n-1)(n-2) for B and D and (16e+8)(n-1)(n-2) for C.
-Seeded with (p0, p1, p2) from the gf recurrence run in Z[q]/(q**3), each
-later p_n up to the degree (the height of the highest root) is one exact
-division of a sum of nine small-times-big products: O(r**2) bit operations
-for all 2r coefficients.  A table whose c1 or c2 is not divisible by q or
-q**2, a zero leading factor, a nonzero remainder, a negative coefficient,
-or coefficients without gf_jets' jet raise InternalCancellationFailure.
+The seeds are closed forms in the rank: P_r counts the ways to write the
+highest root theta as a sum of positive roots, so p0 = 0, p1 = 1 (theta
+itself) and p2 = hv - 2, the number of pairs {beta, theta - beta}, with hv
+the dual Coxeter number (p2 = 2r - 3 for B, r - 1 for C, 2r - 4 for D).
+From them each later p_n up to the degree (the height of the highest root)
+is one exact division of a sum of nine small-times-big products: O(r**2)
+bit operations for all 2r coefficients.  A table whose c1 or c2 is not
+divisible by q or q**2, a zero leading factor, a nonzero remainder, a
+negative coefficient, or coefficients without gf_jets' jet raise
+InternalCancellationFailure.
 
 closedform.highest_qpolys is its one caller and imports this module only
 when it needs the route, so the requests that never build a B/C/D
@@ -60,9 +64,13 @@ _ODE = {
 }
 
 
-def _low_terms(coeffs) -> tuple:
-    """(p0, p1, p2): the image of a polynomial in Z[q]/(q**3)."""
-    return (tuple(coeffs) + (0, 0, 0))[:3]
+def _seed(lie_type: str, rank: int) -> tuple:
+    """(p0, p1, p2): theta is no sum of zero roots and one sum of one root,
+    and its two-root sums are the pairs {beta, theta - beta} over the
+    2hv - 4 roots beta with <beta, theta^vee> = 1 (hv the dual Coxeter
+    number: 2r - 1 for B, r + 1 for C, 2r - 2 for D)."""
+    dual_coxeter = {"B": 2 * rank - 1, "C": rank + 1, "D": 2 * rank - 2}[lie_type]
+    return (0, 1, dual_coxeter - 2)
 
 
 def _ode_at(lie_type: str, e: int) -> tuple:
@@ -77,18 +85,17 @@ def holonomic_qpolys(lie_type: str, ranks: tuple) -> tuple:
     """B/C/D highest-root polynomials from the coefficient recurrence.
 
     ranks must already be validated.  Each polynomial is seeded with
-    (p0, p1, p2) from the gf recurrence in Z[q]/(q**3); every later
+    (p0, p1, p2) = (0, 1, hv - 2) from the rank alone; every later
     coefficient is one exact division, and the result must be nonnegative
     with the jet gf_jets gives, or InternalCancellationFailure is raised.
     """
     distinct = tuple(dict.fromkeys(ranks))
-    seeds = closedform._gf_truncated(lie_type, distinct, _low_terms)
     jets = closedform.gf_jets(lie_type, distinct)
-    polys = {r: _holonomic(lie_type, r, s, j) for r, s, j in zip(distinct, seeds, jets)}
+    polys = {r: _holonomic(lie_type, r, j) for r, j in zip(distinct, jets)}
     return tuple(polys[r] for r in ranks)
 
 
-def _holonomic(lie_type: str, rank: int, seed: tuple, jet: tuple) -> QPoly:
+def _holonomic(lie_type: str, rank: int, jet: tuple) -> QPoly:
     """P_rank's coefficients to its degree (the highest root's height), each
     past the seed solved from the recurrence at q**n, then checked."""
     label = f"holonomic recurrence for {lie_type}{rank}"
@@ -101,7 +108,7 @@ def _holonomic(lie_type: str, rank: int, seed: tuple, jet: tuple) -> QPoly:
         raise InternalCancellationFailure(f"{label} needs c1 divisible by q and c2 by q^2")
     (u, v, w), *rest = zip(c0, c1[1:], c2[2:], strict=True)
     degree = sum(highest_root(lie_type, rank))
-    p = list(seed[:degree + 1])
+    p = list(_seed(lie_type, rank)[:degree + 1])
     for n in range(len(p), degree + 1):
         acc = 0
         for m, (um, vm, wm) in enumerate(rest[:n], 1):

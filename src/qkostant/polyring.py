@@ -179,7 +179,7 @@ class QPoly:
         return QPoly(tuple(k * c for k, c in enumerate(self._coeffs))[1:])
 
     def __call__(self, x):
-        """Evaluate by Horner's rule; exact for int/Fraction arguments."""
+        """Evaluate by Horner's rule; exact for int, Fraction and Root5 arguments."""
         acc = 0
         for c in reversed(self._coeffs):
             acc = acc * x + c

@@ -2,25 +2,23 @@
 
 Roots are stored as integer coordinate vectors over the simple roots
 alpha_1..alpha_r, so a root (c_1, ..., c_r) means c_1*alpha_1 + ... +
-c_r*alpha_r.  The vectors are generated from the standard orthogonal-basis
-descriptions and then sorted lexicographically, which makes every listing
-deterministic:
+c_r*alpha_r.  They come from the standard orthogonal-basis forms (Bourbaki,
+Lie Groups and Lie Algebras, Ch. VI, Plates I-IV), with n = r+1 for A_r
+(r >= 1) and n = r for B_r (r >= 2), C_r (r >= 3) and D_r (r >= 4):
 
-* A_r (r >= 1): e_i - e_j for i < j <= r+1, giving the interval sums
-  alpha_i + ... + alpha_j for 1 <= i <= j <= r.  Count r(r+1)/2.
-* B_r (r >= 2): e_i - e_j gives intervals not reaching past r; e_i gives
-  the all-ones tails alpha_i + ... + alpha_r; e_i + e_j gives ones on
-  [i, j-1] followed by twos on [j, r].  Count r^2.
-* C_r (r >= 3): e_i - e_j gives intervals inside [1, r-1]; e_i + e_j with
-  j < r gives ones on [i, j-1], twos on [j, r-1], one at r; e_i + e_r gives
-  the all-ones tail; 2e_i gives twos on [i, r-1], one at r.  Count r^2.
-* D_r (r >= 4): e_i - e_j gives intervals inside [1, r-1]; e_i + e_r gives
-  ones on [i, r-2] plus alpha_r (skipping alpha_{r-1}, the one fork-shaped
-  support in these tables); e_i + e_j with j <= r-1 gives ones on [i, j-1],
-  twos on [j, r-2], then one each at r-1 and r.  Count r(r-1).
+* e_i - e_j for i < j <= n, in every family;
+* e_i + e_j for i < j <= n, in B, C and D;
+* e_i in B and 2e_i in C.
+
+A root with e-coordinates x_1..x_n has partial sums S_k = x_1 + ... + x_k,
+and its simple-root coordinates are c_k = S_k for k <= r, except that
+C (alpha_r = 2e_r) sets c_r = S_r/2 and D (alpha_r = e_{r-1} + e_r) sets
+c_r = S_r/2 and c_{r-1} = S_{r-1} - S_r/2.  The counts are r(r+1)/2 for A,
+r^2 for B and C and r(r-1) for D; the listing is sorted lexicographically,
+which makes it deterministic.
 
 Every coordinate lies in {0, 1, 2} and supports are contiguous except for
-the documented D-type fork vectors.
+the D-type fork vectors e_i + e_r, which skip alpha_{r-1}.
 """
 
 from __future__ import annotations
@@ -76,78 +74,25 @@ def highest_root(lie_type: str, rank: int) -> Weight:
     return (1,) + (2,) * (rank - 3) + (1, 1)
 
 
-def _interval(rank: int, lo: int, hi: int) -> tuple:
-    """Ones on 1-indexed positions [lo, hi], zeros elsewhere."""
-    v = [0] * rank
-    for p in range(lo, hi + 1):
-        v[p - 1] = 1
-    return tuple(v)
-
-
-def _roots_a(rank: int):
-    return [_interval(rank, i, j) for i in range(1, rank + 1) for j in range(i, rank + 1)]
-
-
-def _roots_b(rank: int):
-    roots = [_interval(rank, i, j) for i in range(1, rank + 1) for j in range(i, rank + 1)]
-    for i in range(1, rank + 1):
-        for j in range(i + 1, rank + 1):
-            v = [0] * rank
-            for p in range(i, j):
-                v[p - 1] = 1
-            for p in range(j, rank + 1):
-                v[p - 1] = 2
-            roots.append(tuple(v))
-    return roots
-
-
-def _roots_c(rank: int):
-    roots = [_interval(rank, i, j) for i in range(1, rank + 1) for j in range(i, rank + 1)]
-    for i in range(1, rank):
-        for j in range(i + 1, rank):
-            v = [0] * rank
-            for p in range(i, j):
-                v[p - 1] = 1
-            for p in range(j, rank):
-                v[p - 1] = 2
-            v[rank - 1] = 1
-            roots.append(tuple(v))
-    for i in range(1, rank):
-        v = [0] * rank
-        for p in range(i, rank):
-            v[p - 1] = 2
-        v[rank - 1] = 1
-        roots.append(tuple(v))
-    return roots
-
-
-def _roots_d(rank: int):
-    roots = [
-        _interval(rank, i, j)
-        for i in range(1, rank)
-        for j in range(i, rank)
-    ]
-    for i in range(1, rank):
-        # e_i + e_r: support forks around the absent alpha_{r-1}.
-        v = [0] * rank
-        for p in range(i, rank - 1):
-            v[p - 1] = 1
-        v[rank - 1] = 1
-        roots.append(tuple(v))
-    for i in range(1, rank):
-        for j in range(i + 1, rank):
-            v = [0] * rank
-            for p in range(i, j):
-                v[p - 1] = 1
-            for p in range(j, rank - 1):
-                v[p - 1] = 2
-            v[rank - 2] = 1
-            v[rank - 1] = 1
-            roots.append(tuple(v))
-    return roots
-
-
-_BUILDERS = {"A": _roots_a, "B": _roots_b, "C": _roots_c, "D": _roots_d}
+def _positive_roots(lie_type: str, rank: int) -> list:
+    """The positive roots, listed in the e-basis and converted to simple-root
+    coordinates through their partial sums (see the module docstring)."""
+    n = rank + 1 if lie_type == "A" else rank
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # (i, j, tail): partial sums 0 before i, 1 on [i, j), tail from j on.
+    shapes = [(i, j, 0) for i, j in pairs]  # e_i - e_j
+    if lie_type != "A":
+        shapes += [(i, j, 2) for i, j in pairs]  # e_i + e_j
+    if lie_type == "B":
+        shapes += [(i, n, 1) for i in range(n)]  # e_i
+    if lie_type == "C":
+        shapes += [(i, i, 2) for i in range(n)]  # 2e_i
+    sums = [((0,) * i + (1,) * (j - i) + (tail,) * (n - j))[:rank] for i, j, tail in shapes]
+    if lie_type == "C":  # alpha_r = 2e_r
+        return [s[:-1] + (s[-1] // 2,) for s in sums]
+    if lie_type == "D":  # alpha_r = e_{r-1} + e_r
+        return [s[:-2] + (s[-2] - s[-1] // 2, s[-1] // 2) for s in sums]
+    return sums
 
 
 class RootSystem(Record):
@@ -175,7 +120,7 @@ class RootSystem(Record):
 def build_root_system(lie_type: str, rank: int) -> RootSystem:
     """Construct the positive system, sorted lexicographically."""
     validate_type_rank(lie_type, rank)
-    roots = _BUILDERS[lie_type](rank)
+    roots = _positive_roots(lie_type, rank)
     uniq = sorted(set(roots))
     if len(uniq) != len(roots) or len(uniq) != positive_root_count(lie_type, rank):
         raise AssertionError(

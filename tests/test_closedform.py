@@ -382,6 +382,28 @@ def test_holonomic_perturbed_table_fails_loudly(monkeypatch, fam, k, j, i, delta
         closedform.highest_qpolys(fam, (40,))
 
 
+def test_seeds_are_the_low_gf_coefficients():
+    # (0, 1, hv - 2): 2r - 3 for B, r - 1 for C, 2r - 4 for D
+    for fam in "BCD":
+        ranks = range(MIN_RANK[fam], 61)
+        for r, p in zip(ranks, closedform.gf_coefficients(fam, ranks)):
+            assert holonomic._seed(fam, r) == p.coeffs[:3], (fam, r)
+
+
+@pytest.mark.parametrize("fam", "BCD")
+@pytest.mark.parametrize("delta", (1, -1))
+def test_holonomic_perturbed_seed_fails_loudly(monkeypatch, fam, delta):
+    real_seed = holonomic._seed
+
+    def off_by_one(lie_type, rank):
+        p0, p1, p2 = real_seed(lie_type, rank)
+        return p0, p1, p2 + delta
+
+    monkeypatch.setattr(holonomic, "_seed", off_by_one)
+    with pytest.raises(InternalCancellationFailure, match=f"{fam}40 .*remainder"):
+        closedform.highest_qpolys(fam, (40,))
+
+
 def test_no_table_perturbation_returns_a_polynomial(monkeypatch):
     # every entry, including one e-degree past each row, moved by +-1: the
     # route must raise, never return

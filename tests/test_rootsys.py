@@ -81,6 +81,50 @@ def test_lower_ranks_embed_on_the_last_simple_roots():
                 assert all(a <= b for a, b in zip(padded, top)), (t, big, r)
 
 
+def _cartan(t, r):
+    """a[i][j] = <alpha_i, alpha_j^vee>, read off the Dynkin diagram."""
+    a = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(r)] for i in range(r)]
+    if t == "B":  # alpha_r short
+        a[r - 2][r - 1] = -2
+    elif t == "C":  # alpha_r long
+        a[r - 1][r - 2] = -2
+    elif t == "D":  # alpha_r hangs off alpha_{r-2}, not alpha_{r-1}
+        a[r - 2][r - 1] = a[r - 1][r - 2] = 0
+        a[r - 3][r - 1] = a[r - 1][r - 3] = -1
+    return a
+
+
+def _closure(t, r):
+    """Positive roots by root strings: height by height, beta + alpha_i is a
+    root exactly when q = p - <beta, alpha_i^vee> > 0, where p counts the
+    roots beta - alpha_i, beta - 2 alpha_i, ... already found."""
+    a = _cartan(t, r)
+
+    def shift(beta, i, k):
+        return beta[:i] + (beta[i] + k,) + beta[i + 1:]
+
+    layer = {tuple(int(i == j) for j in range(r)) for i in range(r)}
+    roots = set(layer)
+    while layer:
+        above = set()
+        for beta in layer:
+            for i in range(r):
+                p = 0
+                while shift(beta, i, -p - 1) in roots:
+                    p += 1
+                if p - sum(c * a[j][i] for j, c in enumerate(beta)) > 0:
+                    above.add(shift(beta, i, 1))
+        roots |= above
+        layer = above
+    return tuple(sorted(roots))
+
+
+def test_listing_equals_root_string_closure_to_rank_12():
+    for t in LIE_TYPES:
+        for r in range(MIN_RANK[t], 13):
+            assert build_root_system(t, r).positive_roots == _closure(t, r), (t, r)
+
+
 def test_simple_roots_present():
     for t in LIE_TYPES:
         r = MIN_RANK[t] + 2
