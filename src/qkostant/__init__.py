@@ -17,7 +17,7 @@ _EXPORTS = {
     "polyring": ("QPoly", "Root5"),
     "rootsys": (
         "LIE_TYPES", "MIN_RANK", "RootSystem", "build_root_system", "highest_root",
-        "positive_root_count", "FAMILIES",
+        "positive_root_count", "FAMILIES", "MAX_LISTING_ENTRIES",
     ),
     "kostant": ("qanalog", "count_decompositions", "MAX_FOLD_CELLS"),
     "closedform": (
@@ -36,7 +36,7 @@ _EXPORTS = {
     "errors": (
         "KostantError", "RankTooSmall", "DimensionMismatch", "InvalidSupport",
         "ZeroDistribution", "DegenerateDistribution", "NonRationalResult", "FoldTooLarge",
-        "InternalCancellationFailure",
+        "ListingTooLarge", "InternalCancellationFailure",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

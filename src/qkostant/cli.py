@@ -28,7 +28,14 @@ import sys
 
 from ._record import Record
 from .errors import KostantError
-from .rootsys import FAMILIES, LIE_TYPES, build_root_system, highest_root, validate_type_rank
+from .rootsys import (
+    FAMILIES,
+    LIE_TYPES,
+    build_root_system,
+    check_listing,
+    highest_root,
+    validate_type_rank,
+)
 
 SCHEMA_VERSION = "1"
 
@@ -195,6 +202,7 @@ def _build_parser():
 
 
 def _cmd_roots(args) -> _Output:
+    check_listing(args.lie_type, args.rank)
     system = build_root_system(args.lie_type, args.rank)
     header = ("index", "coeffs")
     rows = list(enumerate(system.positive_roots))

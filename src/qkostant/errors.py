@@ -37,6 +37,10 @@ class FoldTooLarge(KostantError):
     """A lattice-fold box exceeds the cell budget, so it is refused up front."""
 
 
+class ListingTooLarge(KostantError):
+    """A root listing exceeds the entry budget, so it is refused up front."""
+
+
 class NonRationalResult(KostantError, ArithmeticError):
     """A quantity expected to be rational retained an irrational part."""
 

@@ -5,59 +5,75 @@ is the number of multisets of exactly k positive roots whose sum is the
 target weight.  Evaluating at q = 1 recovers the plain decomposition count.
 
 Algorithm.  A lattice fold over the box prod_i [0, target_i]: roots are
-taken in the system's fixed sorted order and folded in one at a time with
-unbounded multiplicity, updating f(w) += q * f(w - root) over cells in
-ascending packed order.  Because a cell is only read after it has absorbed
-the current root itself, a single in-place sweep realizes the full
-geometric series in that root, which is exactly multiset (order-free)
-semantics.
+folded in one at a time with unbounded multiplicity, updating
+f(w) += q * f(w - root) over cells in ascending packed order.  Because a
+cell is only read after it has absorbed the current root itself, a single
+in-place sweep realizes the full geometric series in that root, which is
+exactly multiset (order-free) semantics, so any root order gives the same
+sums.  The fold order groups the roots below the target in blocks by their
+first support index, last block first, and takes each block in descending
+lexicographic order: the system's sorted listing with each block reversed.
 
-Each root sweeps only its live sub-box.  A coordinate is live once some
-root folded so far (this one included) has it in its support; every other
-coordinate is pinned to 0.  A cell with a nonzero coordinate outside that
-support is still 0, and so is the cell it would read from, which shares
-that coordinate, so skipping it leaves every sum unchanged in any root
-order.  Every simple root below the target is folded, so the last live box
-is the whole box.
+Live coordinates.  A coordinate is live once some root folded so far (this
+one included) has it in its support; every other coordinate is pinned to
+0.  A cell with a nonzero coordinate outside that support is still 0, and
+so is the cell it would read from, which shares that coordinate, so
+skipping it leaves every sum unchanged in any root order.  Every simple
+root below the target is folded, so the last live box is the whole box.
+
+Finished coordinates.  The fold is read only at its members' cells: the
+target, or every target qanalogs reads from it.  A coordinate k is
+finished at a root when neither that root nor any later one has k in its
+support.  Every later update reads w - beta with beta_k = 0, so a cell
+outside the members' range [min m_k, max m_k] never feeds one inside it,
+and from there on each root sweeps k only over that range, intersected
+with the live range.  In the fold order, the last block finishes a
+coordinate with nearly every root: in A_r its roots (1, .., 1, 0, .., 0)
+come longest first, each finishes the coordinate after its support, and
+the all-ones weight sweeps 2**r - 1 cells in all.  A root takes the
+finished ranges only when they give no more runs than the live ranges
+alone; they never hold more cells, so no root sweeps more of either.
 
 Runs.  A root's swept cells are updated a run at a time, not a cell at a
-time.  Let L be the last coordinate in the root's support.  The root is 0
-on every coordinate after L, so where those coordinates are live at full
-extent, the swept cells that share coordinates 0..L form one contiguous
-run of strides[L] cells, and the whole run is one slice update
-t[a:b] = map(add, t[a:b], t[a-d:b-d]) with d = sum_i root_i * strides[i].
-(In general the run spans the longest suffix of coordinates that are live
-at full extent and where the root is 0.)  Since root_L >= 1, d is at least
-strides[L], the run's length, so every source lies before the run: in an
-earlier run of the same root, which ascending order has already finished,
-or in a cell the root does not sweep.  So each run reads exactly what the
-cell-by-cell sweep would.  In the system's lexicographic order every
-simple root alpha_j with j > L sorts before a root whose support ends at
-L (it is 0 where that root's support starts), so each coordinate after L
-is live already or has extent 1: nearly every root's work is a few long
-runs.  Any other order gives the same sums in shorter runs.
+time.  The run spans the longest suffix of coordinates where the root is 0
+and which are swept at full extent, together with the coordinate before
+that suffix when the root is 0 there too (swept over part of its extent:
+pinned, or a finished range).  Its cells are contiguous, so the whole run
+is one slice update t[a:b] = map(add, t[a:b], t[a-d:b-d]) with
+d = sum_i root_i * strides[i].  Let L be the last coordinate in the root's
+support; the run lies after L, so it is at most strides[L] cells long,
+while d >= strides[L] since root_L >= 1.  So every source lies before the
+run: in an earlier run of the same root, which ascending order has already
+finished, or in a cell the root does not sweep, and each run reads exactly
+what the cell-by-cell sweep would.  In the fold order every block of a
+first support index after L comes before the root, and it holds that
+simple root whenever that is below the target, so each coordinate after L
+is live already or has extent 1: a root with no finished coordinate does
+its work in a few long runs.  Any other order gives the same sums in
+shorter runs.
 
 For speed the polynomial at each cell is Kronecker-packed into a single
 Python integer (coefficient of q**k occupies the bit field [k*W, (k+1)*W)),
 so the inner update is one shift-and-add on native big integers.  The
 packed fold is exact integer linear arithmetic, so every cell holds its
 polynomial evaluated at q = 2**W, whatever carries cross field borders on
-the way.  Only the target cell is decoded, and each of its coefficients is
-at most its plain count g(1), so a first integer-only sweep that computes
-g(1) gives a width W = g(1).bit_length() in which the decoding is exact.
+the way.  Only the members' cells are decoded, and each of their
+coefficients is at most the member's plain count g(1), so a first
+integer-only sweep that computes g(1) gives a width W, the largest
+g(1).bit_length() over the members, in which the decoding is exact.
 
 Many targets.  qanalogs serves a list of targets from one fold per maximal
 target.  Walked by descending coordinate sum, each target joins the first
 maximal target so far that dominates it componentwise, or becomes one
-itself; each maximal target's fold reads all its members from their own
-cells of that one table.  Roots are nonnegative, so a root that is not
-below a member adds nothing to the member's cell, and folding the maximal
-target's extra roots leaves it unchanged.  The packed sweep is exact
-integer linear arithmetic, so every cell holds its own polynomial at
-q = 2**W, and any cell whose coefficients fit in W bits decodes exactly:
-with W the largest bit length of the counts at the members' cells, each
-member does.  qanalog is the one-target case, whose width is its own
-count's bit length.
+itself.  The walk keeps, for each coordinate k and value v, the maximal
+targets m with m_k >= v as a bitset; a target's dominators are the
+intersection of its own buckets (k, t_k), and the first of them is the
+lowest bit.  Each maximal target's fold reads all its members from their
+own cells of that one table, and finishes coordinates to the members'
+range [min, max] on each coordinate.  Roots are nonnegative, so a root
+that is not below a member adds nothing to the member's cell, and folding
+the maximal target's extra roots leaves it unchanged.  qanalog is the
+one-target case, whose range is the target itself.
 
 Boxes over MAX_FOLD_CELLS cells are refused before any table is allocated.
 Every fold's box is one target's own box, so for qanalogs the budget
@@ -66,9 +82,11 @@ applies to each target's box and no fold allocates more than the largest.
 
 from __future__ import annotations
 
-from itertools import repeat
+from collections import defaultdict
+from functools import reduce
+from itertools import compress, repeat
 from math import prod
-from operator import add, lshift
+from operator import add, and_, lshift, mul, sub
 
 from .errors import DimensionMismatch, FoldTooLarge
 from .polyring import QPoly, unpack_fields
@@ -100,10 +118,22 @@ def qanalogs(system: RootSystem, targets) -> tuple:
     """
     targets = [check_target(system.rank, t) for t in targets]
     covers = {}  # maximal target -> the targets read from its fold
+    tops = []  # the maximal targets, in the order found
+    # Bucket (k, v) holds the maximal targets m with m[k] >= v, as a bitset
+    # over tops.  The maximal targets that dominate t are the intersection
+    # of t's buckets (k, t[k]), and the first one found is its lowest bit.
+    buckets = defaultdict(int)
     live = dict.fromkeys(t for t in targets if all(c >= 0 for c in t))
     for t in sorted(live, key=sum, reverse=True):
-        top = next((m for m in covers if all(a <= b for a, b in zip(t, m))), t)
-        covers.setdefault(top, []).append(t)
+        found = reduce(and_, map(buckets.__getitem__, enumerate(t)))
+        if found:
+            covers[tops[(found & -found).bit_length() - 1]].append(t)
+        else:
+            covers[t] = [t]
+            for k, c in enumerate(t):
+                for v in range(c + 1):
+                    buckets[k, v] |= 1 << len(tops)
+            tops.append(t)
     polys = {}
     for top, members in covers.items():
         polys.update(zip(members, _fold_cells(_roots_below(system, top), top, members)))
@@ -139,41 +169,89 @@ def count_decompositions(system: RootSystem, target) -> int:
     target = check_target(system.rank, target)
     if any(c < 0 for c in target):
         return 0
-    return _count_sweep(*_plan(_roots_below(system, target), target))[-1]
+    return _count_sweep(*_plan(_roots_below(system, target), target, (target,)))[-1]
 
 
 def _roots_below(system: RootSystem, target: Weight) -> list:
-    return [r for r in system.positive_roots if all(a <= b for a, b in zip(r, target))]
+    """The roots below the target in fold order: in blocks by first support
+    index, last block first, each block in descending lexicographic order."""
+    # The sorted listing reversed is descending: it holds the blocks by
+    # ascending first support index, each already in the order wanted.  A
+    # root opens a new block when it is 0 at the current block's first index.
+    blocks = []
+    for root in reversed(system.positive_roots):
+        if all(a <= b for a, b in zip(root, target)):
+            if not blocks or not root[lead]:
+                lead = next(i for i, c in enumerate(root) if c)
+                blocks.append([])
+            blocks[-1].append(root)
+    return [root for block in reversed(blocks) for root in block]
 
 
-def _cell_indices(root, sizes, strides):
-    """Packed indices of all cells >= root inside the box sizes, ascending."""
-    idxs = [0]
-    for sz, st, rc in zip(sizes, strides, root):
-        offsets = [w * st for w in range(rc, sz)]
-        idxs = [base + off for base in idxs for off in offsets]
-    return idxs
-
-
-def _plan(roots, target):
+def _plan(roots, box, members):
     """Each root's sweep as (delta, run starts ascending, run length), and
-    the number of cells in the box."""
-    sizes = [t + 1 for t in target]
-    strides = [prod(sizes[i + 1:]) for i in range(len(sizes))]
+    the number of cells in the box, for a fold read at the members' cells."""
+    n = len(box)
+    sizes = [t + 1 for t in box]
+    strides = [prod(sizes[i + 1:]) for i in range(n)]
+    # A coordinate is live from the first root that has it in its support
+    # on, and finished after the last one.
+    positions = range(len(roots))
+    starting, finishing = {}, {}
+    for k, col in enumerate(zip(*roots)):
+        touching = list(compress(positions, col))
+        if touching:
+            starting.setdefault(touching[0], []).append(k)
+            finishing.setdefault(touching[-1] + 1, []).append(k)
+    lo = [min(c) for c in zip(*members)]
+    hi = [max(c) + 1 for c in zip(*members)]
+    # Each root's live box: full extent on the live coordinates, extent 1
+    # (pinned to 0) on the rest; and on the finished ones, the members'
+    # range [lo, hi).
+    live, flo, fhi = [1] * n, [0] * n, sizes[:]
+    narrowed = False  # whether some finished range is short of its full extent
     plan = []
-    # Each root's live box: full extent on every coordinate some root so
-    # far has in its support, extent 1 (pinned to 0) on the rest.
-    live = [1] * len(sizes)
-    for root in roots:
-        live = [sz if rc else lv for sz, lv, rc in zip(sizes, live, root)]
-        # The run: the longest suffix of coordinates that are live at full
-        # extent and where the root is 0.
-        m = len(sizes)
-        while not root[m - 1] and live[m - 1] == sizes[m - 1]:
-            m -= 1
-        delta = sum(c * s for c, s in zip(root, strides))
-        plan.append((delta, _cell_indices(root[:m], live, strides), strides[m - 1]))
+    for j, root in enumerate(roots):
+        for k in starting.get(j, ()):
+            live[k] = sizes[k]
+        for k in finishing.get(j, ()):
+            flo[k], fhi[k] = lo[k], hi[k]
+            narrowed = narrowed or hi[k] - lo[k] < sizes[k]
+        low, high, run = _runs(root, root, live, sizes, strides)
+        if narrowed:
+            fin = _runs(root, list(map(max, root, flo)), list(map(min, live, fhi)),
+                        sizes, strides)
+            if prod(map(sub, fin[1], fin[0])) <= prod(map(sub, high, low)):
+                low, high, run = fin
+        plan.append((sum(map(mul, root, strides)), _cell_indices(low, high, strides), run))
     return plan, prod(sizes)
+
+
+def _runs(root, low, high, sizes, strides):
+    """A root's sweep over the cells low <= w < high in runs: the ranges of
+    the coordinates that index the runs, and the run length.
+
+    The run spans the longest suffix of coordinates where the root is 0 and
+    all but the first span their full extent.
+    """
+    m = len(sizes)
+    while not root[m - 1] and not low[m - 1] and high[m - 1] == sizes[m - 1]:
+        m -= 1
+    low, high, run = low[:m], high[:m], strides[m - 1]
+    if not root[m - 1]:  # the run's first coordinate, swept only in part
+        run *= high[-1] - low[-1]
+        high[-1] = low[-1] + 1
+    return low, high, run
+
+
+def _cell_indices(low, high, strides):
+    """Packed indices of the cells low <= w < high, ascending."""
+    idxs = [0]
+    for a, b, st in zip(low, high, strides):
+        if a or b != 1:  # a coordinate pinned to 0 adds nothing
+            offsets = range(a * st, b * st, st)
+            idxs = [base + off for base in idxs for off in offsets]
+    return idxs
 
 
 def _count_sweep(plan, total):
@@ -203,7 +281,7 @@ def _cell(target, box):
 def _fold_cells(roots, box, targets):
     """Coefficient list of each target's polynomial, from one fold over the
     box, which holds every target."""
-    plan, total = _plan(roots, box)
+    plan, total = _plan(roots, box, targets)
     cells = [_cell(t, box) for t in targets]
     # Sweep 1: plain counts.  Each target's count bounds every coefficient
     # of its polynomial; the largest gives the packing width.

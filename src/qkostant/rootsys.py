@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ._record import Record
-from .errors import RankTooSmall
+from .errors import ListingTooLarge, RankTooSmall
 
 LIE_TYPES = ("A", "B", "C", "D")
 
@@ -36,6 +36,10 @@ FAMILIES = LIE_TYPES + ("product",)
 
 #: Smallest rank at which each family is defined in this package.
 MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 4}
+
+#: Largest root listing, rank * positive_root_count entries, that
+#: check_listing admits: A120 (871,200 entries) is inside, A128 is not.
+MAX_LISTING_ENTRIES = 2 ** 20
 
 Weight = tuple  # tuple[int, ...], length == rank
 
@@ -60,6 +64,16 @@ def positive_root_count(lie_type: str, rank: int) -> int:
     if lie_type in ("B", "C"):
         return rank * rank
     return rank * (rank - 1)
+
+
+def check_listing(lie_type: str, rank: int) -> None:
+    """Raise ListingTooLarge when the listing of the positive roots has
+    more than MAX_LISTING_ENTRIES entries, before any root is built."""
+    entries = rank * positive_root_count(lie_type, rank)
+    if entries > MAX_LISTING_ENTRIES:
+        raise ListingTooLarge(
+            f"root listing of {entries} entries exceeds the budget of {MAX_LISTING_ENTRIES}"
+        )
 
 
 def highest_root(lie_type: str, rank: int) -> Weight:

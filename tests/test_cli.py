@@ -167,6 +167,25 @@ def test_qpoly_fold_budget_refused_before_the_root_system(capsys, monkeypatch):
     assert err.startswith("error: lattice fold over")
 
 
+def test_roots_listing_budget_refused_before_the_root_system(capsys, monkeypatch):
+    from qkostant.rootsys import MAX_LISTING_ENTRIES, check_listing
+
+    check_listing("A", 120)  # the broken-pipe test's listing is inside the budget
+
+    def refuse(*args):
+        raise AssertionError("root system built for a refused listing")
+
+    monkeypatch.setattr(cli, "build_root_system", refuse)
+    start = time.perf_counter()
+    for t, r in [("A", 128), ("B", 102), ("D", 100000)]:
+        rc, out, err = run_cli(["roots", "--type", t, "--rank", str(r)], capsys)
+        assert rc == 2, (t, r)
+        assert out == ""
+        assert err.startswith("error: root listing of")
+        assert f"budget of {MAX_LISTING_ENTRIES}" in err
+    assert time.perf_counter() - start < 1.0
+
+
 def test_qpoly_strict_disagreement_exit_code(capsys, monkeypatch):
     # force one route to lie so the disagreement path is reachable
     # the handler imports its routes when it runs, so patch them at the source

@@ -18,7 +18,7 @@ from qkostant import (
     explicit_qpoly,
     qanalog,
 )
-from qkostant.kostant import _fold, qanalogs
+from qkostant.kostant import _fold, _plan, _roots_below, qanalogs
 
 rng = random.Random(977)
 
@@ -166,11 +166,12 @@ def test_qanalogs_width_fits_the_widest_target():
 def test_qanalogs_fold_each_maximal_target_in_its_own_box(monkeypatch):
     from qkostant import kostant
 
-    boxes = []
+    boxes, members = [], []
     fold_cells = kostant._fold_cells
 
     def counting_fold_cells(roots, box, targets):
         boxes.append(box)
+        members.append(list(targets))
         return fold_cells(roots, box, targets)
 
     monkeypatch.setattr(kostant, "_fold_cells", counting_fold_cells)
@@ -199,6 +200,14 @@ def test_qanalogs_fold_each_maximal_target_in_its_own_box(monkeypatch):
         boxes.clear()
         assert qanalogs(system, order) == tuple(qanalog(system, w) for w in order)
         assert boxes[:2] == [order[0], order[2]]
+
+    # a target below two maximal targets is read from the first one found
+    for first, second in [((2, 1), (1, 2)), ((1, 2), (2, 1))]:
+        order = [(1, 1), first, second]
+        want = tuple(qanalog(system, w) for w in order)
+        members.clear()
+        assert qanalogs(system, order) == want
+        assert members == [[first, (1, 1)], [second]]
 
 
 def test_qanalogs_budget_is_checked_on_each_target():
@@ -255,15 +264,77 @@ def per_cell_fold(roots, target):
 def test_fold_runs_match_a_per_cell_fold():
     # every weight with coordinates in {0, 1, 2} up to rank 4: zeros at the
     # front, middle and end give size-1 axes, and the reversed root order
-    # leaves the trailing axes unlive, so runs shrink to single cells
+    # leaves the trailing axes unlive, so runs shrink to single cells; the
+    # fold order finishes coordinates, so runs start partway along an axis
     for t in LIE_TYPES:
         for r in range(MIN_RANK[t], 5):
             system = build_root_system(t, r)
             for w in all_weights(r, 2):
                 roots = [root for root in system.positive_roots
                          if all(a <= b for a, b in zip(root, w))]
-                for order in (roots, roots[::-1]):
+                for order in (roots, roots[::-1], _roots_below(system, w)):
                     assert _fold(order, w) == per_cell_fold(order, w), (t, r, w, order)
+
+
+def test_fold_order_keeps_blocks_and_descends_inside_each():
+    for t in LIE_TYPES:
+        for r in range(MIN_RANK[t], 7):
+            system = build_root_system(t, r)
+            w = system.highest_root
+            order = _roots_below(system, w)
+            assert sorted(order) == list(system.positive_roots)
+            leads = [next(i for i, c in enumerate(root) if c) for root in order]
+            assert leads == sorted(leads, reverse=True)
+            for a, b, lead_a, lead_b in zip(order, order[1:], leads, leads[1:]):
+                assert lead_a != lead_b or a > b
+
+
+def test_a_all_ones_sweeps_one_cell_less_than_its_box():
+    # each root (1, .., 1, 0, .., 0) of the last block sweeps the target's
+    # cell alone once the coordinates after its support are finished
+    for r in range(1, 13):
+        w = (1,) * r
+        plan, total = _plan(_roots_below(build_root_system("A", r), w), w, (w,))
+        assert total == 2 ** r
+        assert sum(len(starts) * run for _, starts, run in plan) == 2 ** r - 1
+
+
+# The seed-0 oracle-fold benchmark targets: (type, rank, support or None for
+# the highest root).
+_ORACLE_FOLD_TARGETS = (
+    ("C", 10, None), ("B", 10, None), ("A", 17, None), ("A", 15, ((3, 3), (9, 1))),
+    ("A", 12, ((3, 3),)), ("A", 14, None), ("B", 14, ((8, 1), (11, 1))),
+    ("D", 13, ((7, 1), (9, 2))), ("B", 8, None), ("C", 13, ((9, 2),)), ("D", 11, None),
+    ("A", 16, None),
+)
+
+
+def test_finished_ranges_never_sweep_more_runs_or_cells(monkeypatch):
+    from qkostant import kostant, verify
+    from qkostant.closedform import SupportSpec, weight_of
+
+    folds = []
+    fold_cells = kostant._fold_cells
+
+    def recording_fold_cells(roots, box, targets):
+        folds.append((roots, box, targets))
+        return fold_cells(roots, box, targets)
+
+    monkeypatch.setattr(kostant, "_fold_cells", recording_fold_cells)
+    verify.run_all(8)
+    assert len(folds) == 23
+    for t, r, support in _ORACLE_FOLD_TARGETS:
+        system = build_root_system(t, r)
+        w = system.highest_root if support is None else weight_of(SupportSpec(t, r, support))
+        folds.append((_roots_below(system, w), w, (w,)))
+    for roots, box, targets in folds:
+        # members spanning the whole box finish no coordinate short of it
+        unfinished, _ = _plan(roots, box, ((0,) * len(box), box))
+        finished, _ = _plan(roots, box, targets)
+        for root, (_, starts, run), (_, plain_starts, plain_run) in zip(
+                roots, finished, unfinished):
+            assert len(starts) <= len(plain_starts), (box, root)
+            assert len(starts) * run <= len(plain_starts) * plain_run, (box, root)
 
 
 def _small_weights():
@@ -307,5 +378,23 @@ def test_property_fold_is_independent_of_root_order():
                  if all(a <= b for a, b in zip(root, w))]
         shuffled = data.draw(st.permutations(roots))
         assert _fold(shuffled, w) == _fold(roots, w)
+
+    check()
+
+
+def test_property_qanalogs_read_members_over_finished_ranges():
+    # the members of one fold differ on coordinates that finish, so later
+    # roots sweep those coordinates over the members' range only
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(_small_weights(), st.data())
+    def check(case, data):
+        t, r, top = case
+        below = st.tuples(*(st.integers(0, c) for c in top))
+        targets = [top, *data.draw(st.lists(below, min_size=1, max_size=4))]
+        system = build_root_system(t, r)
+        assert qanalogs(system, targets) == tuple(qanalog(system, w) for w in targets)
 
     check()
