@@ -14,8 +14,9 @@ Four alternatives to the lattice-fold oracle live here:
 * explicit_qpoly: the same highest-root polynomial written directly as
   g_plus * beta_plus**e + g_minus * beta_minus**e with conjugate surds
   beta = ((q**2+2q+2) +/- q*s)/2, s*s = q*q + 4.  Only the sum of the two
-  conjugate terms is needed, so the route works on pairs (x, y) of integer
-  polynomials standing for x + y*s: it takes the real part of
+  conjugate terms is needed, so the route works in polyring.Surd with
+  integer-polynomial parts and D = q*q + 4, the arithmetic Root5 uses with
+  D = 5 (at q = 1 the two extensions coincide): it takes the real part of
   (A + B*s) * (2*beta_plus)**e for the family numerator pair (A, B) and
   divides it by 2**e * (q**2+4), checking that both divisions are exact
   instead of assuming it.
@@ -76,7 +77,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import InternalCancellationFailure, InvalidSupport, RankTooSmall
-from .polyring import QPoly, Root5, jet_at_one, unpack_fields
+from .polyring import QPoly, Root5, Surd, jet_at_one, unpack_fields
 from .rootsys import Weight, validate_type_rank
 
 
@@ -312,12 +313,15 @@ def _check_jet(coeffs, jet: tuple, what: str) -> None:
         )
 
 
-# Surd route.  A pair (x, y) of integer polynomials stands for x + y*s with
-# s*s = q*q + 4.
-_S_SQUARED = QPoly((4, 0, 1))
+class _QSurd(Surd):
+    """a + b*s over integer polynomials in q, with s*s = q*q + 4."""
+
+    __slots__ = ()
+    D = QPoly((4, 0, 1))
+
 
 #: 2*beta_plus = (q^2 + 2q + 2) + q*s; 2*beta_minus is its conjugate.
-_TWO_BETA_PLUS = (QPoly((2, 2, 1)), QPoly((0, 1)))
+_TWO_BETA_PLUS = _QSurd(QPoly((2, 2, 1)), QPoly((0, 1)))
 
 # Family numerators (A, B) with g_plus = (A + B*s) / (2(q^2 + 4)), and the
 # rank shift, which is also the family's minimum rank:
@@ -327,23 +331,6 @@ _EXPLICIT = {
     "C": ((0, 4, 0, 1), (0, 0, 1), 1),
     "D": ((0, 4, 16, 25, 16, 10, 3, 1), (0, 2, 9, 12, 8, 3, 1), 4),
 }
-
-def _pair_mul(u, v):
-    """(x1 + y1*s)(x2 + y2*s) as a pair."""
-    (x1, y1), (x2, y2) = u, v
-    return x1 * x2 + y1 * y2 * _S_SQUARED, x1 * y2 + x2 * y1
-
-
-def _pair_pow(u, n: int):
-    """u**n for a pair u, by repeated squaring."""
-    result = (QPoly.one(), QPoly.zero())
-    while n:
-        if n & 1:
-            result = _pair_mul(result, u)
-        n >>= 1
-        if n:
-            u = _pair_mul(u, u)
-    return result
 
 
 def _div_s_squared(p: QPoly, label: str) -> QPoly:
@@ -383,8 +370,8 @@ def explicit_qpoly(lie_type: str, rank: int) -> QPoly:
         )
     e = rank - shift
     label = f"{lie_type}{rank}"
-    x, y = _pair_pow(_TWO_BETA_PLUS, e)
-    real = QPoly(a_coeffs) * x + QPoly(b_coeffs) * y * _S_SQUARED
+    power = _TWO_BETA_PLUS ** e
+    real = QPoly(a_coeffs) * power.a + QPoly(b_coeffs) * power.b * _QSurd.D
     mask = (1 << e) - 1
     if any(c & mask for c in real.coeffs):
         raise InternalCancellationFailure(f"2^{e} does not divide the surd sum for {label}")

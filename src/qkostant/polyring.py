@@ -6,8 +6,11 @@ Two numeric layers live here, both float-free:
                 canonically normalized (no trailing zeros).  Every route
                 produces integer polynomials, so any other coefficient type
                 (Fraction, float, bool) is rejected at construction time.
-* Root5      -- elements a + b*sqrt(5) of the real quadratic number field,
-                with Fraction components.
+* Surd       -- a + b*s with s*s = D: one conjugate-pair arithmetic whose
+                parts keep their type (int, Fraction or QPoly).  Root5 is
+                its D = 5 subclass, the field Q(sqrt(5)); closedform's
+                explicit route uses D = q**2 + 4.  QPoly and Surd powers
+                share one square-and-multiply loop, _power.
 
 unpack_fields is the one Kronecker decoder shared by the packed routes: a
 polynomial with coefficients in [0, 2**W) is held as its value at q = 2**W,
@@ -80,12 +83,6 @@ class QPoly:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def coeff(self, k: int):
-        """Coefficient of q**k (zero when out of range)."""
-        if 0 <= k < len(self._coeffs):
-            return self._coeffs[k]
-        return 0
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
@@ -155,17 +152,7 @@ class QPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "QPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative int")
-        result = QPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, QPoly.one())
 
     def shifted(self, k: int) -> "QPoly":
         """Multiply by q**k."""
@@ -211,103 +198,117 @@ class QPoly:
         return f"QPoly({list(self._coeffs)!r})"
 
 
-class Root5:
-    """An element a + b*sqrt(5) with Fraction components a and b."""
+class Surd:
+    """a + b*s with s*s = D, where a subclass sets the class attribute D.
+
+    The parts keep the type they were given, so int parts stay ints under
+    +, -, * and **.  A part of a type outside _PARTS, or a bool, raises
+    TypeError; a scalar of a part type stands for scalar + 0*s.
+    """
 
     __slots__ = ("a", "b")
+    _PARTS = (int, Fraction, QPoly)
 
     def __init__(self, a=0, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        for part in (a, b):
+            if not isinstance(part, self._PARTS) or isinstance(part, bool):
+                raise TypeError(
+                    f"{type(self).__name__} part of type {type(part).__name__} refused")
+        self.a = a
+        self.b = b
 
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
+    def _coerce(self, other):
+        if type(other) is type(self):
+            return other
+        if isinstance(other, self._PARTS) and not isinstance(other, bool):
+            return type(self)(other)
+        return None
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise NonRationalResult(f"sqrt(5) part did not cancel: {self}")
-        return self.a
+    def conjugate(self):
+        return type(self)(self.a, -self.b)
 
-    def conjugate(self) -> "Root5":
-        return Root5(self.a, -self.b)
-
-    def norm(self) -> Fraction:
-        return self.a * self.a - 5 * self.b * self.b
+    def norm(self):
+        return self.a * self.a - self.D * self.b * self.b
 
     def __eq__(self, other) -> bool:
-        other = _as_root5_or_none(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         return self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        return hash(("Root5", self.a, self.b))
+        return hash((type(self).__name__, self.a, self.b))
 
-    def __neg__(self) -> "Root5":
-        return Root5(-self.a, -self.b)
+    def __neg__(self):
+        return type(self)(-self.a, -self.b)
 
     def __add__(self, other):
-        other = _as_root5_or_none(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Root5(self.a + other.a, self.b + other.b)
+        return type(self)(self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_root5_or_none(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return type(self)(self.a - other.a, self.b - other.b)
 
     def __rsub__(self, other):
-        other = _as_root5_or_none(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
-        other = _as_root5_or_none(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Root5(
-            self.a * other.a + 5 * self.b * other.b,
+        return type(self)(
+            self.a * other.a + self.b * other.b * self.D,
             self.a * other.b + self.b * other.a,
         )
 
     __rmul__ = __mul__
 
+    def __pow__(self, n: int):
+        return _power(self, n, type(self)(1))
+
+
+class Root5(Surd):
+    """An element a + b*sqrt(5) of Q(sqrt(5)), with int or Fraction parts."""
+
+    __slots__ = ()
+    D = 5
+    _PARTS = (int, Fraction)
+
+    def as_fraction(self) -> Fraction:
+        if self.b != 0:
+            raise NonRationalResult(f"sqrt(5) part did not cancel: {self}")
+        return Fraction(self.a)
+
     def __truediv__(self, other):
-        other = _as_root5_or_none(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         n = other.norm()
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(5))")
         scaled = self * other.conjugate()
-        return Root5(scaled.a / n, scaled.b / n)
+        return Root5(Fraction(scaled.a, n), Fraction(scaled.b, n))
 
     def __rtruediv__(self, other):
-        other = _as_root5_or_none(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         return other / self
 
     def __pow__(self, n: int) -> "Root5":
-        if not isinstance(n, int):
-            raise ValueError("exponent must be an int")
-        if n < 0:
+        if isinstance(n, int) and n < 0:
             return (Root5(1) / self) ** (-n)
-        result = Root5(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return super().__pow__(n)
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * 5 ** 0.5
@@ -317,6 +318,20 @@ class Root5:
 
     def __repr__(self) -> str:
         return f"Root5({self.a!r}, {self.b!r})"
+
+
+def _power(base, n: int, one):
+    """base**n by square-and-multiply, starting from one; n is an int >= 0."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("exponent must be a nonnegative int")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 def unpack_fields(packed: int, width: int) -> list:
@@ -357,11 +372,3 @@ def jet_at_one(coeffs) -> tuple:
     """(P(1), P'(1), P''(1)/2) of the polynomial with these coefficients."""
     s0, s1, s2 = power_sums(coeffs, 2)
     return s0, s1, (s2 - s1) // 2
-
-
-def _as_root5_or_none(v):
-    if isinstance(v, Root5):
-        return v
-    if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
-        return Root5(v)
-    return None

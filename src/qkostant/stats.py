@@ -13,8 +13,10 @@ are rational and are computed here by three routes that must agree:
   contribute independent summands: mu = (r+1)/2 + m - L/5 and
   sigma^2 = (r-1)/4 + 3L/50.
 * closed_moments: for the highest root of each family, closed expressions
-  in Q(sqrt(5)) built from powers of 5 +/- sqrt(5).  The surd parts cancel
-  for every family, leaving rationals.
+  in Q(sqrt(5)) built from powers of 5 +/- sqrt(5).  Root5 keeps integer
+  parts integers, so (5 +/- sqrt(5))**r and the products built from them
+  stay in plain ints until the first division.  The surd parts cancel for
+  every family, leaving rationals.
 
 The closed-form variance for family B carries one documented correction:
 its denominator token is evaluated as (5 - 3*sqrt(5)), matching the
@@ -80,8 +82,9 @@ def product_moments(spec: SupportSpec) -> MomentPair:
 
 
 def _power_pair(rank: int):
-    """(5 - sqrt5)**rank and (5 + sqrt5)**rank."""
-    return Root5(5, -1) ** rank, Root5(5, 1) ** rank
+    """(5 - sqrt5)**rank and (5 + sqrt5)**rank: one power and its conjugate."""
+    hi = Root5(5, 1) ** rank
+    return hi.conjugate(), hi
 
 
 def closed_moments(lie_type: str, rank: int):

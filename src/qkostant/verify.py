@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .closedform import (
+    _EXPLICIT,
     SupportSpec,
     check_bender_conditions,
     explicit_qpoly,
@@ -186,7 +187,7 @@ def run_all(max_rank: int = 8):
     # first explicit rank up to the extended rank, one gf sweep per family.
     top = _EXTENDED_FACTOR * max_rank
     gf, explicit = {}, {}
-    for t, lo in (("B", 2), ("C", 1), ("D", 4)):
+    for t, (_, _, lo) in _EXPLICIT.items():
         ranks = range(lo, top + 1)
         gf.update(zip([(t, r) for r in ranks], gf_coefficients(t, ranks)))
         explicit.update(((t, r), explicit_qpoly(t, r)) for r in ranks)

@@ -256,21 +256,19 @@ def test_gf_decode_checks_the_derivatives(monkeypatch):
 # ---------------------------------------------------------------- surd route
 
 def test_beta_vieta_identities():
-    # pairs (x, y) stand for x + y*s with s*s = q^2 + 4
+    # surds a + b*s with s*s = q^2 + 4
     two_beta_plus = closedform._TWO_BETA_PLUS
-    x, y = two_beta_plus
-    two_beta_minus = (x, -y)
+    two_beta_minus = two_beta_plus.conjugate()
     p = QPoly((2, 2, 1))
-    assert (x + x, y - y) == (p * 2, QPoly.zero())
+    assert two_beta_plus + two_beta_minus == p * 2
     # (2 beta+)(2 beta-) = 4 (1 + 2q + q^2 + q^3), four times the gf denominator's
     # x^2 coefficient
-    assert closedform._pair_mul(two_beta_plus, two_beta_minus) == (
-        QPoly((1, 2, 1, 1)) * 4, QPoly.zero())
+    c = QPoly((1, 2, 1, 1)) * 4
+    assert two_beta_plus * two_beta_minus == c
+    assert two_beta_plus.norm() == c
     # each 2*beta solves t^2 - 2(2+2q+q^2) t + 4(1+2q+q^2+q^3) = 0
     for beta in (two_beta_plus, two_beta_minus):
-        bx, by = closedform._pair_mul(beta, beta)
-        residue = (bx - p * 2 * beta[0] + QPoly((1, 2, 1, 1)) * 4, by - p * 2 * beta[1])
-        assert residue == (QPoly.zero(), QPoly.zero())
+        assert beta * beta - beta * (p * 2) + c == 0
 
 
 def test_explicit_type_a():

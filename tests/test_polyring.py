@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qkostant import NonRationalResult, QPoly, Root5
+from qkostant import NonRationalResult, QPoly, Root5, closedform, stats
 from qkostant.polyring import jet_at_one, power_sums, unpack_fields
 
 rng = random.Random(20210)
@@ -33,6 +33,12 @@ def test_floats_rejected():
         QPoly((Fraction(4, 2),))
     with pytest.raises(TypeError):
         QPoly((Fraction(1, 2), 1))
+    # Root5 parts are ints or Fractions: a float is not silently made exact
+    for bad in (0.1, True, "1/3", QPoly((1,))):
+        with pytest.raises(TypeError):
+            Root5(bad)
+        with pytest.raises(TypeError):
+            Root5(1, bad)
 
 
 def test_ring_axioms_sampled():
@@ -138,8 +144,25 @@ def test_root5_pow():
     assert phi2 ** 0 == Root5(1)
     assert phi2 ** 2 == phi2 * phi2
     assert phi2 ** -1 == Root5(1) / phi2
-    for base in (phi2, Root5(-1, 2), Root5(Fraction(2, 3))):
-        expect = Root5(1)
+    # the same square-and-multiply over the explicit route's q^2 + 4 surds
+    qsurd = closedform._QSurd
+    bases = (phi2, Root5(-1, 2), Root5(Fraction(2, 3)),
+             closedform._TWO_BETA_PLUS, qsurd(QPoly((1, -1)), QPoly((0, 0, 2))))
+    for base in bases:
+        expect = type(base)(1)
         for n in range(21):
-            assert base ** n == expect, (base, n)
+            assert base ** n == expect, (base.a, base.b, n)
             expect = expect * base
+
+
+def test_int_parts_stay_int():
+    x = Root5(3, -2)
+    for v in (x + x, x - 1, 2 - x, -x, x * x, x * 7, x ** 5, x.conjugate(), x ** 0):
+        assert type(v.a) is int and type(v.b) is int, v
+    assert type(x.norm()) is int
+    # closed_moments' powers of 5 +/- sqrt(5), and the explicit route's QPoly parts
+    assert all(type(part) is int for v in stats._power_pair(40) for part in (v.a, v.b))
+    assert type((closedform._TWO_BETA_PLUS ** 3).b) is QPoly
+    assert Root5(6).as_fraction() == Fraction(6) and type(Root5(6).as_fraction()) is Fraction
+    # division is where the field is needed
+    assert (x / 2).a == Fraction(3, 2)
