@@ -20,10 +20,10 @@ Four alternatives to the lattice-fold oracle live here:
   (A + B*s) * (2*beta_plus)**e for the family numerator pair (A, B) and
   divides it by 2**e * (q**2+4), checking that both divisions are exact
   instead of assuming it.
-* the holonomic route (behind highest_qpolys): the same highest-root
+* the holonomic route (behind highest_qpoly): the same highest-root
   polynomial from the linear recurrence its coefficients satisfy.  It and
   its tables live in the holonomic module, which only a B/C/D
-  highest_qpolys call imports, so qpoly, stats and verify never compile it.
+  highest_qpoly call imports, so qpoly, stats and verify never compile it.
 
 The jet sweep.  Only three numbers of P_r are needed for its mean and
 variance: the jet (P_r(1), P_r'(1), P_r''(1)/2), which is P_r(1 + h) modulo
@@ -31,36 +31,32 @@ h**3.  Reducing modulo (q-1)**3 is a ring map, so the recurrence runs on
 jets as it does on polynomials, with the shift polynomials 2+2q+q**2 and
 1+2q+q**2+q**3 becoming (5, 4, 1) and (5, 7, 4): each step costs a few
 multiplications of O(r)-bit integers by small ones, O(r**2) bit operations
-to rank r against the packed sweep's O(r**3).  gf_jets exposes the sweep;
-highest_jets serves the stats subcommand from it without building P_r.
+to rank r against the packed sweep's O(r**3).  gf_jet exposes the sweep;
+highest_jet serves the stats subcommand from it without building P_r.
 
 The gf sweep.  Every coefficient of P_r is nonnegative, so each is at most
-P_r(1), the first entry of the jet.  With W = the largest requested P_r(1)'s
-bit length rounded up to a whole byte, the packed sweep runs the recurrence
-at q = 2**W on plain Python integers: multiplying by the fixed sparse
-polynomials is a few shifts and adds.  That sweep is exact integer linear
-arithmetic, so the last value is P_r(2**W) whatever carries or borrows the
-intermediate terms hold, and one linear-time byte decode
-(polyring.unpack_fields) reads the coefficients back.  The decoded
-coefficients must reproduce the whole jet, not just the sum: a negative
-packed value, fields that do not sum to P_r(1) (a negative coefficient
-borrows from the field above it), or fields with the right sum but the
-wrong P'(1) or P''(1)/2 (a misplaced field) raise
+P_r(1), the first entry of the jet.  With W = P_r(1)'s bit length rounded
+up to a whole byte, the packed sweep runs the recurrence at q = 2**W on
+plain Python integers: multiplying by the fixed sparse polynomials is a few
+shifts and adds.  That sweep is exact integer linear arithmetic, so the
+last value is P_r(2**W) whatever carries or borrows the intermediate terms
+hold, and one linear-time byte decode (polyring.unpack_fields) reads the
+coefficients back.  The decoded coefficients must reproduce the whole jet,
+not just the sum: a negative packed value, fields that do not sum to P_r(1)
+(a negative coefficient borrows from the field above it), or fields with
+the right sum but the wrong P'(1) or P''(1)/2 (a misplaced field) raise
 InternalCancellationFailure.  There is no cache: every call sweeps from
 rank 0 and keeps only its last two terms, so memory is O(size of P_r).
-gf_coefficients serves a list of ranks from one jet sweep and one packed
-sweep to the top rank, decoding and checking each requested rank on the
-way up; gf_coefficient is its one-rank case.
 
 For type A, (1+q)**n in the product and explicit routes is built as a row
 of binomial coefficients, not by repeated squaring.
 
-highest_qpolys is the one place that picks a highest root's closed route:
+highest_qpoly is the one place that picks a highest root's closed route:
 the binomial row of explicit_qpoly for type A, the holonomic route
-(holonomic.holonomic_qpolys) for B, C and D.  The converge subcommand, the
+(holonomic.holonomic_qpoly) for B, C and D.  The converge subcommand, the
 convergence sweep and family_poly reach the highest-root polynomial through
-it; highest_jets makes the same choice for the jet alone (gf_jets for B, C
-and D).  gf_coefficient(s) and explicit_qpoly stay independent routes:
+it; highest_jet makes the same choice for the jet alone (gf_jet for B, C
+and D).  gf_coefficient and explicit_qpoly stay independent routes:
 qpoly --route and verify call them directly and compare them with each
 other and with the fold.
 
@@ -186,109 +182,77 @@ def gf_coefficient(lie_type: str, rank: int) -> QPoly:
     Defined for families B, C, D at every rank >= 0; below the family's Lie
     minimum the series terms are simply the recurrence's formal values.
     Raises InternalCancellationFailure unless the packed result decodes to
-    nonnegative coefficients with the jet gf_jets gives P_r.
+    nonnegative coefficients with the jet gf_jet gives P_r.
     """
-    return gf_coefficients(lie_type, (rank,))[0]
+    jet = gf_jet(lie_type, rank)
+    # P_r(1) bounds every coefficient.  Whole bytes per field, so each field
+    # decodes without a shift.
+    w = 8 * max(1, -(-jet[0].bit_length() // 8))
+    # At q = 2**w, with d = X_{k-1} - X_{k-2}: (2+2q+q^2) X_{k-1} -
+    # (1+2q+q^2+q^3) X_{k-2} = X_{k-1} + d + 2q d + q^2 d - q^3 X_{k-2}.
+    at_w = {k: n(1 << w) for k, n in _GF_NUMERATORS[lie_type].items()}
+    x1 = x2 = 0
+    for k in range(1, rank + 1):
+        d = x1 - x2
+        step = x1 + d + (d << (w + 1)) + (d << (2 * w)) - (x2 << (3 * w))
+        if k in at_w:
+            step += at_w[k]
+        x1, x2 = step, x1
+    return _gf_decode(x1, w, jet, f"{lie_type}{rank}")
 
 
-def gf_jets(lie_type: str, ranks) -> tuple:
-    """(P_r(1), P_r'(1), P_r''(1)/2) at each of the ranks, in input order.
+def gf_jet(lie_type: str, rank: int) -> tuple:
+    """(P_r(1), P_r'(1), P_r''(1)/2) for gf_coefficient's P_r.
 
-    The same recurrence as gf_coefficients, under the same rank rules, run
-    in Z[q]/((q-1)**3): one sweep of integer triples to the top rank.
+    The same recurrence, under the same rank rules, run in
+    Z[q]/((q-1)**3): one sweep of integer triples.
     """
-    ranks = tuple(ranks)
     if lie_type not in _GF_NUMERATORS:
         raise ValueError(f"generating-function route covers B, C, D, not {lie_type!r}")
-    if any(r < 0 for r in ranks):
+    if rank < 0:
         raise ValueError("rank must be nonnegative")
-    wanted = set(ranks)
     numerators = {k: jet_at_one(n.coeffs) for k, n in _GF_NUMERATORS[lie_type].items()}
     (a0, a1, a2), (b0, b1, b2) = (jet_at_one(s.coeffs) for s in _GF_SHIFTS)
     # (x0, x1, x2) is the jet of P_{k-1}, (y0, y1, y2) that of P_{k-2}; a
     # product keeps the terms below h**3.
     x0 = x1 = x2 = y0 = y1 = y2 = 0
-    images = {}
-    for k in range(max(ranks, default=0) + 1):
-        if k:
-            n0, n1, n2 = numerators.get(k, (0, 0, 0))
-            x0, x1, x2, y0, y1, y2 = (
-                a0 * x0 - b0 * y0 + n0,
-                a0 * x1 + a1 * x0 - b0 * y1 - b1 * y0 + n1,
-                a0 * x2 + a1 * x1 + a2 * x0 - b0 * y2 - b1 * y1 - b2 * y0 + n2,
-                x0, x1, x2,
-            )
-        if k in wanted:
-            images[k] = (x0, x1, x2)
-    return tuple(images[r] for r in ranks)
+    for k in range(1, rank + 1):
+        n0, n1, n2 = numerators.get(k, (0, 0, 0))
+        x0, x1, x2, y0, y1, y2 = (
+            a0 * x0 - b0 * y0 + n0,
+            a0 * x1 + a1 * x0 - b0 * y1 - b1 * y0 + n1,
+            a0 * x2 + a1 * x1 + a2 * x0 - b0 * y2 - b1 * y1 - b2 * y0 + n2,
+            x0, x1, x2,
+        )
+    return x0, x1, x2
 
 
-def gf_coefficients(lie_type: str, ranks) -> tuple:
-    """gf_coefficient at each of the ranks, in input order, from one sweep.
+def highest_qpoly(lie_type: str, rank: int) -> QPoly:
+    """The highest root's part-count polynomial by its closed route.
 
-    The sweep runs to the top rank at the width of the largest P_r(1) over
-    the requested ranks and decodes each requested rank on the way up, so a
-    whole list costs what its top rank alone costs.
-    """
-    ranks = tuple(ranks)
-    jets = dict(zip(ranks, gf_jets(lie_type, ranks)))
-    # P_r(1) bounds every coefficient.  Whole bytes per field, so each field
-    # decodes without a shift.
-    w = 8 * max(1, -(-max((j[0] for j in jets.values()), default=0).bit_length() // 8))
-
-    # At q = 2**w, with d = X_{k-1} - X_{k-2}: (2+2q+q^2) X_{k-1} -
-    # (1+2q+q^2+q^3) X_{k-2} = X_{k-1} + d + 2q d + q^2 d - q^3 X_{k-2}.
-    at_w = {k: n(1 << w) for k, n in _GF_NUMERATORS[lie_type].items()}
-    polys = {}
-    x1 = x2 = 0
-    for k in range(max(ranks, default=0) + 1):
-        if k:
-            d = x1 - x2
-            step = x1 + d + (d << (w + 1)) + (d << (2 * w)) - (x2 << (3 * w))
-            if k in at_w:
-                step += at_w[k]
-            x1, x2 = step, x1
-        if k in jets:
-            polys[k] = _gf_decode(x1, w, jets[k], f"{lie_type}{k}")
-    return tuple(polys[r] for r in ranks)
-
-
-def _validated(lie_type: str, ranks) -> tuple:
-    """ranks as a tuple, each checked against the Lie minimum of its type."""
-    ranks = tuple(ranks)
-    for r in ranks:
-        validate_type_rank(lie_type, r)
-    return ranks
-
-
-def highest_qpolys(lie_type: str, ranks) -> tuple:
-    """The highest root's part-count polynomial at each rank, in input order.
-
-    Every rank is validated first, so one below the Lie minimum raises
+    The rank is validated first, so one below the Lie minimum raises
     RankTooSmall before any work starts.
     """
-    ranks = _validated(lie_type, ranks)
+    validate_type_rank(lie_type, rank)
     if lie_type == "A":
-        return tuple(explicit_qpoly("A", r) for r in ranks)
-    from .holonomic import holonomic_qpolys
+        return explicit_qpoly("A", rank)
+    from .holonomic import holonomic_qpoly
 
-    return holonomic_qpolys(lie_type, ranks)
+    return holonomic_qpoly(lie_type, rank)
 
 
-def highest_jets(lie_type: str, ranks) -> tuple:
-    """The jet (P(1), P'(1), P''(1)/2) of each highest_qpolys polynomial.
+def highest_jet(lie_type: str, rank: int) -> tuple:
+    """The jet (P(1), P'(1), P''(1)/2) of highest_qpoly's polynomial.
 
-    Validated as highest_qpolys is.  No polynomial is built: B, C and D come
-    from gf_jets, and type A's q*(1+q)**n with n = r-1 has the closed-form
+    Validated as highest_qpoly is.  No polynomial is built: B, C and D come
+    from gf_jet, and type A's q*(1+q)**n with n = r-1 has the closed-form
     jet (2**n, (r+1)*2**(r-2), n*(n+3)*2**(n-3)).
     """
-    ranks = _validated(lie_type, ranks)
+    validate_type_rank(lie_type, rank)
     if lie_type == "A":
-        return tuple(
-            (1 << (r - 1), ((r + 1) << r) >> 2, (((r - 1) * (r + 2)) << (r - 1)) >> 3)
-            for r in ranks
-        )
-    return gf_jets(lie_type, ranks)
+        r = rank
+        return 1 << (r - 1), ((r + 1) << r) >> 2, (((r - 1) * (r + 2)) << (r - 1)) >> 3
+    return gf_jet(lie_type, rank)
 
 
 def _gf_decode(packed: int, w: int, jet: tuple, label: str) -> QPoly:

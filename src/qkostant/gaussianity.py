@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from ._record import Record
-from .closedform import SupportSpec, highest_qpolys, product_qpoly
+from .closedform import SupportSpec, highest_qpoly, product_qpoly
 from .errors import DegenerateDistribution, InvalidSupport, ZeroDistribution
 from .polyring import QPoly, power_sums
 from .rootsys import FAMILIES, LIE_TYPES, validate_type_rank
@@ -131,42 +131,46 @@ def summarize(g: QPoly, t_grid=DEFAULT_T_GRID, family=None, rank=None) -> DistSu
 def family_poly(family: str, rank: int, bumps: int = 0) -> QPoly:
     """The part-count polynomial a convergence sweep studies at one rank.
 
-    Highest-root families use closedform.highest_qpolys.  The "product"
+    Highest-root families use closedform.highest_qpoly.  The "product"
     family is the type-A product-form weight bumped by one extra copy at
     indices 2, 4, ..., 2*bumps, which requires rank > 2*bumps.
     """
-    return _family_polys(family, (rank,), bumps)[0]
-
-
-def _family_polys(family, ranks, bumps):
-    """family_poly at each rank, after every rank is checked."""
     if family in LIE_TYPES:
-        return highest_qpolys(family, ranks)
-    if family != "product":
-        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
-    if bumps < 0:
-        raise InvalidSupport(f"bump count must be >= 0, got {bumps}")
-    for r in ranks:
-        validate_type_rank("A", r)
-        if r <= 2 * bumps:
-            raise InvalidSupport(
-                f"product family with --bumps {bumps} needs rank > {2 * bumps}, got {r}"
-            )
+        return highest_qpoly(family, rank)
+    _check_rank(family, rank, bumps)
     entries = tuple((2 * i, 1) for i in range(1, bumps + 1))
-    return [product_qpoly(SupportSpec("A", r, entries)) for r in ranks]
+    return product_qpoly(SupportSpec("A", rank, entries))
+
+
+def _check_rank(family, rank, bumps):
+    """Raise unless family_poly(family, rank, bumps) is defined."""
+    if family in LIE_TYPES:
+        validate_type_rank(family, rank)
+    elif family != "product":
+        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+    elif bumps < 0:
+        raise InvalidSupport(f"bump count must be >= 0, got {bumps}")
+    else:
+        validate_type_rank("A", rank)
+        if rank <= 2 * bumps:
+            raise InvalidSupport(
+                f"product family with --bumps {bumps} needs rank > {2 * bumps}, got {rank}"
+            )
 
 
 def convergence_sweep(family, ranks, t_grid=DEFAULT_T_GRID, bumps=0):
     """Summaries of one family across the given ranks, in input order.
 
-    Every rank is checked before any polynomial is built.  The highest-root
-    polynomials of all ranks come from one closedform.highest_qpolys call:
-    the binomial row for A, and for B, C and D the holonomic coefficient
-    recurrence, O(r**2) bit operations per rank, with one gf jet sweep and
-    one gf sweep modulo q**3 to the top rank for its seeds and checks.
+    Every rank is checked before any polynomial is built, and bumps are
+    refused for every family but "product".  Each rank's polynomial then
+    comes from family_poly: the binomial row for A, and for B, C and D the
+    holonomic coefficient recurrence, O(r**2) bit operations per rank.
     """
     ranks = tuple(ranks)
-    polys = _family_polys(family, ranks, bumps)
+    if bumps and family != "product":
+        raise InvalidSupport("--bumps only applies to the product family")
+    for r in ranks:
+        _check_rank(family, r, bumps)
     return tuple(
-        summarize(g, t_grid, family=family, rank=r) for g, r in zip(polys, ranks)
+        summarize(family_poly(family, r, bumps), t_grid, family=family, rank=r) for r in ranks
     )

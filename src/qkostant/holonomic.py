@@ -16,10 +16,10 @@ From them each later p_n up to the degree (the height of the highest root)
 is one exact division of a sum of nine small-times-big products: O(r**2)
 bit operations for all 2r coefficients.  A table whose c1 or c2 is not
 divisible by q or q**2, a zero leading factor, a nonzero remainder, a
-negative coefficient, or coefficients without gf_jets' jet raise
+negative coefficient, or coefficients without gf_jet's jet raise
 InternalCancellationFailure.
 
-closedform.highest_qpolys is its one caller and imports this module only
+closedform.highest_qpoly is its one caller and imports this module only
 when it needs the route, so the requests that never build a B/C/D
 highest-root polynomial (qpoly, stats, verify) never compile the tables.
 """
@@ -81,23 +81,15 @@ def _ode_at(lie_type: str, e: int) -> tuple:
     )
 
 
-def holonomic_qpolys(lie_type: str, ranks: tuple) -> tuple:
-    """B/C/D highest-root polynomials from the coefficient recurrence.
+def holonomic_qpoly(lie_type: str, rank: int) -> QPoly:
+    """A B/C/D highest-root polynomial from the coefficient recurrence.
 
-    ranks must already be validated.  Each polynomial is seeded with
-    (p0, p1, p2) = (0, 1, hv - 2) from the rank alone; every later
-    coefficient is one exact division, and the result must be nonnegative
-    with the jet gf_jets gives, or InternalCancellationFailure is raised.
+    rank must already be validated.  P_rank is seeded with (p0, p1, p2) =
+    (0, 1, hv - 2) from the rank alone; every later coefficient up to its
+    degree (the highest root's height) is one exact division, and the
+    result must be nonnegative with the jet gf_jet gives, or
+    InternalCancellationFailure is raised.
     """
-    distinct = tuple(dict.fromkeys(ranks))
-    jets = closedform.gf_jets(lie_type, distinct)
-    polys = {r: _holonomic(lie_type, r, j) for r, j in zip(distinct, jets)}
-    return tuple(polys[r] for r in ranks)
-
-
-def _holonomic(lie_type: str, rank: int, jet: tuple) -> QPoly:
-    """P_rank's coefficients to its degree (the highest root's height), each
-    past the seed solved from the recurrence at q**n, then checked."""
     label = f"holonomic recurrence for {lie_type}{rank}"
     c0, c1, c2 = _ode_at(lie_type, rank - closedform._EXPLICIT[lie_type][2])
     # The coefficient of q**n in c2*P'' + c1*P' + c0*P is the sum over m of
@@ -123,5 +115,5 @@ def _holonomic(lie_type: str, rank: int, jet: tuple) -> QPoly:
         if c < 0:
             raise InternalCancellationFailure(f"{label} gives a negative coefficient at q^{n}")
         p.append(c)
-    closedform._check_jet(p, jet, f"{label} gives")
+    closedform._check_jet(p, closedform.gf_jet(lie_type, rank), f"{label} gives")
     return QPoly(p)

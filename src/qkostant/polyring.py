@@ -94,6 +94,9 @@ class QPoly:
         return NotImplemented
 
     def __hash__(self):
+        # A constant equals its int, so it hashes like it.
+        if len(self._coeffs) <= 1:
+            return hash(self._coeffs[0] if self._coeffs else 0)
         return hash(("QPoly", self._coeffs))
 
     def __neg__(self) -> "QPoly":
@@ -237,6 +240,9 @@ class Surd:
         return self.a == other.a and self.b == other.b
 
     def __hash__(self):
+        # a + 0*s equals its part a, so it hashes like it.
+        if self.b == 0:
+            return hash(self.a)
         return hash((type(self).__name__, self.a, self.b))
 
     def __neg__(self):

@@ -7,7 +7,7 @@ are rational and are computed here by three routes that must agree:
 * moments_from_jet: from the jet (u0, u1, u2) = (g(1), g'(1), g''(1)/2)
   alone, via mu = u1/u0 and sigma^2 = (2*u2 + u1)/u0 - mu^2.
   moments_from_poly takes the jet of g; the stats subcommand reads the
-  highest root's jet from closedform.highest_jets, which for B, C and D is
+  highest root's jet from closedform.highest_jet, which for B, C and D is
   the gf recurrence run on jets, so no polynomial is built.
 * product_moments: for the factored product-form weights, the factors
   contribute independent summands: mu = (r+1)/2 + m - L/5 and

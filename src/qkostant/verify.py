@@ -33,11 +33,11 @@ from .closedform import (
     check_bender_conditions,
     explicit_qpoly,
     gf_coefficient,
-    gf_coefficients,
     iter_support_specs,
     product_qpoly,
     weight_of,
 )
+from .errors import RankTooSmall
 from .kostant import check_target, qanalog, qanalogs
 from .polyring import QPoly
 from .rootsys import LIE_TYPES, MIN_RANK, build_root_system, highest_root, positive_root_count
@@ -155,7 +155,7 @@ def _check_fixed_examples():
 def run_all(max_rank: int = 8):
     """The full suite, in a fixed order, as a list of CheckResult."""
     if max_rank < 5:
-        raise ValueError("max_rank must be at least 5 so every family participates")
+        raise RankTooSmall("max_rank must be at least 5 so every family participates")
     # Refuse an over-budget max_rank before any check runs: every weight
     # the suite folds goes through the fold's own budget check first.  The
     # highest roots come first, one at a time, before anything that grows
@@ -184,13 +184,12 @@ def run_all(max_rank: int = 8):
     product = {spec: product_qpoly(spec) for spec in bumps}
     label = {spec: f"{spec.lie_type}{spec.rank} {spec.entries}" for spec in bumps}
     # The B/C/D highest-root gf and explicit polynomials from each family's
-    # first explicit rank up to the extended rank, one gf sweep per family.
+    # first explicit rank up to the extended rank.
     top = _EXTENDED_FACTOR * max_rank
     gf, explicit = {}, {}
     for t, (_, _, lo) in _EXPLICIT.items():
-        ranks = range(lo, top + 1)
-        gf.update(zip([(t, r) for r in ranks], gf_coefficients(t, ranks)))
-        explicit.update(((t, r), explicit_qpoly(t, r)) for r in ranks)
+        for r in range(lo, top + 1):
+            gf[t, r], explicit[t, r] = gf_coefficient(t, r), explicit_qpoly(t, r)
     moments = {(t, r): (closed_moments(t, r), moments_from_poly(gf[t, r])) for t, r in highest}
     cd_ranks = sum(1 for t, _ in highest if t in "CD")
     counts = [(t, r, build_root_system(t, r).count, positive_root_count(t, r)) for t, r in systems]

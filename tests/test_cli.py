@@ -354,6 +354,16 @@ def test_verify_rejects_small_max_rank(capsys):
     assert "at least 5" in err
 
 
+def test_run_all_refuses_small_max_rank():
+    from qkostant import KostantError, RankTooSmall, verify
+
+    for max_rank in (4, 0, -3):
+        with pytest.raises(RankTooSmall, match="max_rank must be at least 5"):
+            verify.run_all(max_rank)
+    # an input error for the CLI, and still a ValueError for library callers
+    assert issubclass(RankTooSmall, KostantError) and issubclass(RankTooSmall, ValueError)
+
+
 def test_verify_over_budget_max_rank_refused_before_any_check(capsys, monkeypatch):
     # B15's highest root has a 2*3^14-cell box; no root system is built first
     from qkostant import verify

@@ -173,24 +173,18 @@ def test_gf_negative_coefficient_fails_loudly(monkeypatch, fam, k, entry, rank, 
     monkeypatch.setitem(closedform._GF_NUMERATORS, fam, numerators)
     with pytest.raises(InternalCancellationFailure, match=failing_check):
         gf_coefficient(fam, rank)
-    # in a list sweep the rank below the top is checked when it is decoded
-    with pytest.raises(InternalCancellationFailure, match=f"{fam}{rank} .*{failing_check}"):
-        closedform.gf_coefficients(fam, (rank + 30, rank))
 
 
 def test_gf_list_sweep_matches_per_rank_calls():
+    # highest_qpoly serves every rank at or above the Lie minimum as gf does
     for fam in "BCD":
         ranks = list(range(0, 60, 3)) + [7, 7, 41, 0, 120]
         rng.shuffle(ranks)
-        got = closedform.gf_coefficients(fam, ranks)
-        assert got == tuple(gf_coefficient(fam, r) for r in ranks), fam
-        # highest_qpolys serves ranks at or above the Lie minimum the same way
-        ranks = [r for r in ranks if r >= MIN_RANK[fam]]
-        assert closedform.highest_qpolys(fam, ranks) == tuple(
-            gf_coefficient(fam, r) for r in ranks), fam
-    ranks = [9, 1, 30, 9, 4]
-    assert closedform.highest_qpolys("A", ranks) == tuple(explicit_qpoly("A", r) for r in ranks)
-    assert closedform.gf_coefficients("B", ()) == ()
+        for r in ranks:
+            if r >= MIN_RANK[fam]:
+                assert closedform.highest_qpoly(fam, r) == gf_coefficient(fam, r), (fam, r)
+    for r in [9, 1, 30, 9, 4]:
+        assert closedform.highest_qpoly("A", r) == explicit_qpoly("A", r), r
 
 
 def test_gf_rejects_bad_input():
@@ -199,15 +193,15 @@ def test_gf_rejects_bad_input():
     with pytest.raises(ValueError):
         gf_coefficient("B", -1)
     with pytest.raises(ValueError):
-        closedform.gf_coefficients("C", (5, -1))
+        gf_coefficient("C", -1)
     with pytest.raises(RankTooSmall):
-        closedform.highest_qpolys("C", (5, 2))
+        closedform.highest_qpoly("C", 2)
     with pytest.raises(ValueError):
-        closedform.gf_jets("A", (3,))
+        closedform.gf_jet("A", 3)
     with pytest.raises(ValueError):
-        closedform.gf_jets("D", (5, -1))
+        closedform.gf_jet("D", -1)
     with pytest.raises(RankTooSmall):
-        closedform.highest_jets("D", (3,))
+        closedform.highest_jet("D", 3)
 
 
 def _jet(p):
@@ -220,22 +214,20 @@ def test_gf_jets_match_the_decoded_polynomials():
     ranks = list(range(81)) + [250, 513, 7, 7, 0, 513]
     random.Random(808).shuffle(ranks)
     for fam in "BCD":
-        polys = closedform.gf_coefficients(fam, ranks)
-        assert closedform.gf_jets(fam, ranks) == tuple(_jet(p) for p in polys), fam
-        ranks_ok = [r for r in ranks if r >= MIN_RANK[fam]]
-        assert closedform.highest_jets(fam, ranks_ok) == tuple(
-            _jet(p) for p in closedform.highest_qpolys(fam, ranks_ok)), fam
-    ranks = [9, 1, 30, 9, 4, 200]
-    assert closedform.highest_jets("A", ranks) == tuple(
-        _jet(explicit_qpoly("A", r)) for r in ranks)
-    assert closedform.gf_jets("B", ()) == closedform.highest_jets("C", ()) == ()
+        for r in ranks:
+            assert closedform.gf_jet(fam, r) == _jet(gf_coefficient(fam, r)), (fam, r)
+            if r >= MIN_RANK[fam]:
+                assert closedform.highest_jet(fam, r) == _jet(
+                    closedform.highest_qpoly(fam, r)), (fam, r)
+    for r in [9, 1, 30, 9, 4, 200]:
+        assert closedform.highest_jet("A", r) == _jet(explicit_qpoly("A", r)), r
 
 
 def test_type_a_jet_is_the_closed_form():
-    assert closedform.highest_jets("A", (1, 2, 3)) == ((1, 1, 0), (2, 3, 1), (4, 8, 5))
-    ranks = range(1, 301)
-    assert closedform.highest_jets("A", ranks) == tuple(
-        jet_at_one(explicit_qpoly("A", r).coeffs) for r in ranks)
+    jets = [closedform.highest_jet("A", r) for r in (1, 2, 3)]
+    assert jets == [(1, 1, 0), (2, 3, 1), (4, 8, 5)]
+    for r in range(1, 301):
+        assert closedform.highest_jet("A", r) == jet_at_one(explicit_qpoly("A", r).coeffs), r
 
 
 def test_gf_decode_checks_the_derivatives(monkeypatch):
@@ -323,17 +315,17 @@ _FAR_RANK = {"B": 200, "C": 201, "D": 202}
 
 def test_holonomic_route_matches_gf_and_explicit():
     for fam in "BCD":
-        ranks = (*range(MIN_RANK[fam], 61), _FAR_RANK[fam])
-        got = closedform.highest_qpolys(fam, ranks)
-        assert got == closedform.gf_coefficients(fam, ranks), fam
-        assert got == tuple(explicit_qpoly(fam, r) for r in ranks), fam
+        for r in (*range(MIN_RANK[fam], 61), _FAR_RANK[fam]):
+            got = closedform.highest_qpoly(fam, r)
+            assert got == gf_coefficient(fam, r), (fam, r)
+            assert got == explicit_qpoly(fam, r), (fam, r)
 
 
 def test_ode_tables_annihilate_the_gf_polynomials():
     for fam in "BCD":
         shift = closedform._EXPLICIT[fam][2]
-        ranks = (*range(MIN_RANK[fam], 61), _FAR_RANK[fam])
-        for r, p in zip(ranks, closedform.gf_coefficients(fam, ranks)):
+        for r in (*range(MIN_RANK[fam], 61), _FAR_RANK[fam]):
+            p = gf_coefficient(fam, r)
             c0, c1, c2 = (QPoly(c) for c in holonomic._ode_at(fam, r - shift))
             d = p.derivative()
             assert c2 * d.derivative() + c1 * d + c0 * p == QPoly.zero(), (fam, r)
@@ -377,15 +369,14 @@ def _perturbed(fam, k, j, i, delta):
 def test_holonomic_perturbed_table_fails_loudly(monkeypatch, fam, k, j, i, delta, failing_check):
     monkeypatch.setitem(holonomic._ODE, fam, _perturbed(fam, k, j, i, delta))
     with pytest.raises(InternalCancellationFailure, match=f"{fam}40 .*{failing_check}"):
-        closedform.highest_qpolys(fam, (40,))
+        closedform.highest_qpoly(fam, 40)
 
 
 def test_seeds_are_the_low_gf_coefficients():
     # (0, 1, hv - 2): 2r - 3 for B, r - 1 for C, 2r - 4 for D
     for fam in "BCD":
-        ranks = range(MIN_RANK[fam], 61)
-        for r, p in zip(ranks, closedform.gf_coefficients(fam, ranks)):
-            assert holonomic._seed(fam, r) == p.coeffs[:3], (fam, r)
+        for r in range(MIN_RANK[fam], 61):
+            assert holonomic._seed(fam, r) == gf_coefficient(fam, r).coeffs[:3], (fam, r)
 
 
 @pytest.mark.parametrize("fam", "BCD")
@@ -399,7 +390,7 @@ def test_holonomic_perturbed_seed_fails_loudly(monkeypatch, fam, delta):
 
     monkeypatch.setattr(holonomic, "_seed", off_by_one)
     with pytest.raises(InternalCancellationFailure, match=f"{fam}40 .*remainder"):
-        closedform.highest_qpolys(fam, (40,))
+        closedform.highest_qpoly(fam, 40)
 
 
 def test_no_table_perturbation_returns_a_polynomial(monkeypatch):
@@ -414,21 +405,21 @@ def test_no_table_perturbation_returns_a_polynomial(monkeypatch):
                         monkeypatch.setitem(holonomic._ODE, fam,
                                             _perturbed(fam, k, j, i, delta))
                         with pytest.raises(InternalCancellationFailure):
-                            closedform.highest_qpolys(fam, (40,))
+                            closedform.highest_qpoly(fam, 40)
                         monkeypatch.setitem(holonomic._ODE, fam, real)
 
 
 @pytest.mark.parametrize("slot, failing_check", [(0, r"P\(1\) ="), (1, r"P'\(1\)")])
 def test_holonomic_checks_the_gf_jet(monkeypatch, slot, failing_check):
-    real_jets = closedform.gf_jets
+    real_jet = closedform.gf_jet
 
-    def off_by_one(lie_type, ranks):
-        return tuple(j[:slot] + (j[slot] + 1,) + j[slot + 1:]
-                     for j in real_jets(lie_type, ranks))
+    def off_by_one(lie_type, rank):
+        j = real_jet(lie_type, rank)
+        return j[:slot] + (j[slot] + 1,) + j[slot + 1:]
 
-    monkeypatch.setattr(closedform, "gf_jets", off_by_one)
+    monkeypatch.setattr(closedform, "gf_jet", off_by_one)
     with pytest.raises(InternalCancellationFailure, match=f"D30 .*{failing_check}"):
-        closedform.highest_qpolys("D", (30,))
+        closedform.highest_qpoly("D", 30)
 
 
 # ------------------------------------------------------------- CLT hypotheses

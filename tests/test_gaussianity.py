@@ -19,8 +19,8 @@ from qkostant import (
     normal_cdf,
     summarize,
 )
-from qkostant import gaussianity
-from qkostant.closedform import highest_qpolys
+from qkostant import cli, gaussianity
+from qkostant.closedform import highest_qpoly
 
 rng = random.Random(31459)
 
@@ -87,7 +87,7 @@ def test_horner_and_logsumexp_paths_agree(monkeypatch):
 def test_large_rank_uses_logsumexp_without_overflow():
     # rank 1300 exceeds the Horner degree cap; the sweep must still finish,
     # and the error at t=1 tracks skewness/6 (about 0.002 here)
-    g = highest_qpolys("B", (1300,))[0]
+    g = highest_qpoly("B", 1300)
     assert g.degree > gaussianity._HORNER_MAX_DEGREE
     s = summarize(g, t_grid=(1.0,))
     assert s.max_mgf_error < 3e-3
@@ -124,6 +124,33 @@ def test_family_poly_validation():
         family_poly("C", 2)  # C starts at rank 3, as stats requires
     with pytest.raises(InvalidSupport):
         family_poly("product", 20, bumps=-1)
+
+
+def test_sweep_refuses_bumps_outside_the_product_family():
+    for family in "ABCD":
+        with pytest.raises(InvalidSupport, match="--bumps only applies to the product family"):
+            convergence_sweep(family, (20,), bumps=1)
+    # checked before any rank, so a bad rank does not mask it
+    with pytest.raises(InvalidSupport, match="--bumps"):
+        convergence_sweep("B", (20, 1), bumps=2)
+
+
+def test_sweep_refuses_a_bad_rank_before_building_any_polynomial(monkeypatch, capsys):
+    def built(*args):
+        raise AssertionError("a polynomial was built before every rank was checked")
+
+    monkeypatch.setattr(gaussianity, "highest_qpoly", built)
+    monkeypatch.setattr(gaussianity, "product_qpoly", built)
+    with pytest.raises(RankTooSmall):
+        convergence_sweep("B", (600, 1))
+    with pytest.raises(InvalidSupport):
+        convergence_sweep("product", (20, 3), bumps=2)
+    # both are input errors, so the CLI exits 2 without printing a row
+    for argv in (["--family", "B", "--ranks", "600,1"],
+                 ["--family", "product", "--ranks", "20,3", "--bumps", "2"]):
+        assert cli.main(["converge", *argv]) == cli.EXIT_BAD_INPUT
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:"), argv
 
 
 def test_summarize_rejects_degenerate_input():

@@ -166,3 +166,18 @@ def test_int_parts_stay_int():
     assert Root5(6).as_fraction() == Fraction(6) and type(Root5(6).as_fraction()) is Fraction
     # division is where the field is needed
     assert (x / 2).a == Fraction(3, 2)
+
+
+def test_constants_hash_like_the_ints_they_equal():
+    # a value equal to 3 must be found by 3 in a set or dict, and back
+    qsurd = closedform._QSurd
+    threes = (QPoly((3,)), Root5(3), Root5(Fraction(3)), Root5(Fraction(3), Fraction(0)),
+              qsurd(QPoly((3,))), qsurd(3, QPoly.zero()))
+    for value in threes:
+        assert value == 3
+        assert 3 in {value} and value in {3}, repr(value)
+        assert {value: "x"}[3] == "x"
+    assert 0 in {QPoly.zero()} and Root5(0) in {0}
+    # a surd with no s part hashes like that part, polynomial or not
+    assert QPoly((1, 2)) in {qsurd(QPoly((1, 2)))}
+    assert Root5(3, 1) != 3 and QPoly((3, 1)) != 3

@@ -38,12 +38,13 @@ def test_moments_from_small_poly():
 
 
 def test_moments_from_jet_match_moments_from_poly():
-    from qkostant.closedform import highest_jets
+    from qkostant.closedform import highest_jet
 
     # (g(1), g'(1), g''(1)/2) of the B2 highest root q + q^2 + q^3
     assert moments_from_jet((3, 6, 4)) == MomentPair(2, Fraction(2, 3))
     for fam, ranks in (("A", (1, 9, 40)), ("B", (2, 17, 60)), ("C", (3, 30)), ("D", (4, 41))):
-        for r, jet in zip(ranks, highest_jets(fam, ranks)):
+        for r in ranks:
+            jet = highest_jet(fam, r)
             poly = explicit_qpoly(fam, r)
             assert moments_from_jet(jet) == moments_from_poly(poly), (fam, r)
             mean, var = closed_moments(fam, r)
