@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 from ._record import Record
 from .closedform import SupportSpec, highest_qpoly, product_qpoly
@@ -113,15 +114,8 @@ def summarize(g: QPoly, t_grid=DEFAULT_T_GRID, family=None, rank=None) -> DistSu
     skew = float(m3) / var_f ** 1.5
     exkurt = float(m4 / (m2 * m2)) - 3.0
 
-    ks = 0.0
-    cum = 0
-    for k, c in enumerate(g.coeffs):
-        cum += c
-        emp = cum / g1
-        gauss = normal_cdf((k + 0.5 - mu_f) / sigma_f)
-        diff = abs(emp - gauss)
-        if diff > ks:
-            ks = diff
+    ks = max(abs(cum / g1 - normal_cdf((k + 0.5 - mu_f) / sigma_f))
+             for k, cum in enumerate(accumulate(g.coeffs)))
     errors = tuple(
         (t, abs(_log_mgf(g.coeffs, g1, t, mu_f, sigma_f) - t * t / 2.0)) for t in t_grid
     )
@@ -133,17 +127,20 @@ def family_poly(family: str, rank: int, bumps: int = 0) -> QPoly:
 
     Highest-root families use closedform.highest_qpoly.  The "product"
     family is the type-A product-form weight bumped by one extra copy at
-    indices 2, 4, ..., 2*bumps, which requires rank > 2*bumps.
+    indices 2, 4, ..., 2*bumps, which requires rank > 2*bumps.  Every
+    family's input, bumps included, is checked here by _check_rank.
     """
+    _check_rank(family, rank, bumps)
     if family in LIE_TYPES:
         return highest_qpoly(family, rank)
-    _check_rank(family, rank, bumps)
     entries = tuple((2 * i, 1) for i in range(1, bumps + 1))
     return product_qpoly(SupportSpec("A", rank, entries))
 
 
 def _check_rank(family, rank, bumps):
     """Raise unless family_poly(family, rank, bumps) is defined."""
+    if bumps and family != "product":
+        raise InvalidSupport("--bumps only applies to the product family")
     if family in LIE_TYPES:
         validate_type_rank(family, rank)
     elif family != "product":
@@ -161,14 +158,13 @@ def _check_rank(family, rank, bumps):
 def convergence_sweep(family, ranks, t_grid=DEFAULT_T_GRID, bumps=0):
     """Summaries of one family across the given ranks, in input order.
 
-    Every rank is checked before any polynomial is built, and bumps are
-    refused for every family but "product".  Each rank's polynomial then
-    comes from family_poly: the binomial row for A, and for B, C and D the
-    holonomic coefficient recurrence, O(r**2) bit operations per rank.
+    Every rank is checked by _check_rank, which also refuses bumps for every
+    family but "product", before any polynomial is built.  Each rank's
+    polynomial then comes from family_poly: the binomial row for A, and for
+    B, C and D the holonomic coefficient recurrence, O(r**2) bit operations
+    per rank.
     """
     ranks = tuple(ranks)
-    if bumps and family != "product":
-        raise InvalidSupport("--bumps only applies to the product family")
     for r in ranks:
         _check_rank(family, r, bumps)
     return tuple(

@@ -9,8 +9,11 @@ Two numeric layers live here, both float-free:
 * Surd       -- a + b*s with s*s = D: one conjugate-pair arithmetic whose
                 parts keep their type (int, Fraction or QPoly).  Root5 is
                 its D = 5 subclass, the field Q(sqrt(5)); closedform's
-                explicit route uses D = q**2 + 4.  QPoly and Surd powers
-                share one square-and-multiply loop, _power.
+                explicit route uses D = q**2 + 4.
+
+Both take operands one way: _coerce makes an operand the class's own type or
+None, the decorator _coerced answers None with NotImplemented, and the base
+_Ring writes -, reflected - and ** (one square-and-multiply loop, _power) once.
 
 unpack_fields is the one Kronecker decoder shared by the packed routes: a
 polynomial with coefficients in [0, 2**W) is held as its value at q = 2**W,
@@ -40,7 +43,32 @@ def _canon_scalar(c):
     raise TypeError(f"int coefficient required, got {type(c).__name__}")
 
 
-class QPoly:
+def _coerced(op):
+    """op with other passed through self._coerce; NotImplemented if it gives None."""
+    def wrapper(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else op(self, other)
+    return wrapper
+
+
+class _Ring:
+    """-, reflected - and ** from a subclass's _coerce, +, unary - and *."""
+
+    __slots__ = ()
+
+    @_coerced
+    def __sub__(self, other):
+        return self + -other
+
+    @_coerced
+    def __rsub__(self, other):
+        return other + -self
+
+    def __pow__(self, n: int):
+        return _power(self, n, self._coerce(1))
+
+
+class QPoly(_Ring):
     """A polynomial in q with integer coefficients, lowest degree first."""
 
     __slots__ = ("_coeffs",)
@@ -86,12 +114,9 @@ class QPoly:
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
+    @_coerced
     def __eq__(self, other) -> bool:
-        if isinstance(other, QPoly):
-            return self._coeffs == other._coeffs
-        if _is_int(other):
-            return self == QPoly((other,))
-        return NotImplemented
+        return self._coeffs == other._coeffs
 
     def __hash__(self):
         # A constant equals its int, so it hashes like it.
@@ -105,14 +130,10 @@ class QPoly:
     def _coerce(self, other):
         if isinstance(other, QPoly):
             return other
-        if _is_int(other):
-            return QPoly((other,))
-        return None
+        return QPoly((other,)) if _is_int(other) else None
 
+    @_coerced
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         a, b = self._coeffs, other._coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -122,18 +143,6 @@ class QPoly:
         return QPoly(out)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         if _is_int(other):
@@ -153,9 +162,6 @@ class QPoly:
         return QPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "QPoly":
-        return _power(self, n, QPoly.one())
 
     def shifted(self, k: int) -> "QPoly":
         """Multiply by q**k."""
@@ -201,7 +207,7 @@ class QPoly:
         return f"QPoly({list(self._coeffs)!r})"
 
 
-class Surd:
+class Surd(_Ring):
     """a + b*s with s*s = D, where a subclass sets the class attribute D.
 
     The parts keep the type they were given, so int parts stay ints under
@@ -223,9 +229,8 @@ class Surd:
     def _coerce(self, other):
         if type(other) is type(self):
             return other
-        if isinstance(other, self._PARTS) and not isinstance(other, bool):
-            return type(self)(other)
-        return None
+        is_part = isinstance(other, self._PARTS) and not isinstance(other, bool)
+        return type(self)(other) if is_part else None
 
     def conjugate(self):
         return type(self)(self.a, -self.b)
@@ -233,10 +238,8 @@ class Surd:
     def norm(self):
         return self.a * self.a - self.D * self.b * self.b
 
+    @_coerced
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self.a == other.a and self.b == other.b
 
     def __hash__(self):
@@ -248,39 +251,20 @@ class Surd:
     def __neg__(self):
         return type(self)(-self.a, -self.b)
 
+    @_coerced
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return type(self)(self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return type(self)(self.a - other.a, self.b - other.b)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
+    @_coerced
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return type(self)(
             self.a * other.a + self.b * other.b * self.D,
             self.a * other.b + self.b * other.a,
         )
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        return _power(self, n, type(self)(1))
 
 
 class Root5(Surd):
@@ -295,20 +279,16 @@ class Root5(Surd):
             raise NonRationalResult(f"sqrt(5) part did not cancel: {self}")
         return Fraction(self.a)
 
+    @_coerced
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         n = other.norm()
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(5))")
         scaled = self * other.conjugate()
         return Root5(Fraction(scaled.a, n), Fraction(scaled.b, n))
 
+    @_coerced
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return other / self
 
     def __pow__(self, n: int) -> "Root5":

@@ -104,13 +104,8 @@ def _check_closed_variance_b(moments):
 def _check_bender():
     report = check_bender_conditions()
     vals = ", ".join(f"{k}={v}" for k, v in sorted(report.numerator_values.items()))
-    if report.passed:
-        return CheckResult(
-            "bender-conditions",
-            "PASS",
-            f"dominant root {report.small_root} simple; numerators nonzero: {vals}",
-        )
-    return CheckResult("bender-conditions", "FAIL", f"hypothesis violated: {vals}")
+    return _check("bender-conditions", [(f"hypothesis violated: {vals}", report.passed)],
+                  f"dominant root {report.small_root} simple; numerators nonzero: {vals}")
 
 
 def _check_mean_growth():

@@ -547,6 +547,19 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert any(line.startswith("FAIL product-vs-oracle: ") for line in out.splitlines())
 
 
+def test_verify_bender_failure_line(capsys, monkeypatch):
+    from qkostant import Root5, verify
+    from qkostant.closedform import BenderReport
+
+    values = {"B": Root5(0), "C": Root5(1, 2)}
+    report = BenderReport(Root5(1), Root5(2), values, False)
+    monkeypatch.setattr(verify, "check_bender_conditions", lambda: report)
+    rc, out, _ = run_cli(["verify", "--max-rank", "5"], capsys)
+    assert rc == 1
+    assert "FAIL bender-conditions: hypothesis violated: B=0 + 0*sqrt(5), C=1 + 2*sqrt(5)" \
+        in out.splitlines()
+
+
 # ------------------------------------------------------------- exit codes
 
 def test_usage_errors_exit_64(capsys):
@@ -567,6 +580,12 @@ def test_usage_errors_exit_64(capsys):
         rc, _, err = run_cli(argv, capsys)
         assert rc == 64, argv
         assert "usage error" in err
+
+
+def test_non_integer_support_entry_exits_64(capsys):
+    rc, _, err = run_cli(["qpoly", "--type", "A", "--rank", "3", "--support", "2:x"], capsys)
+    assert rc == 64
+    assert "non-integer support entry" in err
 
 
 def test_input_errors_exit_2(capsys):

@@ -107,8 +107,9 @@ def test_second_cumulant_normalization():
     # at tiny t the standardized log-MGF is t^2/2 up to O(t^3), so the
     # reported error must be far below t^2 itself
     for family in ("A", "B", "C", "D", "product"):
+        bumps = 2 if family == "product" else 0
         for rank in (20, 80, 320):
-            s = summarize(family_poly(family, rank, bumps=2), t_grid=(1e-3,))
+            s = summarize(family_poly(family, rank, bumps=bumps), t_grid=(1e-3,))
             assert s.max_mgf_error < 1e-6, (family, rank)
 
 
@@ -124,6 +125,8 @@ def test_family_poly_validation():
         family_poly("C", 2)  # C starts at rank 3, as stats requires
     with pytest.raises(InvalidSupport):
         family_poly("product", 20, bumps=-1)
+    with pytest.raises(InvalidSupport, match="--bumps only applies to the product family"):
+        family_poly("B", 20, bumps=2)
 
 
 def test_sweep_refuses_bumps_outside_the_product_family():

@@ -132,6 +132,11 @@ def test_count_is_value_at_one():
     assert count_decompositions(system, w) == qanalog(system, w)(1)
 
 
+def test_count_of_a_weight_with_a_negative_coordinate_is_zero():
+    system = build_root_system("C", 4)
+    assert count_decompositions(system, (2, -1, 2, 1)) == 0
+
+
 def test_qanalogs_match_per_target_qanalog():
     # duplicates, the zero weight and a negative coordinate in one list
     system = build_root_system("C", 4)

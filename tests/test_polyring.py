@@ -181,3 +181,35 @@ def test_constants_hash_like_the_ints_they_equal():
     # a surd with no s part hashes like that part, polynomial or not
     assert QPoly((1, 2)) in {qsurd(QPoly((1, 2)))}
     assert Root5(3, 1) != 3 and QPoly((3, 1)) != 3
+
+
+_QS = closedform._QSurd
+
+# (x, 3 - x, x - 3) for each class that takes operands through _coerce
+_OPERANDS = [
+    pytest.param(QPoly((2, 1)), QPoly((1, -1)), QPoly((-1, 1)), id="QPoly"),
+    pytest.param(Root5(2, 1), Root5(1, -1), Root5(-1, 1), id="Root5"),
+    pytest.param(_QS(QPoly((2, 1)), QPoly((0, 1))), _QS(QPoly((1, -1)), QPoly((0, -1))),
+                 _QS(QPoly((-1, 1)), QPoly((0, 1))), id="QSurd"),
+]
+
+
+@pytest.mark.parametrize("x, three_minus_x, x_minus_three", _OPERANDS)
+def test_operand_protocol(x, three_minus_x, x_minus_three):
+    # an int operand on either side is made the operand's own type
+    assert 3 - x == three_minus_x and type(3 - x) is type(x)
+    assert x - 3 == x_minus_three and type(x - 3) is type(x)
+    # any other operand is refused: NotImplemented on both sides gives TypeError
+    for op in (lambda: x + "a", lambda: "a" + x, lambda: x * "a"):
+        with pytest.raises(TypeError):
+            op()
+    assert (x == "a") is False and (x != "a") is True
+    if isinstance(x, Root5):
+        assert 2 / x == Root5(-4, 2)  # 2 / (2 + sqrt5) = -2 * (2 - sqrt5)
+        with pytest.raises(ZeroDivisionError):
+            x / 0
+        # Root5 parts are ints or Fractions, so a QPoly is not coerced
+        assert (Root5(1) == QPoly((1,))) is False and (QPoly((1,)) == Root5(1)) is False
+    if isinstance(x, QPoly):
+        with pytest.raises(ValueError):
+            x ** -1
