@@ -98,6 +98,8 @@ CLI_ARGV = (
     ("verify", "--max-rank", "5", "--format", "csv"),
     ("verify", "--max-rank", "5", "--format", "json"),
     ("verify", "--max-rank", "8"),
+    ("verify", "--max-rank", "8", "--format", "csv"),
+    ("verify", "--max-rank", "8", "--format", "json"),
 )
 
 

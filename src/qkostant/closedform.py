@@ -136,9 +136,13 @@ def weight_of(spec: SupportSpec) -> Weight:
 
 
 def product_qpoly(spec: SupportSpec) -> QPoly:
-    """Closed product form of the part-count polynomial for spec's weight."""
+    """Closed product form of the part-count polynomial for spec's weight:
+    q**(m+1) * (1+q)**(r-1-2L) * (2+2q+q**2)**L, on one coefficient list."""
     r, ell, m = spec.rank, spec.bump_count, spec.total_extra
-    return (_binomial_row(r - 1 - 2 * ell) * QPoly((2, 2, 1)) ** ell).shifted(m + 1)
+    row = [0] * (m + 1) + list(_binomial_row(r - 1 - 2 * ell).coeffs)
+    for _ in range(ell):  # times 2 + 2q + q**2
+        row = [2 * a + 2 * b + c for a, b, c in zip(row + [0, 0], [0, *row, 0], [0, 0, *row])]
+    return QPoly(row)
 
 
 def _binomial_row(n: int) -> QPoly:

@@ -50,7 +50,11 @@ first support index after L comes before the root, and it holds that
 simple root whenever that is below the target, so each coordinate after L
 is live already or has extent 1: a root with no finished coordinate does
 its work in a few long runs.  Any other order gives the same sums in
-shorter runs.
+shorter runs.  A run of one cell is the scalar step t[a] += t[a-d]
+instead of a slice update, which builds two slices and a map for it and
+costs about ten times as much: every root whose support reaches the last
+coordinate has only one-cell runs (L is the last coordinate, strides[L] is
+1), and in a verify request they are over half of all runs.
 
 For speed the polynomial at each cell is Kronecker-packed into a single
 Python integer (coefficient of q**k occupies the bit field [k*W, (k+1)*W)),
@@ -259,6 +263,10 @@ def _count_sweep(plan, total):
     counts = [0] * total
     counts[0] = 1
     for delta, starts, run in plan:
+        if run == 1:
+            for a in starts:
+                counts[a] += counts[a - delta]
+            continue
         for a in starts:
             b = a + run
             counts[a:b] = map(add, counts[a:b], counts[a - delta:b - delta])
@@ -297,6 +305,10 @@ def _fold_cells(roots, box, targets):
     table[0] = 1
     widths = repeat(width)
     for delta, starts, run in plan:
+        if run == 1:
+            for a in starts:
+                table[a] += table[a - delta] << width
+            continue
         for a in starts:
             b = a + run
             table[a:b] = map(add, table[a:b], map(lshift, table[a - delta:b - delta], widths))

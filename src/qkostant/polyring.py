@@ -38,9 +38,12 @@ def _is_int(c) -> bool:
 
 def _canon_scalar(c):
     """Validate one coefficient: an int that is not a bool."""
-    if isinstance(c, int) and not isinstance(c, bool):  # _is_int, inlined on the hot path
+    if _is_int(c):
         return c
     raise TypeError(f"int coefficient required, got {type(c).__name__}")
+
+
+_INT_ONLY = frozenset((int,))
 
 
 def _coerced(op):
@@ -74,7 +77,12 @@ class QPoly(_Ring):
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_canon_scalar(c) for c in coeffs]
+        cs = list(coeffs)
+        # One set of types for the common all-int case; anything else is
+        # checked coefficient by coefficient, so an int subclass passes and
+        # the first bool, float or Fraction is refused.
+        if not set(map(type, cs)) <= _INT_ONLY:
+            cs = [_canon_scalar(c) for c in cs]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
@@ -226,6 +234,15 @@ class Surd(_Ring):
         self.a = a
         self.b = b
 
+    @classmethod
+    def _of(cls, a, b):
+        """cls(a, b) without the part check, for parts an operation built
+        from checked parts (int, Fraction and QPoly are closed under +, -, *)."""
+        new = object.__new__(cls)
+        new.a = a
+        new.b = b
+        return new
+
     def _coerce(self, other):
         if type(other) is type(self):
             return other
@@ -233,7 +250,7 @@ class Surd(_Ring):
         return type(self)(other) if is_part else None
 
     def conjugate(self):
-        return type(self)(self.a, -self.b)
+        return self._of(self.a, -self.b)
 
     def norm(self):
         return self.a * self.a - self.D * self.b * self.b
@@ -249,17 +266,17 @@ class Surd(_Ring):
         return hash((type(self).__name__, self.a, self.b))
 
     def __neg__(self):
-        return type(self)(-self.a, -self.b)
+        return self._of(-self.a, -self.b)
 
     @_coerced
     def __add__(self, other):
-        return type(self)(self.a + other.a, self.b + other.b)
+        return self._of(self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
 
     @_coerced
     def __mul__(self, other):
-        return type(self)(
+        return self._of(
             self.a * other.a + self.b * other.b * self.D,
             self.a * other.b + self.b * other.a,
         )

@@ -57,11 +57,11 @@ MEAN_GROWTH_LIMIT = Root5(Fraction(7, 10), Fraction(1, 10))
 def moments_from_jet(jet) -> MomentPair:
     """Exact part-count mean and variance from (g(1), g'(1), g''(1)/2).
 
-    g(1) must be positive.
+    g(1) must be positive.  The variance (2*u2 + u1)/u0 - mu**2 is built
+    over the common denominator u0**2, so each moment is one Fraction.
     """
     u0, u1, u2 = jet
-    mean = Fraction(u1, u0)
-    return MomentPair(mean, Fraction(2 * u2 + u1, u0) - mean * mean)
+    return MomentPair(Fraction(u1, u0), Fraction((2 * u2 + u1) * u0 - u1 * u1, u0 * u0))
 
 
 def moments_from_poly(g: QPoly) -> MomentPair:
@@ -74,11 +74,12 @@ def moments_from_poly(g: QPoly) -> MomentPair:
 
 
 def product_moments(spec: SupportSpec) -> MomentPair:
-    """Moments of the product-form weight, summed factor by factor."""
+    """Moments of the product-form weight, summed factor by factor:
+    mu = (r+1)/2 + m - L/5 and sigma^2 = (r-1)/4 + 3L/50, each written as
+    one Fraction over the common denominator."""
     r, ell, m = spec.rank, spec.bump_count, spec.total_extra
-    mean = Fraction(r + 1, 2) + m - Fraction(ell, 5)
-    variance = Fraction(r - 1, 4) + Fraction(3 * ell, 50)
-    return MomentPair(mean, variance)
+    return MomentPair(Fraction(5 * (r + 1) + 10 * m - 2 * ell, 10),
+                      Fraction(25 * (r - 1) + 6 * ell, 100))
 
 
 def _power_pair(rank: int):

@@ -9,7 +9,10 @@ run_all(max_rank) drives the whole suite and is what the CLI's verify
 subcommand prints.  Identical inputs produce byte-identical reports.  It
 computes each polynomial once: the checks read tables built before the first
 check runs, except for the polynomials only one check needs (the type-A rows
-of chain-identity-A and the pinned values of fixed-examples).
+of chain-identity-A and the pinned values of fixed-examples).  The bump-weight
+tables (weights, oracle and product polynomials) are lists aligned with the
+list of specs, so no check hashes a spec, and a weight's label ("A7 ((2,
+1),)") is built only when its case fails.
 
 Every fold runs in the max-rank system of its type.  The positive roots of
 X_R that vanish on alpha_1..alpha_{R-r} are the positive roots of X_r on the
@@ -25,6 +28,7 @@ weight: no fold is larger than one requested weight's own box.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 
 from ._record import Record
 from .closedform import (
@@ -61,10 +65,10 @@ class CheckResult(Record):
         self._assign(name, status, detail)
 
 
-def _check(name, cases, detail):
-    """PASS with detail, or FAIL naming the first four (label, ok) cases
-    that are not ok."""
-    failures = [label for label, ok in cases if not ok]
+def _check(name, cases, detail, label=str):
+    """PASS with detail, or FAIL naming the first four (key, ok) cases that
+    are not ok, each by label(key)."""
+    failures = [label(key) for key, ok in cases if not ok]
     if failures:
         shown = "; ".join(failures[:4])
         more = "" if len(failures) <= 4 else f" (+{len(failures) - 4} more)"
@@ -81,6 +85,10 @@ def _systems(max_rank, lie_types=LIE_TYPES):
 def _spec_suite(max_rank):
     for t, r in _systems(max_rank):
         yield from iter_support_specs(t, r)
+
+
+def _spec_label(spec):
+    return f"{spec.lie_type}{spec.rank} {spec.entries}"
 
 
 def _variance_cases(moments, lie_types):
@@ -159,25 +167,26 @@ def run_all(max_rank: int = 8):
         check_target(r, highest_root(t, r))
     systems = list(_systems(max_rank))
     highest = [(t, r) for t, r in systems if t != "A"]
-    bumps = {spec: weight_of(spec) for spec in _spec_suite(max_rank)}
-    for spec, weight in bumps.items():
-        check_target(spec.rank, weight)
+    specs = list(_spec_suite(max_rank))
+    weights = [check_target(s.rank, weight_of(s)) for s in specs]
 
     # Each polynomial is computed once; the checks below read these tables.
-    def nested(t, weights):
-        """qanalogs in type t's max-rank system, each weight padded to it."""
+    def nested(t, targets):
+        """qanalogs in type t's max-rank system, each target padded to it."""
         return qanalogs(build_root_system(t, max_rank),
-                        [(0,) * (max_rank - len(w)) + w for w in weights])
+                        [(0,) * (max_rank - len(w)) + w for w in targets])
 
-    oracle, folds = {}, {}
-    for t in LIE_TYPES:
-        specs = [s for s in bumps if s.lie_type == t]
-        oracle.update(zip(specs, nested(t, [bumps[s] for s in specs])))
+    # The bump-weight tables are lists aligned with specs, which holds each
+    # type's specs together: one qanalogs call per type fills oracle in order.
+    oracle, folds = [], {}
+    for t, group in groupby(zip(specs, weights), key=lambda sw: sw[0].lie_type):
+        oracle.extend(nested(t, [w for _, w in group]))
     for t in "BCD":
         keys = [key for key in highest if key[0] == t]
         folds.update(zip(keys, nested(t, [highest_root(*key) for key in keys])))
-    product = {spec: product_qpoly(spec) for spec in bumps}
-    label = {spec: f"{spec.lie_type}{spec.rank} {spec.entries}" for spec in bumps}
+    product = [product_qpoly(s) for s in specs]
+    # the all-ones weight of A_r is the A_r bump weight with no bumps
+    chain = {s.rank: g for s, g in zip(specs, oracle) if s.lie_type == "A" and not s.entries}
     # The B/C/D highest-root gf and explicit polynomials from each family's
     # first explicit rank up to the extended rank.
     top = _EXTENDED_FACTOR * max_rank
@@ -196,17 +205,15 @@ def run_all(max_rank: int = 8):
             for t, r in systems
         ], f"{len(systems)} systems"),
         _check_fixed_examples(),
-        # the all-ones weight of A_r is the A_r bump weight with no bumps
         _check("chain-identity-A", [
-            (f"A{r}", oracle[SupportSpec("A", r, ())] == explicit_qpoly("A", r))
-            for r in range(1, max_rank + 1)
+            (f"A{r}", chain[r] == explicit_qpoly("A", r)) for r in range(1, max_rank + 1)
         ], f"ranks 1..{max_rank}"),
-        _check("product-vs-oracle", [(label[s], oracle[s] == product[s]) for s in bumps],
-               f"{len(bumps)} bump weights"),
+        _check("product-vs-oracle", [(s, g == p) for s, g, p in zip(specs, oracle, product)],
+               f"{len(specs)} bump weights", _spec_label),
         _check("total-counts", [
-            (label[s], oracle[s](1) == 2 ** (s.rank - 1 - 2 * s.bump_count) * 5 ** s.bump_count)
-            for s in bumps
-        ], f"{len(bumps)} bump weights"),
+            (s, g(1) == 2 ** (s.rank - 1 - 2 * s.bump_count) * 5 ** s.bump_count)
+            for s, g in zip(specs, oracle)
+        ], f"{len(specs)} bump weights", _spec_label),
         _check("route-agreement", [
             (f"{t}{r}", folds[t, r] == gf[t, r] == explicit[t, r])
             for t, r in highest
@@ -214,8 +221,8 @@ def run_all(max_rank: int = 8):
         _check("gf-vs-explicit", [(f"{t}{r}", gf[t, r] == explicit[t, r]) for t, r in gf],
                f"{len(gf)} ranks up to {top}"),
         _check("product-moments", [
-            (label[s], product_moments(s) == moments_from_poly(product[s])) for s in bumps
-        ], f"{len(bumps)} bump weights"),
+            (s, product_moments(s) == moments_from_poly(g)) for s, g in zip(specs, product)
+        ], f"{len(specs)} bump weights", _spec_label),
         _check("closed-mean", [
             (f"{t}{r}", mean.as_fraction() == pair.mean)
             for (t, r), ((mean, _), pair) in moments.items()

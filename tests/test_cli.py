@@ -538,6 +538,35 @@ def test_verify_checks_fail_on_injected_faults(monkeypatch, module, name, fault,
     assert [(c.name, c.status, c.detail) for c in results if c.status != "PASS"] == expected
 
 
+@pytest.mark.parametrize("spec", [
+    closedform.SupportSpec("A", 7, ((3, 2),)),
+    closedform.SupportSpec("C", 8, ((2, 1), (4, 3))),
+], ids=repr)
+def test_verify_reads_each_oracle_polynomial_at_its_spec(monkeypatch, spec):
+    # one padded bump weight comes back from its fold wrong by one count:
+    # exactly the two checks that read the oracle table fail, each naming
+    # that weight and no other
+    from qkostant import kostant, verify
+
+    wrong = (0,) * (8 - spec.rank) + closedform.weight_of(spec)
+
+    def one_wrong(system, targets):
+        targets = [tuple(w) for w in targets]
+        polys = kostant.qanalogs(system, targets)
+        if system.lie_type != spec.lie_type or wrong not in targets:
+            return polys
+        return tuple(g + 1 if w == wrong else g for w, g in zip(targets, polys))
+
+    monkeypatch.setattr(verify, "qanalogs", one_wrong)
+    results = verify.run_all(8)
+    label = f"{spec.lie_type}{spec.rank} {spec.entries}"
+    assert [(c.name, c.status, c.detail) for c in results if c.status != "PASS"] == [
+        ("product-vs-oracle", "FAIL", label),
+        ("total-counts", "FAIL", label),
+        _WARN_B,
+    ]
+
+
 def test_verify_failure_exits_1(capsys, monkeypatch):
     from qkostant import verify
 

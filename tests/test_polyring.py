@@ -41,6 +41,35 @@ def test_floats_rejected():
             Root5(1, bad)
 
 
+class _Int(int):
+    pass
+
+
+def test_qpoly_constructor_type_fallback():
+    # an int subclass other than bool is an int coefficient, in any position
+    for cs in ((_Int(3), 1, 2), (3, _Int(1), 2), (3, 1, _Int(2))):
+        assert QPoly(cs).coeffs == (3, 1, 2)
+    # bool, float and Fraction are refused first, in the middle or last,
+    # with the message the per-coefficient check gives
+    for bad in (True, 1.0, Fraction(1)):
+        message = f"^int coefficient required, got {type(bad).__name__}$"
+        for cs in ((bad, 1, 2), (1, bad, 2), (1, 2, bad), (_Int(1), bad)):
+            with pytest.raises(TypeError, match=message):
+                QPoly(cs)
+
+
+def test_surd_results_keep_their_class():
+    # negation, sum, product and conjugate skip the part check; the public
+    # constructor keeps it
+    for x in (Root5(Fraction(1, 3), 2), closedform._QSurd(QPoly((1, 1)), QPoly((0, 1)))):
+        for y in (-x, x + x, x * x, x.conjugate(), x - 1):
+            assert type(y) is type(x)
+        assert -x == type(x)(-x.a, -x.b)
+        assert x.conjugate() == type(x)(x.a, -x.b)
+    with pytest.raises(TypeError, match="Root5 part of type bool refused"):
+        Root5(True)
+
+
 def test_ring_axioms_sampled():
     for _ in range(200):
         a, b, c = rand_poly(), rand_poly(), rand_poly()
