@@ -84,6 +84,7 @@ CLI_ARGV = (
     ("qpoly", "--type", "A", "--rank", "4", "--weight", "1,2,2,1"),
     ("qpoly", "--type", "B", "--rank", "3", "--weight", "0,0,0", "--format", "json"),
     ("qpoly", "--type", "B", "--rank", "3", "--route", "gf", "--format", "json"),
+    ("qpoly", "--type", "C", "--rank", "161", "--route", "explicit"),
     ("qpoly", "--type", "B", "--rank", "6", "--support", "3:2"),
     ("qpoly", "--type", "A", "--rank", "7", "--support", "3:2,5:1", "--format", "json"),
     ("stats", "--type", "B", "--rank", "9"),

@@ -208,9 +208,10 @@ def _cmd_roots(args) -> _Output:
 
 def _cmd_qpoly(args) -> _Output:
     from . import closedform
-    from .kostant import check_target, qanalog
 
     def oracle():
+        from .kostant import check_target, qanalog
+
         # Refuse an oversized box before the system is built.
         target = check_target(args.rank, weight)
         return qanalog(build_root_system(args.lie_type, args.rank), target)

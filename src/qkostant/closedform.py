@@ -19,7 +19,13 @@ Four alternatives to the lattice-fold oracle live here:
   D = 5 (at q = 1 the two extensions coincide): it takes the real part of
   (A + B*s) * (2*beta_plus)**e for the family numerator pair (A, B) and
   divides it by 2**e * (q**2+4), checking that both divisions are exact
-  instead of assuming it.
+  instead of assuming it.  Its cost is the surd power: about log2(e)
+  squarings of three QPoly products each, and a four-product step per
+  further set bit of e.  The parts grow to about 2e coefficients of up to
+  about 1.4e bits, and QPoly multiplies two such long parts as one
+  Kronecker-packed big-integer product (kronecker.packed_product).  In
+  process C161 takes 14-20 ms, and B800 and D800 about 2 s each (2-core
+  machine; 27-44 ms and 5-6 s on the schoolbook product).
 * the holonomic route (behind highest_qpoly): the same highest-root
   polynomial from the linear recurrence its coefficients satisfy.  It and
   its tables live in the holonomic module, which only a B/C/D
@@ -40,7 +46,7 @@ up to a whole byte, the packed sweep runs the recurrence at q = 2**W on
 plain Python integers: multiplying by the fixed sparse polynomials is a few
 shifts and adds.  That sweep is exact integer linear arithmetic, so the
 last value is P_r(2**W) whatever carries or borrows the intermediate terms
-hold, and one linear-time byte decode (polyring.unpack_fields) reads the
+hold, and one linear-time byte decode (kronecker.unpack_fields) reads the
 coefficients back.  The decoded coefficients must reproduce the whole jet,
 not just the sum: a negative packed value, fields that do not sum to P_r(1)
 (a negative coefficient borrows from the field above it), or fields with
@@ -69,11 +75,11 @@ vanishes there.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from ._record import Record
 from .errors import InternalCancellationFailure, InvalidSupport, RankTooSmall
-from .polyring import QPoly, Root5, Surd, jet_at_one, unpack_fields
+from .kronecker import unpack_fields
+from .polyring import QPoly, Root5, Surd, jet_at_one
 from .rootsys import Weight, validate_type_rank
 
 
@@ -364,6 +370,8 @@ class BenderReport(Record):
 
 def check_bender_conditions() -> BenderReport:
     """Verify the rational-GF central-limit hypotheses for B, C, D at q = 1."""
+    from fractions import Fraction
+
     small = Root5(Fraction(1, 2), Fraction(-1, 10))
     large = Root5(Fraction(1, 2), Fraction(1, 10))
     den = QPoly((1, -5, 5))

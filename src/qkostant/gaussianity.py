@@ -74,21 +74,36 @@ def _central_moments(g: QPoly):
     return g1, mu, m2, m3, m4
 
 
-def _log_mgf(coeffs, g1: int, t: float, mu_f: float, sigma_f: float) -> float:
-    """log of the standardized moment generating function at t."""
-    n = t / sigma_f
-    if (len(coeffs) - 1 <= _HORNER_MAX_DEGREE and g1.bit_length() <= _HORNER_MAX_BITS
-            and n < _EXP_MAX_ARG):
-        z = math.exp(n)
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * z + (c / g1 if c else 0.0)
-        if 0.0 < acc < math.inf:
-            return math.log(acc) - t * mu_f / sigma_f
-    log_g1 = math.log(g1)
-    terms = [math.log(c) - log_g1 + k * n for k, c in enumerate(coeffs) if c]
-    top = max(terms)
-    return top + math.log(math.fsum(math.exp(v - top) for v in terms)) - t * mu_f / sigma_f
+def _log_mgfs(coeffs, g1: int, t_grid, mu_f: float, sigma_f: float) -> list:
+    """log of the standardized moment generating function at each t.
+
+    The t share the per-coefficient work: c/g1 for Horner's rule and
+    log c - log g1 for log-sum-exp are each computed once, on the first t
+    that takes that path.
+    """
+    horner_ok = len(coeffs) - 1 <= _HORNER_MAX_DEGREE and g1.bit_length() <= _HORNER_MAX_BITS
+    probs = logs = None
+    out = []
+    for t in t_grid:
+        n = t / sigma_f
+        if horner_ok and n < _EXP_MAX_ARG:
+            if probs is None:
+                probs = [c / g1 if c else 0.0 for c in reversed(coeffs)]
+            z = math.exp(n)
+            acc = 0.0
+            for p in probs:
+                acc = acc * z + p
+            if 0.0 < acc < math.inf:
+                out.append(math.log(acc) - t * mu_f / sigma_f)
+                continue
+        if logs is None:
+            log_g1 = math.log(g1)
+            logs = [(k, math.log(c) - log_g1) for k, c in enumerate(coeffs) if c]
+        terms = [lp + k * n for k, lp in logs]
+        top = max(terms)
+        out.append(top + math.log(math.fsum(math.exp(v - top) for v in terms))
+                   - t * mu_f / sigma_f)
+    return out
 
 
 def summarize(g: QPoly, t_grid=DEFAULT_T_GRID, family=None, rank=None) -> DistSummary:
@@ -117,7 +132,8 @@ def summarize(g: QPoly, t_grid=DEFAULT_T_GRID, family=None, rank=None) -> DistSu
     ks = max(abs(cum / g1 - normal_cdf((k + 0.5 - mu_f) / sigma_f))
              for k, cum in enumerate(accumulate(g.coeffs)))
     errors = tuple(
-        (t, abs(_log_mgf(g.coeffs, g1, t, mu_f, sigma_f) - t * t / 2.0)) for t in t_grid
+        (t, abs(log_m - t * t / 2.0))
+        for t, log_m in zip(t_grid, _log_mgfs(g.coeffs, g1, t_grid, mu_f, sigma_f))
     )
     return DistSummary(family, rank, mu, m2, ks, skew, exkurt, errors)
 

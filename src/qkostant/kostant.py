@@ -93,7 +93,8 @@ from math import prod
 from operator import add, and_, lshift, mul, sub
 
 from .errors import DimensionMismatch, FoldTooLarge
-from .polyring import QPoly, unpack_fields
+from .kronecker import unpack_fields
+from .polyring import QPoly
 from .rootsys import RootSystem, Weight
 
 #: Largest box prod_i (target_i + 1) the lattice fold will allocate.

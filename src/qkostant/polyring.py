@@ -15,9 +15,14 @@ Both take operands one way: _coerce makes an operand the class's own type or
 None, the decorator _coerced answers None with NotImplemented, and the base
 _Ring writes -, reflected - and ** (one square-and-multiply loop, _power) once.
 
-unpack_fields is the one Kronecker decoder shared by the packed routes: a
-polynomial with coefficients in [0, 2**W) is held as its value at q = 2**W,
-one W-bit field per coefficient.
+QPoly.__mul__ multiplies two long factors (both at least _PACKED_MIN_LEN
+coefficients) by Kronecker packing: one big-integer product, a square when
+both factors are the same object (kronecker.packed_product, the codec the
+lattice fold and the gf sweep also use).  A short factor stays on the
+schoolbook double loop.
+
+Surd.__mul__ squares in three products, (a*a + D*b*b, 2*a*b), when both
+operands are the same object, as _power's squarings are.
 
 power_sums gives the exact sums of k**j * c_k (j = 0..top) that every
 moment computation reads, and jet_at_one turns its first three sums into
@@ -26,10 +31,11 @@ the jet (P(1), P'(1), P''(1)/2): the coefficients of P(1 + e) modulo e**3.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from operator import mul
 
 from .errors import NonRationalResult
+from .kronecker import packed_product
 
 
 def _is_int(c) -> bool:
@@ -44,6 +50,13 @@ def _canon_scalar(c):
 
 
 _INT_ONLY = frozenset((int,))
+
+# Both factors at least this long: QPoly.__mul__ packs them.  Timed against
+# the double loop, packing loses at 12 coefficients per factor, at 16 it
+# wins for 64-bit coefficients and ties for 8-bit ones, and from 24 it wins
+# for 512-bit ones too.  The surd powers of the explicit route, the long
+# factors multiplied here, have under 32-bit coefficients below length 24.
+_PACKED_MIN_LEN = 16
 
 
 def _coerced(op):
@@ -162,6 +175,8 @@ class QPoly(_Ring):
         a, b = self._coeffs, other._coeffs
         if not a or not b:
             return QPoly.zero()
+        if min(len(a), len(b)) >= _PACKED_MIN_LEN:
+            return QPoly(packed_product(a, b))
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -215,20 +230,34 @@ class QPoly(_Ring):
         return f"QPoly({list(self._coeffs)!r})"
 
 
+def _is_part(x, types) -> bool:
+    """x is a Surd part: of one of types or a Fraction, and not a bool.
+
+    A Fraction can exist only once fractions is loaded, so the module is
+    looked up rather than imported: int and QPoly arithmetic never loads it.
+    """
+    if isinstance(x, types):
+        return not isinstance(x, bool)
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(x, fractions.Fraction)
+
+
 class Surd(_Ring):
     """a + b*s with s*s = D, where a subclass sets the class attribute D.
 
     The parts keep the type they were given, so int parts stay ints under
-    +, -, * and **.  A part of a type outside _PARTS, or a bool, raises
-    TypeError; a scalar of a part type stands for scalar + 0*s.
+    +, -, * and **.  A part that is a bool, or neither a Fraction nor of a
+    type in _PARTS, raises TypeError; a scalar of a part type stands for
+    scalar + 0*s.
     """
 
     __slots__ = ("a", "b")
-    _PARTS = (int, Fraction, QPoly)
+    # The part types besides Fraction, which every Surd takes.
+    _PARTS = (int, QPoly)
 
     def __init__(self, a=0, b=0):
         for part in (a, b):
-            if not isinstance(part, self._PARTS) or isinstance(part, bool):
+            if not _is_part(part, self._PARTS):
                 raise TypeError(
                     f"{type(self).__name__} part of type {type(part).__name__} refused")
         self.a = a
@@ -246,8 +275,7 @@ class Surd(_Ring):
     def _coerce(self, other):
         if type(other) is type(self):
             return other
-        is_part = isinstance(other, self._PARTS) and not isinstance(other, bool)
-        return type(self)(other) if is_part else None
+        return type(self)(other) if _is_part(other, self._PARTS) else None
 
     def conjugate(self):
         return self._of(self.a, -self.b)
@@ -276,6 +304,9 @@ class Surd(_Ring):
 
     @_coerced
     def __mul__(self, other):
+        if other is self:
+            a, b = self.a, self.b
+            return self._of(a * a + b * b * self.D, 2 * (a * b))
         return self._of(
             self.a * other.a + self.b * other.b * self.D,
             self.a * other.b + self.b * other.a,
@@ -289,15 +320,19 @@ class Root5(Surd):
 
     __slots__ = ()
     D = 5
-    _PARTS = (int, Fraction)
+    _PARTS = (int,)
 
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction
+
         if self.b != 0:
             raise NonRationalResult(f"sqrt(5) part did not cancel: {self}")
         return Fraction(self.a)
 
     @_coerced
     def __truediv__(self, other):
+        from fractions import Fraction
+
         n = other.norm()
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(5))")
@@ -335,24 +370,6 @@ def _power(base, n: int, one):
         if n:
             base = base * base
     return result
-
-
-def unpack_fields(packed: int, width: int) -> list:
-    """Coefficients, lowest first, of a polynomial packed at q = 2**width.
-
-    packed must be nonnegative and every coefficient below 2**width.  The
-    integer is converted to bytes once and each field is read back from the
-    bytes it spans, so decoding is linear in the size of packed; a width
-    that is a whole number of bytes needs no shift.  The result has no
-    trailing zero fields.
-    """
-    bits = packed.bit_length()
-    buf = packed.to_bytes(-(-bits // 8), "little")
-    mask = (1 << width) - 1
-    return [
-        int.from_bytes(buf[lo >> 3:(lo + width + 7) >> 3], "little") >> (lo & 7) & mask
-        for lo in range(0, bits, width)
-    ]
 
 
 def power_sums(coeffs, top: int) -> list:

@@ -10,7 +10,7 @@ subcommand prints.  Identical inputs produce byte-identical reports.  It
 computes each polynomial once: the checks read tables built before the first
 check runs, except for the polynomials only one check needs (the type-A rows
 of chain-identity-A and the pinned values of fixed-examples).  The bump-weight
-tables (weights, oracle and product polynomials) are lists aligned with the
+tables (oracle and product polynomials) are lists aligned with the
 list of specs, so no check hashes a spec, and a weight's label ("A7 ((2,
 1),)") is built only when its case fails.
 
@@ -159,16 +159,16 @@ def run_all(max_rank: int = 8):
     """The full suite, in a fixed order, as a list of CheckResult."""
     if max_rank < 5:
         raise RankTooSmall("max_rank must be at least 5 so every family participates")
-    # Refuse an over-budget max_rank before any check runs: every weight
-    # the suite folds goes through the fold's own budget check first.  The
-    # highest roots come first, one at a time, before anything that grows
-    # with max_rank is built; their boxes outgrow the budget soonest.
+    # Refuse an over-budget max_rank before any check runs.  The highest
+    # roots, whose boxes outgrow the budget soonest, are checked first, one
+    # at a time, before anything that grows with max_rank is built.  Every
+    # bump weight is checked once, by qanalogs before any fold: padding
+    # leaves its box the same.
     for t, r in _systems(max_rank, "BCD"):
         check_target(r, highest_root(t, r))
     systems = list(_systems(max_rank))
     highest = [(t, r) for t, r in systems if t != "A"]
     specs = list(_spec_suite(max_rank))
-    weights = [check_target(s.rank, weight_of(s)) for s in specs]
 
     # Each polynomial is computed once; the checks below read these tables.
     def nested(t, targets):
@@ -179,8 +179,8 @@ def run_all(max_rank: int = 8):
     # The bump-weight tables are lists aligned with specs, which holds each
     # type's specs together: one qanalogs call per type fills oracle in order.
     oracle, folds = [], {}
-    for t, group in groupby(zip(specs, weights), key=lambda sw: sw[0].lie_type):
-        oracle.extend(nested(t, [w for _, w in group]))
+    for t, group in groupby(specs, key=lambda s: s.lie_type):
+        oracle.extend(nested(t, [weight_of(s) for s in group]))
     for t in "BCD":
         keys = [key for key in highest if key[0] == t]
         folds.update(zip(keys, nested(t, [highest_root(*key) for key in keys])))

@@ -665,11 +665,18 @@ runpy.run_module("qkostant.cli", run_name="__main__", alter_sys=True)
 _NEVER_LOADED = {"dataclasses", "inspect"}
 _IMPORT_CASES = [
     (["roots", "--type", "B", "--rank", "3", "--format", "json"],
-     {"qkostant.closedform", "qkostant.kostant", "qkostant.polyring", "fractions"}),
+     {"qkostant.closedform", "qkostant.kostant", "qkostant.polyring", "qkostant.kronecker",
+      "fractions"}),
     (["qpoly", "--type", "B", "--rank", "5", "--format", "json"],
-     {"qkostant.stats", "qkostant.gaussianity", "qkostant.verify", "qkostant.holonomic"}),
+     {"qkostant.stats", "qkostant.gaussianity", "qkostant.verify", "qkostant.holonomic",
+      "fractions", "decimal"}),
     (["qpoly", "--type", "A", "--rank", "6", "--support", "3:1"],
-     {"qkostant.stats", "qkostant.gaussianity", "qkostant.verify", "qkostant.holonomic"}),
+     {"qkostant.stats", "qkostant.gaussianity", "qkostant.verify", "qkostant.holonomic",
+      "fractions", "decimal"}),
+    # a closed route loads neither the lattice fold nor fractions
+    (["qpoly", "--type", "C", "--rank", "20", "--route", "explicit"],
+     {"qkostant.kostant", "qkostant.stats", "qkostant.gaussianity", "qkostant.verify",
+      "qkostant.holonomic", "fractions", "decimal"}),
     (["stats", "--type", "C", "--rank", "6"],
      {"qkostant.kostant", "qkostant.gaussianity", "qkostant.verify", "qkostant.holonomic"}),
     (["converge", "--family", "D", "--ranks", "12,8"],

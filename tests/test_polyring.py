@@ -1,12 +1,15 @@
 """Ring/field axioms and canonical forms for the exact arithmetic layer."""
 
+import copy
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from qkostant import NonRationalResult, QPoly, Root5, closedform, stats
-from qkostant.polyring import jet_at_one, power_sums, unpack_fields
+from qkostant import NonRationalResult, QPoly, Root5, closedform, polyring, stats
+from qkostant.kronecker import unpack_fields
+from qkostant.polyring import jet_at_one, power_sums
 
 rng = random.Random(20210)
 
@@ -110,6 +113,62 @@ def test_unpack_fields_round_trip():
         for width in {top.bit_length(), -(-top.bit_length() // 8) * 8}:
             packed = QPoly(coeffs)(2 ** width)
             assert unpack_fields(packed, width) == coeffs, (coeffs, width)
+
+
+def _double_loop(a, b):
+    """The product of two coefficient sequences, schoolbook, trailing zeros dropped."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def test_property_product_matches_double_loop():
+    # lengths on both sides of the packing threshold, signed coefficients up
+    # to about 600 bits, zeros inside and at either end, and squares of one
+    # object (a * a), which pack one factor and square it
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    n = polyring._PACKED_MIN_LEN
+    big = 1 << 600
+    coeff = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-big, big))
+    coeffs = st.integers(1, 3 * n).flatmap(lambda k: st.lists(coeff, min_size=k, max_size=k))
+    low_zeros = [0] * n + [-big, 5, 0, -1]
+    negative_top = [big - 1] * n + [-big]
+    # n * m * m, the middle coefficient of [m] * n times itself, is the size
+    # bound itself and fills 24 bits, so its field needs a 25th for the sign
+    m = math.isqrt(((1 << 24) - 1) // n)
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(coeffs, coeffs, st.booleans())
+    @hypothesis.example(low_zeros, negative_top + [0, 0], False)
+    @hypothesis.example(negative_top, low_zeros, True)
+    @hypothesis.example([1] * (n - 1), [-1] * n, False)
+    @hypothesis.example([m] * n, [-m] * n, False)
+    @hypothesis.example([-m] * n, [], True)
+    def check(a, b, square):
+        x, y = QPoly(a), QPoly(b)
+        if square:
+            y = x
+        assert (x * y).coeffs == _double_loop(x.coeffs, y.coeffs)
+
+    check()
+
+
+def test_surd_square_matches_product_with_a_copy():
+    # x * x takes the three-product squaring path, x * copy(x) the general one
+    qs = closedform._QSurd
+    long = QPoly(range(-20, 21))
+    for x in (Root5(3, -2), Root5(Fraction(1, 3), Fraction(-5, 7)), Root5(0, 4), Root5(-6),
+              qs(QPoly((2, 2, 1)), QPoly((0, 1))), qs(long, QPoly((1, -1))), qs(QPoly(), long),
+              closedform._TWO_BETA_PLUS ** 40):
+        y = copy.copy(x)
+        assert y is not x and y == x
+        square = x * x
+        assert square == x * y and type(square) is type(x), x
 
 
 def test_power_sums_and_jet():
