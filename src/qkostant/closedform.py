@@ -91,7 +91,7 @@ class SupportSpec(Record):
     Placement rules enforced at construction:
 
     * indices strictly increasing and nonconsecutive (gaps of at least 2),
-    * every extra count is a positive int,
+    * every index and extra count is an int (not a bool), every extra positive,
     * type A: indices stay strictly inside [2, rank-1],
     * types B/C/D: rank >= 5 always, indices strictly inside [2, rank-3].
     """
@@ -100,13 +100,11 @@ class SupportSpec(Record):
 
     def __init__(self, lie_type: str, rank: int, entries: tuple):
         validate_type_rank(lie_type, rank)
-        entries = tuple((int(i), int(c)) for i, c in entries)
-        if lie_type != "A" and rank < 5:
-            raise InvalidSupport(
-                f"type {lie_type} product-form weights need rank >= 5, got {rank}"
-            )
+        entries = tuple((i, c) for i, c in entries)
+        if not all(isinstance(x, int) and not isinstance(x, bool) for e in entries for x in e):
+            raise TypeError("support indices and extras must be ints")
+        hi = _interior_end(lie_type, rank)
         last = None
-        hi = rank - 1 if lie_type == "A" else rank - 3
         for i, c in entries:
             if c < 1:
                 raise InvalidSupport(f"extra count at index {i} must be >= 1, got {c}")
@@ -131,6 +129,13 @@ class SupportSpec(Record):
     def total_extra(self) -> int:
         """Total extra copies over the base weight (m in the exponent)."""
         return sum(c for _, c in self.entries)
+
+
+def _interior_end(lie_type: str, rank: int) -> int:
+    """Last index a bump may take; B/C/D have no bump weights below rank 5."""
+    if lie_type != "A" and rank < 5:
+        raise InvalidSupport(f"type {lie_type} product-form weights need rank >= 5, got {rank}")
+    return rank - 1 if lie_type == "A" else rank - 3
 
 
 def weight_of(spec: SupportSpec) -> Weight:
@@ -163,10 +168,10 @@ def iter_support_specs(lie_type, rank, max_bumps=2, max_extra=3):
     """All valid specs with at most max_bumps bumped indices, each bumped by
     1..max_extra, in a fixed deterministic order."""
     validate_type_rank(lie_type, rank)
-    if lie_type != "A" and rank < 5:
+    try:
+        interior = range(2, _interior_end(lie_type, rank) + 1)
+    except InvalidSupport:  # no bump weights at this rank
         return
-    hi = rank - 1 if lie_type == "A" else rank - 3
-    interior = range(2, hi + 1)
     for ell in range(max_bumps + 1):
         for idxs in itertools.combinations(interior, ell):
             if any(b - a < 2 for a, b in zip(idxs, idxs[1:])):

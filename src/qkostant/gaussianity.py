@@ -64,14 +64,14 @@ def normal_cdf(x: float) -> float:
 
 
 def _central_moments(g: QPoly):
-    """(g(1), mean, m2, m3, m4) with everything after g(1) an exact Fraction."""
+    """(g(1), mean, m2, m3, m4), each moment m_j one exact Fraction over
+    g(1)**j: g(1)**j * m_j is an integer polynomial in the power sums."""
     g1, e1, e2, e3, e4 = power_sums(g.coeffs, 4)
-    mu = Fraction(e1, g1)
-    r2, r3, r4 = Fraction(e2, g1), Fraction(e3, g1), Fraction(e4, g1)
-    m2 = r2 - mu * mu
-    m3 = r3 - 3 * mu * r2 + 2 * mu ** 3
-    m4 = r4 - 4 * mu * r3 + 6 * mu * mu * r2 - 3 * mu ** 4
-    return g1, mu, m2, m3, m4
+    n2 = e2 * g1 - e1 * e1
+    n3 = (e3 * g1 - 3 * e1 * e2) * g1 + 2 * e1 ** 3
+    n4 = ((e4 * g1 - 4 * e1 * e3) * g1 + 6 * e1 * e1 * e2) * g1 - 3 * e1 ** 4
+    return (g1, Fraction(e1, g1), Fraction(n2, g1 * g1), Fraction(n3, g1 ** 3),
+            Fraction(n4, g1 ** 4))
 
 
 def _log_mgfs(coeffs, g1: int, t_grid, mu_f: float, sigma_f: float) -> list:

@@ -14,30 +14,28 @@ sums.  The fold order groups the roots below the target in blocks by their
 first support index, last block first, and takes each block in descending
 lexicographic order: the system's sorted listing with each block reversed.
 
-Live coordinates.  A coordinate is live once some root folded so far (this
-one included) has it in its support; every other coordinate is pinned to
-0.  A cell with a nonzero coordinate outside that support is still 0, and
-so is the cell it would read from, which shares that coordinate, so
-skipping it leaves every sum unchanged in any root order.  Every simple
-root below the target is folded, so the last live box is the whole box.
-
-Finished coordinates.  The fold is read only at its members' cells: the
-target, or every target qanalogs reads from it.  A coordinate k is
-finished at a root when neither that root nor any later one has k in its
-support.  Every later update reads w - beta with beta_k = 0, so a cell
-outside the members' range [min m_k, max m_k] never feeds one inside it,
-and from there on each root sweeps k only over that range, intersected
-with the live range.  In the fold order, the last block finishes a
-coordinate with nearly every root: in A_r its roots (1, .., 1, 0, .., 0)
-come longest first, each finishes the coordinate after its support, and
-the all-ones weight sweeps 2**r - 1 cells in all.  A root takes the
-finished ranges only when they give no more runs than the live ranges
-alone; they never hold more cells, so no root sweeps more of either.
+Sweep boxes.  Each root sweeps one box of cells.  A coordinate is live
+once some root folded so far (this one included) has it in its support,
+and finished at a root when neither that root nor any later one has it in
+its support.  A coordinate that is not live yet is pinned to 0: a cell
+with a nonzero coordinate outside that support is still 0, and so is the
+cell it would read from, which shares that coordinate.  The fold is read
+only at its members' cells: the target, or every target qanalogs reads
+from it.  Every update after k is finished reads w - beta with beta_k = 0,
+so a cell outside the members' range [min m_k, max m_k] never feeds one
+inside it, and a finished coordinate is swept only over that range.  A
+live coordinate that is not finished is swept over [root_k, target_k]:
+below root_k a cell would read outside the box.  So skipping the cells
+outside the box leaves every sum unchanged in any root order.  In the fold
+order, the last block finishes a coordinate with nearly every root: in A_r
+its roots (1, .., 1, 0, .., 0) come longest first, each finishes the
+coordinate after its support, and the all-ones weight sweeps 2**r - 1
+cells in all.
 
 Runs.  A root's swept cells are updated a run at a time, not a cell at a
-time.  The run spans the longest suffix of coordinates where the root is 0
-and which are swept at full extent, together with the coordinate before
-that suffix when the root is 0 there too (swept over part of its extent:
+time.  The run spans the longest suffix of coordinates swept at full extent,
+where the root is therefore 0, together with the coordinate before that
+suffix when the root is 0 there too (swept over part of its extent:
 pinned, or a finished range).  Its cells are contiguous, so the whole run
 is one slice update t[a:b] = map(add, t[a:b], t[a-d:b-d]) with
 d = sum_i root_i * strides[i].  Let L be the last coordinate in the root's
@@ -52,9 +50,9 @@ is live already or has extent 1: a root with no finished coordinate does
 its work in a few long runs.  Any other order gives the same sums in
 shorter runs.  A run of one cell is the scalar step t[a] += t[a-d]
 instead of a slice update, which builds two slices and a map for it and
-costs about ten times as much: every root whose support reaches the last
-coordinate has only one-cell runs (L is the last coordinate, strides[L] is
-1), and in a verify request they are over half of all runs.
+costs about ten times as much: every root that is nonzero at the last
+coordinate (strides[L] is 1) or sweeps it over one value has only
+one-cell runs, and in a verify request they are over half of all runs.
 
 For speed the polynomial at each cell is Kronecker-packed into a single
 Python integer (coefficient of q**k occupies the bit field [k*W, (k+1)*W)),
@@ -90,7 +88,7 @@ from collections import defaultdict
 from functools import reduce
 from itertools import compress, repeat
 from math import prod
-from operator import add, and_, lshift, mul, sub
+from operator import add, and_, lshift, mul
 
 from .errors import DimensionMismatch, FoldTooLarge
 from .kronecker import unpack_fields
@@ -210,24 +208,19 @@ def _plan(roots, box, members):
             finishing.setdefault(touching[-1] + 1, []).append(k)
     lo = [min(c) for c in zip(*members)]
     hi = [max(c) + 1 for c in zip(*members)]
-    # Each root's live box: full extent on the live coordinates, extent 1
-    # (pinned to 0) on the rest; and on the finished ones, the members'
-    # range [lo, hi).
-    live, flo, fhi = [1] * n, [0] * n, sizes[:]
-    narrowed = False  # whether some finished range is short of its full extent
+    # Each root's sweep box [floor, ceil): pinned to 0 on the coordinates not
+    # live yet, full extent on the live ones, and the members' range
+    # [lo, hi) on the finished ones.
+    floor, ceil = [0] * n, [1] * n
     plan = []
     for j, root in enumerate(roots):
         for k in starting.get(j, ()):
-            live[k] = sizes[k]
+            ceil[k] = sizes[k]
         for k in finishing.get(j, ()):
-            flo[k], fhi[k] = lo[k], hi[k]
-            narrowed = narrowed or hi[k] - lo[k] < sizes[k]
-        low, high, run = _runs(root, root, live, sizes, strides)
-        if narrowed:
-            fin = _runs(root, list(map(max, root, flo)), list(map(min, live, fhi)),
-                        sizes, strides)
-            if prod(map(sub, fin[1], fin[0])) <= prod(map(sub, high, low)):
-                low, high, run = fin
+            floor[k], ceil[k] = lo[k], hi[k]
+        # A finished coordinate is 0 in the root and an unfinished one has
+        # floor 0, so root + floor is the box's low corner.
+        low, high, run = _runs(root, list(map(add, root, floor)), ceil, sizes, strides)
         plan.append((sum(map(mul, root, strides)), _cell_indices(low, high, strides), run))
     return plan, prod(sizes)
 
@@ -240,7 +233,7 @@ def _runs(root, low, high, sizes, strides):
     all but the first span their full extent.
     """
     m = len(sizes)
-    while not root[m - 1] and not low[m - 1] and high[m - 1] == sizes[m - 1]:
+    while not low[m - 1] and high[m - 1] == sizes[m - 1]:
         m -= 1
     low, high, run = low[:m], high[:m], strides[m - 1]
     if not root[m - 1]:  # the run's first coordinate, swept only in part

@@ -62,6 +62,10 @@ def test_spec_rejects_bad_patterns():
         SupportSpec("A", 8, ((5, 1), (3, 1)))  # out of order
     with pytest.raises(InvalidSupport):
         SupportSpec("A", 8, ((3, 0),))  # zero extra
+    # int() would read 2.7 as 2 or True as 1: a different weight
+    for entries in (((2.7, 1.9),), (("3", True),), ((3, 1.0),), ((True, 1),), ((3, False),)):
+        with pytest.raises(TypeError):
+            SupportSpec("A", 7, entries)
 
 
 def test_weight_of_and_counters():

@@ -18,7 +18,7 @@ from qkostant import (
     explicit_qpoly,
     qanalog,
 )
-from qkostant.kostant import _fold, _plan, _roots_below, qanalogs
+from qkostant.kostant import _fold, _fold_cells, _plan, _roots_below, qanalogs
 
 rng = random.Random(977)
 
@@ -277,8 +277,16 @@ def test_fold_runs_match_a_per_cell_fold():
             for w in all_weights(r, 2):
                 roots = [root for root in system.positive_roots
                          if all(a <= b for a, b in zip(root, w))]
-                for order in (roots, roots[::-1], _roots_below(system, w)):
+                orders = (roots, roots[::-1], _roots_below(system, w))
+                for order in orders:
                     assert _fold(order, w) == per_cell_fold(order, w), (t, r, w, order)
+                # members one short of w on one coordinate each: a finished
+                # coordinate of size 3 is swept over [1, 2] only, so its
+                # runs start partway along it, or shrink to one cell
+                members = [w] + [w[:k] + (c - 1,) + w[k + 1:] for k, c in enumerate(w) if c]
+                want = [per_cell_fold(roots, m) for m in members]
+                for order in orders:
+                    assert _fold_cells(order, w, members) == want, (t, r, w, order)
 
 
 def test_fold_order_keeps_blocks_and_descends_inside_each():
@@ -314,7 +322,7 @@ _ORACLE_FOLD_TARGETS = (
 )
 
 
-def test_finished_ranges_never_sweep_more_runs_or_cells(monkeypatch):
+def test_finished_ranges_never_sweep_more_cells(monkeypatch):
     from qkostant import kostant, verify
     from qkostant.closedform import SupportSpec, weight_of
 
@@ -332,14 +340,19 @@ def test_finished_ranges_never_sweep_more_runs_or_cells(monkeypatch):
         system = build_root_system(t, r)
         w = system.highest_root if support is None else weight_of(SupportSpec(t, r, support))
         folds.append((_roots_below(system, w), w, (w,)))
+    work = []  # (cells, runs) swept by each fold
     for roots, box, targets in folds:
         # members spanning the whole box finish no coordinate short of it
         unfinished, _ = _plan(roots, box, ((0,) * len(box), box))
         finished, _ = _plan(roots, box, targets)
         for root, (_, starts, run), (_, plain_starts, plain_run) in zip(
                 roots, finished, unfinished):
-            assert len(starts) <= len(plain_starts), (box, root)
             assert len(starts) * run <= len(plain_starts) * plain_run, (box, root)
+        work.append((sum(len(starts) * run for _, starts, run in finished),
+                     sum(len(starts) for _, starts, _ in finished)))
+    # the plans are deterministic: verify's 23 folds, then the oracle targets
+    assert tuple(map(sum, zip(*work[:23]))) == (54852, 11372)
+    assert tuple(map(sum, zip(*work[23:]))) == (632927, 16552)
 
 
 def _small_weights():
