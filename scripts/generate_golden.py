@@ -101,6 +101,7 @@ CLI_ARGV = (
     ("verify", "--max-rank", "8"),
     ("verify", "--max-rank", "8", "--format", "csv"),
     ("verify", "--max-rank", "8", "--format", "json"),
+    ("verify", "--max-rank", "10", "--format", "json"),
 )
 
 

@@ -12,7 +12,12 @@ for byte: JSON is an envelope {schema_version, command, parameters,
 payload} serialized with sorted keys, CSV a header row with minimal
 RFC-style quoting and "\n" line endings, text (verify only) one line per
 check.  There is one rounding rule: every float is rounded through %.12g
-where it is computed (_round), so CSV and JSON print the same value.
+where it is computed (_round), so CSV and JSON print the same value.  Exact
+fractions stay Fractions in the record, and _emit writes each as
+numerator/denominator.  CPython refuses to convert an int of over 4300
+digits to text (sys.set_int_max_str_digits), and exact output can be longer
+(the B11000 variance), so main lifts that limit while _emit writes and
+restores the caller's value after.  Argument parsing keeps the limit.
 
 Every request is a fresh process, so start-up counts: the module level
 imports only what the parser needs, and each subcommand imports the layers
@@ -123,7 +128,8 @@ class _Output(Record):
 
 def _cell(v):
     """One CSV cell: %.12g floats, true/false, an empty None, comma-joined
-    int sequences; anything else as it is."""
+    int sequences, ints and strings as they are, and any other value, a
+    Fraction, as numerator/denominator."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -132,7 +138,9 @@ def _cell(v):
         return ""
     if isinstance(v, tuple):
         return ",".join(map(str, v))
-    return v
+    if isinstance(v, (int, str)):
+        return v
+    return _fmt_frac(v)
 
 
 def _emit(fmt: str, command: str, out: _Output) -> None:
@@ -142,7 +150,7 @@ def _emit(fmt: str, command: str, out: _Output) -> None:
 
         print(json.dumps({"schema_version": SCHEMA_VERSION, "command": command,
                           "parameters": out.params, "payload": out.payload},
-                         indent=2, sort_keys=True))
+                         indent=2, sort_keys=True, default=_fmt_frac))
     elif fmt == "csv":
         import csv
 
@@ -262,12 +270,12 @@ def _cmd_stats(args) -> _Output:
     closed_mean, closed_var = (m.as_fraction() for m in closed_moments(args.lie_type, args.rank))
     params = {"type": args.lie_type, "rank": args.rank}
     payload = {
-        "mean": _fmt_frac(pair.mean),
+        "mean": pair.mean,
         "mean_float": _round(float(pair.mean)),
-        "variance": _fmt_frac(pair.variance),
+        "variance": pair.variance,
         "variance_float": _round(float(pair.variance)),
-        "closed_mean": _fmt_frac(closed_mean),
-        "closed_variance": _fmt_frac(closed_var),
+        "closed_mean": closed_mean,
+        "closed_variance": closed_var,
         "mean_agrees": closed_mean == pair.mean,
         "variance_agrees": closed_var == pair.variance,
         "note": TYPE_B_VARIANCE_NOTE if args.lie_type == "B" else "",
@@ -288,8 +296,8 @@ def _cmd_converge(args) -> _Output:
         {
             "family": s.family,
             "rank": s.rank,
-            "mean": _fmt_frac(s.mean),
-            "variance": _fmt_frac(s.variance),
+            "mean": s.mean,
+            "variance": s.variance,
             "ks_distance": _round(s.ks_distance),
             "skewness": _round(s.skewness),
             "excess_kurtosis": _round(s.excess_kurtosis),
@@ -341,7 +349,12 @@ def main(argv=None) -> int:
     except KostantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    _emit(args.format, args.command, out)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        _emit(args.format, args.command, out)
+    finally:
+        sys.set_int_max_str_digits(limit)
     return out.code
 
 

@@ -244,10 +244,10 @@ def _runs(root, low, high, sizes, strides):
 
 def _cell_indices(low, high, strides):
     """Packed indices of the cells low <= w < high, ascending."""
-    idxs = [0]
+    idxs = [sum(map(mul, low, strides))]
     for a, b, st in zip(low, high, strides):
-        if a or b != 1:  # a coordinate pinned to 0 adds nothing
-            offsets = range(a * st, b * st, st)
+        if b - a != 1:  # a coordinate swept over one value only shifts the start
+            offsets = range(0, (b - a) * st, st)
             idxs = [base + off for base in idxs for off in offsets]
     return idxs
 

@@ -7,22 +7,36 @@ token, see stats.TYPE_B_VARIANCE_NOTE); everything else is strict.
 
 run_all(max_rank) drives the whole suite and is what the CLI's verify
 subcommand prints.  Identical inputs produce byte-identical reports.  It
-computes each polynomial once: the checks read tables built before the first
-check runs, except for the polynomials only one check needs (the type-A rows
-of chain-identity-A and the pinned values of fixed-examples).  The bump-weight
-tables (oracle and product polynomials) are lists aligned with the
-list of specs, so no check hashes a spec, and a weight's label ("A7 ((2,
-1),)") is built only when its case fails.
+computes each distinct polynomial once: the checks read tables built before
+the first check runs, except for the polynomials only one check needs (the
+type-A rows of chain-identity-A and the pinned values of fixed-examples).
+The bump-weight tables (oracle and product polynomials) are lists aligned
+with the list of specs, so no check hashes a spec, and a weight's label ("A7
+((2, 1),)") is built only when its case fails.  The product form reads only
+(rank, bump count, total extra), so it and its moments are computed once per
+such key: 46 times for the 461 bump weights at max rank 8.
 
 Every fold runs in the max-rank system of its type.  The positive roots of
 X_R that vanish on alpha_1..alpha_{R-r} are the positive roots of X_r on the
 remaining diagram (Bourbaki, Lie Groups and Lie Algebras, Ch. VI), and every
 positive root is a nonnegative combination of simple roots, so padding a
 rank-r weight w with R - r leading zeros gives K_{X_R}(0, ..., 0, w) =
-K_{X_r}(w), coefficient for coefficient.  So the bump weights of each type
-are read from one kostant.qanalogs call at max_rank, as are the B/C/D
-highest roots of each family, and each call folds once per maximal padded
-weight: no fold is larger than one requested weight's own box.
+K_{X_r}(w), coefficient for coefficient.  So every bump weight is read from
+a kostant.qanalogs call at max_rank, as are the B/C/D highest roots (one call
+per family), and each call folds once per maximal padded weight: no fold is
+larger than one requested weight's own box.
+
+K(w) reads only the roots below w, so two systems with the same roots below
+a weight give it the same polynomial.  The types whose roots below the join
+(componentwise max) of their padded bump weights are the same list, as
+kostant._roots_below computes it, share one qanalogs call over the union of
+their weights.  Every root of B_R or C_R with a coefficient 2 has a 2 at
+alpha_R (B) or alpha_{R-1} (C), where every padded bump weight is 1, so the
+roots below their weights are A_R's: A, B and C share one call, and D, whose
+fork roots differ, has its own (17 folds at max rank 8 instead of 23).  The
+grouping key is the computed list, not that theorem, so a type whose roots
+below its join differed would get its own call, and each type reads only
+its own call's polynomials.
 """
 
 from __future__ import annotations
@@ -42,7 +56,7 @@ from .closedform import (
     weight_of,
 )
 from .errors import RankTooSmall
-from .kostant import check_target, qanalog, qanalogs
+from .kostant import _roots_below, check_target, qanalog, qanalogs
 from .polyring import QPoly
 from .rootsys import LIE_TYPES, MIN_RANK, build_root_system, highest_root, positive_root_count
 from .stats import (
@@ -170,21 +184,41 @@ def run_all(max_rank: int = 8):
     highest = [(t, r) for t, r in systems if t != "A"]
     specs = list(_spec_suite(max_rank))
 
-    # Each polynomial is computed once; the checks below read these tables.
-    def nested(t, targets):
-        """qanalogs in type t's max-rank system, each target padded to it."""
-        return qanalogs(build_root_system(t, max_rank),
-                        [(0,) * (max_rank - len(w)) + w for w in targets])
+    # Each distinct polynomial is computed once; the checks below read these
+    # tables.
+    def pad(w):
+        return (0,) * (max_rank - len(w)) + w
 
     # The bump-weight tables are lists aligned with specs, which holds each
-    # type's specs together: one qanalogs call per type fills oracle in order.
-    oracle, folds = [], {}
+    # type's specs together.  Types with the same roots below the join of
+    # their padded weights share one qanalogs call and one table; a type
+    # reads only its own root set's table.
+    shared = {}  # roots below a join -> (the first such system, weight -> poly)
+    by_type = []  # (the table a type reads, its padded weights in spec order)
     for t, group in groupby(specs, key=lambda s: s.lie_type):
-        oracle.extend(nested(t, [weight_of(s) for s in group]))
+        weights = [pad(weight_of(s)) for s in group]
+        system = build_root_system(t, max_rank)
+        key = tuple(_roots_below(system, tuple(map(max, zip(*weights)))))
+        table = shared.setdefault(key, (system, {}))[1]
+        table.update(dict.fromkeys(weights))
+        by_type.append((table, weights))
+    for system, table in shared.values():
+        weights = list(table)
+        table.update(zip(weights, qanalogs(system, weights)))
+    oracle = [table[w] for table, weights in by_type for w in weights]
+    folds = {}
     for t in "BCD":
         keys = [key for key in highest if key[0] == t]
-        folds.update(zip(keys, nested(t, [highest_root(*key) for key in keys])))
-    product = [product_qpoly(s) for s in specs]
+        folds.update(zip(keys, qanalogs(build_root_system(t, max_rank),
+                                        [pad(highest_root(*key)) for key in keys])))
+    # The product form and its moments read only (rank, bumps, extra).
+    form_keys = [(s.rank, s.bump_count, s.total_extra) for s in specs]
+    forms = {}  # key -> (product form, do its moments match the form's)
+    for s, key in zip(specs, form_keys):
+        if key not in forms:
+            g = product_qpoly(s)
+            forms[key] = g, product_moments(s) == moments_from_poly(g)
+    product = [forms[key] for key in form_keys]
     # the all-ones weight of A_r is the A_r bump weight with no bumps
     chain = {s.rank: g for s, g in zip(specs, oracle) if s.lie_type == "A" and not s.entries}
     # The B/C/D highest-root gf and explicit polynomials from each family's
@@ -208,7 +242,7 @@ def run_all(max_rank: int = 8):
         _check("chain-identity-A", [
             (f"A{r}", chain[r] == explicit_qpoly("A", r)) for r in range(1, max_rank + 1)
         ], f"ranks 1..{max_rank}"),
-        _check("product-vs-oracle", [(s, g == p) for s, g, p in zip(specs, oracle, product)],
+        _check("product-vs-oracle", [(s, g == p) for s, g, (p, _) in zip(specs, oracle, product)],
                f"{len(specs)} bump weights", _spec_label),
         _check("total-counts", [
             (s, g(1) == 2 ** (s.rank - 1 - 2 * s.bump_count) * 5 ** s.bump_count)
@@ -220,9 +254,8 @@ def run_all(max_rank: int = 8):
         ], f"oracle=gf=explicit, {len(highest)} highest roots"),
         _check("gf-vs-explicit", [(f"{t}{r}", gf[t, r] == explicit[t, r]) for t, r in gf],
                f"{len(gf)} ranks up to {top}"),
-        _check("product-moments", [
-            (s, product_moments(s) == moments_from_poly(g)) for s, g in zip(specs, product)
-        ], f"{len(specs)} bump weights", _spec_label),
+        _check("product-moments", [(s, ok) for s, (_, ok) in zip(specs, product)],
+               f"{len(specs)} bump weights", _spec_label),
         _check("closed-mean", [
             (f"{t}{r}", mean.as_fraction() == pair.mean)
             for (t, r), ((mean, _), pair) in moments.items()

@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: output bytes, JSON schema, exit codes."""
 
+import csv
 import hashlib
+import io
 import json
 import math
 import pathlib
@@ -380,14 +382,12 @@ def test_verify_over_budget_max_rank_refused_before_any_check(capsys, monkeypatc
     assert err.startswith("error: lattice fold over")
 
 
-def test_verify_folds_each_maximal_weight_once(monkeypatch):
+def _record_verify_calls(monkeypatch):
+    """Record run_all's qanalogs calls as (type, rank, targets), the box of
+    every fold, and every spec product_qpoly is called on."""
     from qkostant import kostant, verify
 
-    folded, calls, boxes, products, explicits = [], [], [], [], []
-
-    def counting_qanalog(system, target):
-        folded.append((system.lie_type, system.rank, tuple(target)))
-        return qanalog(system, target)
+    calls, boxes, products = [], [], []
 
     def counting_qanalogs(system, targets):
         targets = [tuple(w) for w in targets]
@@ -402,48 +402,106 @@ def test_verify_folds_each_maximal_weight_once(monkeypatch):
         products.append(spec)
         return closedform.product_qpoly(spec)
 
+    fold_cells = kostant._fold_cells
+    monkeypatch.setattr(verify, "qanalogs", counting_qanalogs)
+    monkeypatch.setattr(kostant, "_fold_cells", counting_fold_cells)
+    monkeypatch.setattr(verify, "product_qpoly", counting_product)
+    return calls, boxes, products
+
+
+def test_verify_folds_each_maximal_weight_once(monkeypatch):
+    for max_rank, fold_count, form_count in ((5, 7, 19), (8, 17, 46)):
+        with monkeypatch.context() as patch:
+            _check_verify_folds(patch, max_rank, fold_count, form_count)
+
+
+def _check_verify_folds(monkeypatch, max_rank, fold_count, form_count):
+    from qkostant import verify
+
+    folded, explicits = [], []
+
+    def counting_qanalog(system, target):
+        folded.append((system.lie_type, system.rank, tuple(target)))
+        return qanalog(system, target)
+
     def counting_explicit(lie_type, rank):
         explicits.append((lie_type, rank))
         return closedform.explicit_qpoly(lie_type, rank)
 
-    fold_cells = kostant._fold_cells
+    calls, boxes, products = _record_verify_calls(monkeypatch)
     monkeypatch.setattr(verify, "qanalog", counting_qanalog)
-    monkeypatch.setattr(verify, "qanalogs", counting_qanalogs)
-    monkeypatch.setattr(kostant, "_fold_cells", counting_fold_cells)
-    monkeypatch.setattr(verify, "product_qpoly", counting_product)
     monkeypatch.setattr(verify, "explicit_qpoly", counting_explicit)
-    verify.run_all(5)
+    verify.run_all(max_rank)
     # the only single-target fold is the pinned B2 example
     assert folded == [("B", 2, (1, 2))]
-    # one qanalogs call per Lie type for the bump weights, then one per B/C/D
-    # family for the highest roots, all in the rank-5 system
+    # one qanalogs call per distinct set of roots below the bump weights: the
+    # A, B and C bump weights have the same roots below them and share A's
+    # call, D's have their own; then one call per B/C/D family for the
+    # highest roots, all in the max-rank system
     assert [(t, r) for t, r, _ in calls] == [
-        ("A", 5), ("B", 5), ("C", 5), ("D", 5), ("B", 5), ("C", 5), ("D", 5)]
+        ("A", max_rank), ("D", max_rank), ("B", max_rank), ("C", max_rank), ("D", max_rank)]
 
     def padded(weight):
-        return (0,) * (5 - len(weight)) + weight
+        return (0,) * (max_rank - len(weight)) + weight
 
-    specs = list(verify._spec_suite(5))
-    bump_calls = [(t, w) for t, _, targets in calls[:4] for w in targets]
-    # every padded bump weight is requested exactly once
-    assert sorted(bump_calls) == sorted(
-        (s.lie_type, padded(closedform.weight_of(s))) for s in specs)
-    assert len(set(bump_calls)) == len(bump_calls)
-    assert [(t, targets) for t, _, targets in calls[4:]] == [
-        (t, [padded(highest_root(t, r)) for r in range(MIN_RANK[t], 6)]) for t in "BCD"]
-    # one fold per maximal weight, each over one requested weight's own
-    # box: eight of them, and one more for the pinned B2 example
-    assert len(boxes) == 8 + 1
+    specs = list(verify._spec_suite(max_rank))
+    # every padded bump weight is requested exactly once, in the call of its
+    # type's root set
+    for (_, _, targets), types in zip(calls[:2], ("ABC", "D")):
+        assert len(set(targets)) == len(targets)
+        assert set(targets) == {
+            padded(closedform.weight_of(s)) for s in specs if s.lie_type in types}
+    assert [(t, targets) for t, _, targets in calls[2:]] == [
+        (t, [padded(highest_root(t, r)) for r in range(MIN_RANK[t], max_rank + 1)])
+        for t in "BCD"]
+    # one fold per maximal weight, each over one requested weight's own box,
+    # and one more for the pinned B2 example
+    assert len(boxes) == fold_count
     requested = {w for _, _, targets in calls for w in targets}
     assert set(boxes) <= requested | {(1, 2)}
-    # every bump weight's product form is computed once
-    assert sorted(products, key=repr) == sorted(specs, key=repr)
+    # the product form is computed once per (rank, bumps, extra)
+    keys = [(s.rank, s.bump_count, s.total_extra) for s in products]
+    assert len(keys) == len(set(keys)) == form_count
+    assert set(keys) == {(s.rank, s.bump_count, s.total_extra) for s in specs}
     # every highest root's explicit polynomial is computed once, apart from
     # the pinned A3 example
     assert {key for key in explicits if explicits.count(key) > 1} == {("A", 3)}
-    assert set(explicits) == {("A", r) for r in range(1, 6)} | {
-        (t, r) for t, lo in (("B", 2), ("C", 1), ("D", 4)) for r in range(lo, 11)
+    assert set(explicits) == {("A", r) for r in range(1, max_rank + 1)} | {
+        (t, r) for t, lo in (("B", 2), ("C", 1), ("D", 4))
+        for r in range(lo, 2 * max_rank + 1)
     }
+
+
+def test_verify_folds_a_different_root_set_on_its_own(monkeypatch):
+    # C5 without its simple root alpha_1 has other roots below the join of
+    # its bump weights than A5: its bump weights get their own qanalogs call
+    # and are read from that system's folds, where every one of them fails
+    from qkostant import RootSystem, verify
+
+    real = verify.build_root_system
+
+    def c5_without_alpha_1(lie_type, rank):
+        system = real(lie_type, rank)
+        if (lie_type, rank) != ("C", 5):
+            return system
+        roots = tuple(root for root in system.positive_roots if root != (1, 0, 0, 0, 0))
+        return RootSystem("C", 5, roots, system.highest_root)
+
+    calls, _, _ = _record_verify_calls(monkeypatch)
+    monkeypatch.setattr(verify, "build_root_system", c5_without_alpha_1)
+    results = verify.run_all(5)
+    assert [t for t, _, _ in calls] == ["A", "C", "D", "B", "C", "D"]
+    assert sorted(calls[1][2]) == sorted(
+        closedform.weight_of(s) for s in closedform.iter_support_specs("C", 5))
+    c5_specs = "C5 (); C5 ((2, 1),); C5 ((2, 2),); C5 ((2, 3),)"
+    assert [(c.name, c.status, c.detail) for c in results if c.status != "PASS"] == [
+        ("root-counts", "FAIL", "C5: 24 != 25"),
+        ("product-vs-oracle", "FAIL", c5_specs),
+        ("total-counts", "FAIL", c5_specs),
+        ("route-agreement", "FAIL", "C5"),
+        ("closed-variance-B", "WARN",
+         f"{TYPE_B_VARIANCE_NOTE}; corrected reading matches the gf route at 4 ranks"),
+    ]
 
 
 def test_verify_budget_check_allocates_nothing_per_rank():
@@ -467,7 +525,8 @@ _WARN_B = (
     "closed-variance-B", "WARN",
     f"{TYPE_B_VARIANCE_NOTE}; corrected reading matches the gf route at 7 ranks",
 )
-_A7_SPECS = "A7 (); A7 ((2, 1),); A7 ((2, 2),); A7 ((2, 3),) (+66 more)"
+# the first four of the 127 rank-7 specs of A, B, C and D
+_RANK7_SPECS = "A7 (); A7 ((2, 1),); A7 ((2, 2),); A7 ((2, 3),) (+123 more)"
 
 
 def _wrong_explicit(lie_type, rank):
@@ -477,7 +536,9 @@ def _wrong_explicit(lie_type, rank):
 
 
 def _wrong_product(spec):
-    if (spec.lie_type, spec.rank) == ("A", 7):
+    # the product form reads no type, so verify computes it once per
+    # (rank, bumps, extra) and a wrong form fails every type at its rank
+    if spec.rank == 7:
         return QPoly((0, 9))
     return closedform.product_qpoly(spec)
 
@@ -510,8 +571,8 @@ _VERIFY_FAULTS = [
         _WARN_B,
     ]),
     ("verify", "product_qpoly", _wrong_product, [
-        ("product-vs-oracle", "FAIL", _A7_SPECS),
-        ("product-moments", "FAIL", _A7_SPECS),
+        ("product-vs-oracle", "FAIL", _RANK7_SPECS),
+        ("product-moments", "FAIL", _RANK7_SPECS),
         _WARN_B,
     ]),
     ("verify", "closed_moments", _wrong_closed_moments, [
@@ -533,19 +594,28 @@ _VERIFY_FAULTS = [
 def test_verify_checks_fail_on_injected_faults(monkeypatch, module, name, fault, expected):
     from qkostant import verify
 
+    assert sum(s.rank == 7 for s in verify._spec_suite(8)) == 127
     monkeypatch.setattr({"verify": verify, "closedform": closedform}[module], name, fault)
     results = verify.run_all(8)
     assert [(c.name, c.status, c.detail) for c in results if c.status != "PASS"] == expected
 
 
-@pytest.mark.parametrize("spec", [
-    closedform.SupportSpec("A", 7, ((3, 2),)),
-    closedform.SupportSpec("C", 8, ((2, 1), (4, 3))),
-], ids=repr)
-def test_verify_reads_each_oracle_polynomial_at_its_spec(monkeypatch, spec):
-    # one padded bump weight comes back from its fold wrong by one count:
-    # exactly the two checks that read the oracle table fail, each naming
-    # that weight and no other
+@pytest.mark.parametrize("spec, system_type, failing", [
+    pytest.param(spec, system_type, failing, id=repr(spec))
+    for spec, system_type, failing in (
+        (closedform.SupportSpec("A", 7, ((3, 2),)), "A", "ABC"),
+        (closedform.SupportSpec("C", 8, ((2, 1), (4, 3))), "A", "ABC"),
+        (closedform.SupportSpec("A", 7, ((6, 1),)), "A", "A"),
+        (closedform.SupportSpec("D", 7, ((3, 2),)), "D", "D"),
+    )
+])
+def test_verify_reads_each_oracle_polynomial_at_its_spec(monkeypatch, spec, system_type,
+                                                         failing):
+    # one padded bump weight comes back from the fold of its root set wrong
+    # by one count: A, B and C share a root set, so exactly the specs of
+    # those types with that weight fail, in the two checks that read the
+    # oracle table, and the same weight of D, folded in D's own system,
+    # fails only D's spec
     from qkostant import kostant, verify
 
     wrong = (0,) * (8 - spec.rank) + closedform.weight_of(spec)
@@ -553,13 +623,13 @@ def test_verify_reads_each_oracle_polynomial_at_its_spec(monkeypatch, spec):
     def one_wrong(system, targets):
         targets = [tuple(w) for w in targets]
         polys = kostant.qanalogs(system, targets)
-        if system.lie_type != spec.lie_type or wrong not in targets:
+        if system.lie_type != system_type or wrong not in targets:
             return polys
         return tuple(g + 1 if w == wrong else g for w, g in zip(targets, polys))
 
     monkeypatch.setattr(verify, "qanalogs", one_wrong)
     results = verify.run_all(8)
-    label = f"{spec.lie_type}{spec.rank} {spec.entries}"
+    label = "; ".join(f"{t}{spec.rank} {spec.entries}" for t in failing)
     assert [(c.name, c.status, c.detail) for c in results if c.status != "PASS"] == [
         ("product-vs-oracle", "FAIL", label),
         ("total-counts", "FAIL", label),
@@ -615,6 +685,55 @@ def test_non_integer_support_entry_exits_64(capsys):
     rc, _, err = run_cli(["qpoly", "--type", "A", "--rank", "3", "--support", "2:x"], capsys)
     assert rc == 64
     assert "non-integer support entry" in err
+
+
+def test_exact_output_past_the_int_str_digit_limit(capsys):
+    # the B11000 variance has a numerator of over 4300 digits, CPython's
+    # default limit on int to text; the request still prints it and exits 0,
+    # and the caller's limit is back in force afterwards
+    limit = sys.get_int_max_str_digits()
+    rc, out, err = run_cli(["stats", "--type", "B", "--rank", "11000"], capsys)
+    assert (rc, err) == (0, "")
+    header, row = csv.reader(io.StringIO(out))
+    numerator, denominator = dict(zip(header, row))["variance"].split("/")
+    assert len(numerator) > 4300 and numerator.isdigit() and denominator.isdigit()
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.fixture
+def digit_limit_640():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_exact_output_under_a_lowered_digit_limit(capsys, digit_limit_640):
+    # the A2300 binomial row and the C1700 variance both need over 640 digits
+    rc, out, _ = run_cli(["qpoly", "--type", "A", "--rank", "2300", "--route", "explicit"],
+                         capsys)
+    assert rc == 0
+    assert sys.get_int_max_str_digits() == 640
+    header, row = out.splitlines()
+    assert header == "route,degree,coeffs,agree"
+    route_degree, coeffs, agree = row.split('"')
+    assert (route_degree, agree) == ("explicit,2300,", ",")
+    coeffs = coeffs.split(",")
+    assert len(coeffs) == 2301 and max(map(len, coeffs)) > 640
+    assert coeffs[1] == "1" and coeffs[2] == "2299"
+    rc, out, _ = run_cli(["converge", "--family", "C", "--ranks", "1700", "--format", "json"],
+                         capsys)
+    assert rc == 0
+    assert sys.get_int_max_str_digits() == 640
+    variance = check_json(out)["payload"][0]["variance"]
+    assert len(variance.split("/")[1]) > 640
+
+
+def test_overlong_rank_still_exits_64(capsys):
+    # argument parsing keeps the interpreter's digit limit
+    rc, out, err = run_cli(["stats", "--type", "B", "--rank", "7" * 5000], capsys)
+    assert (rc, out) == (64, "")
+    assert err.startswith("usage error: argument --rank: invalid int value")
 
 
 def test_input_errors_exit_2(capsys):

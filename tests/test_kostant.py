@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 import time
 
@@ -18,7 +19,14 @@ from qkostant import (
     explicit_qpoly,
     qanalog,
 )
-from qkostant.kostant import _fold, _fold_cells, _plan, _roots_below, qanalogs
+from qkostant.kostant import (
+    _cell_indices,
+    _fold,
+    _fold_cells,
+    _plan,
+    _roots_below,
+    qanalogs,
+)
 
 rng = random.Random(977)
 
@@ -335,7 +343,7 @@ def test_finished_ranges_never_sweep_more_cells(monkeypatch):
 
     monkeypatch.setattr(kostant, "_fold_cells", recording_fold_cells)
     verify.run_all(8)
-    assert len(folds) == 23
+    assert len(folds) == 17
     for t, r, support in _ORACLE_FOLD_TARGETS:
         system = build_root_system(t, r)
         w = system.highest_root if support is None else weight_of(SupportSpec(t, r, support))
@@ -350,9 +358,49 @@ def test_finished_ranges_never_sweep_more_cells(monkeypatch):
             assert len(starts) * run <= len(plain_starts) * plain_run, (box, root)
         work.append((sum(len(starts) * run for _, starts, run in finished),
                      sum(len(starts) for _, starts, _ in finished)))
-    # the plans are deterministic: verify's 23 folds, then the oracle targets
-    assert tuple(map(sum, zip(*work[:23]))) == (54852, 11372)
-    assert tuple(map(sum, zip(*work[23:]))) == (632927, 16552)
+    # the plans are deterministic: verify's 17 folds, then the oracle targets
+    assert tuple(map(sum, zip(*work[:17]))) == (42928, 9600)
+    assert tuple(map(sum, zip(*work[17:]))) == (632927, 16552)
+
+
+@pytest.mark.parametrize("lie_type, rank, cells, runs", [
+    ("B", 8, 6672, 1116), ("C", 10, 40378, 4062), ("D", 11, 79477, 5074),
+])
+def test_highest_root_plans_are_pinned(lie_type, rank, cells, runs):
+    # the (cells, runs) each single-target highest-root fold sweeps
+    system = build_root_system(lie_type, rank)
+    w = system.highest_root
+    plan, _ = _plan(_roots_below(system, w), w, (w,))
+    assert sum(len(starts) * run for _, starts, run in plan) == cells
+    assert sum(len(starts) for _, starts, _ in plan) == runs
+
+
+def test_property_cell_indices_enumerate_the_range():
+    # ascending packed indices of every cell low <= w < high, against
+    # itertools.product: coordinates pinned to 0, swept over one nonzero
+    # value, swept over part of their extent or over all of it
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def ranges(draw):
+        sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+        low = [draw(st.integers(0, n - 1)) for n in sizes]
+        high = [draw(st.integers(a + 1, n)) for a, n in zip(low, sizes)]
+        return sizes, low, high
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(ranges())
+    @hypothesis.example(([3, 1, 4, 2], [2, 0, 1, 0], [3, 1, 4, 1]))
+    @hypothesis.example(([2, 3, 3], [0, 1, 2], [1, 2, 3]))
+    def check(case):
+        sizes, low, high = case
+        strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
+        want = [sum(map(operator.mul, cell, strides))
+                for cell in itertools.product(*map(range, low, high))]
+        assert _cell_indices(low, high, strides) == want
+
+    check()
 
 
 def _small_weights():
