@@ -8,6 +8,19 @@ bad input, and should never be swallowed.
 
 from __future__ import annotations
 
+import math
+import sys
+
+
+def count_text(n: int) -> str:
+    """n >= 0 in decimal for an error message, or ~10**e past CPython's
+    int-to-text digit limit (sys.set_int_max_str_digits), a conversion that
+    costs time quadratic in the length: n is converted only at 3 bits or
+    fewer per allowed digit, so with fewer digits than the limit."""
+    if n.bit_length() <= 3 * (sys.get_int_max_str_digits() or 4300):
+        return str(n)
+    return f"~10**{round(math.log10(n))}"
+
 
 class KostantError(Exception):
     """Base class for all input-level errors raised by this package."""

@@ -27,7 +27,7 @@ from itertools import accumulate
 
 from ._record import Record
 from .closedform import SupportSpec, highest_qpoly, product_qpoly
-from .errors import DegenerateDistribution, InvalidSupport, ZeroDistribution
+from .errors import DegenerateDistribution, InvalidSupport, ZeroDistribution, count_text
 from .polyring import QPoly, power_sums
 from .rootsys import FAMILIES, LIE_TYPES, validate_type_rank
 
@@ -167,7 +167,8 @@ def _check_rank(family, rank, bumps):
         validate_type_rank("A", rank)
         if rank <= 2 * bumps:
             raise InvalidSupport(
-                f"product family with --bumps {bumps} needs rank > {2 * bumps}, got {rank}"
+                f"product family with --bumps {bumps} needs rank > "
+                f"{count_text(2 * bumps)}, got {rank}"
             )
 
 

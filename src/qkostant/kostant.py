@@ -60,8 +60,8 @@ so the inner update is one shift-and-add on native big integers.  The
 packed fold is exact integer linear arithmetic, so every cell holds its
 polynomial evaluated at q = 2**W, whatever carries cross field borders on
 the way.  Only the members' cells are decoded, and each of their
-coefficients is at most the member's plain count g(1), so a first
-integer-only sweep that computes g(1) gives a width W, the largest
+coefficients is at most the member's plain count g(1), so the same sweep
+at width 0, which computes g(1), gives a width W, the largest
 g(1).bit_length() over the members, in which the decoding is exact.
 
 Many targets.  qanalogs serves a list of targets from one fold per maximal
@@ -90,7 +90,7 @@ from itertools import compress, repeat
 from math import prod
 from operator import add, and_, lshift, mul
 
-from .errors import DimensionMismatch, FoldTooLarge
+from .errors import DimensionMismatch, FoldTooLarge, count_text
 from .kronecker import unpack_fields
 from .polyring import QPoly
 from .rootsys import RootSystem, Weight
@@ -159,7 +159,8 @@ def check_target(rank: int, target) -> Weight:
         cells = prod(c + 1 for c in target)
         if cells > MAX_FOLD_CELLS:
             raise FoldTooLarge(
-                f"lattice fold over {cells} cells exceeds the budget of {MAX_FOLD_CELLS}"
+                f"lattice fold over {count_text(cells)} cells exceeds the budget of "
+                f"{MAX_FOLD_CELLS}"
             )
     return target
 
@@ -167,12 +168,13 @@ def check_target(rank: int, target) -> Weight:
 def count_decompositions(system: RootSystem, target) -> int:
     """Number of multisets of positive roots summing to the target.
 
-    Runs the plain count sweep alone, with no packed sweep.
+    Runs the fold's sweep once, at width 0, with no packed sweep.
     """
     target = check_target(system.rank, target)
     if any(c < 0 for c in target):
         return 0
-    return _count_sweep(*_plan(_roots_below(system, target), target, (target,)))[-1]
+    plan, total, _ = _plan(_roots_below(system, target), target, (target,))
+    return _sweep(plan, total, 0)[-1]
 
 
 def _roots_below(system: RootSystem, target: Weight) -> list:
@@ -192,8 +194,9 @@ def _roots_below(system: RootSystem, target: Weight) -> list:
 
 
 def _plan(roots, box, members):
-    """Each root's sweep as (delta, run starts ascending, run length), and
-    the number of cells in the box, for a fold read at the members' cells."""
+    """Each root's sweep as (delta, run starts ascending, run length), the
+    number of cells in the box and the members' packed indices, for a fold
+    read at the members' cells."""
     n = len(box)
     sizes = [t + 1 for t in box]
     strides = [prod(sizes[i + 1:]) for i in range(n)]
@@ -222,7 +225,7 @@ def _plan(roots, box, members):
         # floor 0, so root + floor is the box's low corner.
         low, high, run = _runs(root, list(map(add, root, floor)), ceil, sizes, strides)
         plan.append((sum(map(mul, root, strides)), _cell_indices(low, high, strides), run))
-    return plan, prod(sizes)
+    return plan, prod(sizes), [sum(map(mul, m, strides)) for m in members]
 
 
 def _runs(root, low, high, sizes, strides):
@@ -252,49 +255,10 @@ def _cell_indices(low, high, strides):
     return idxs
 
 
-def _count_sweep(plan, total):
-    """Plain decomposition count of every cell of the box."""
-    counts = [0] * total
-    counts[0] = 1
-    for delta, starts, run in plan:
-        if run == 1:
-            for a in starts:
-                counts[a] += counts[a - delta]
-            continue
-        for a in starts:
-            b = a + run
-            counts[a:b] = map(add, counts[a:b], counts[a - delta:b - delta])
-    return counts
-
-
-def _fold(roots, target):
-    """Coefficient list of the part-count polynomial for the target."""
-    return _fold_cells(roots, target, (target,))[0]
-
-
-def _cell(target, box):
-    """Packed index of the target's cell in the box prod_i [0, box_i]."""
-    idx = 0
-    for c, b in zip(target, box):
-        idx = idx * (b + 1) + c
-    return idx
-
-
-def _fold_cells(roots, box, targets):
-    """Coefficient list of each target's polynomial, from one fold over the
-    box, which holds every target."""
-    plan, total = _plan(roots, box, targets)
-    cells = [_cell(t, box) for t in targets]
-    # Sweep 1: plain counts.  Each target's count bounds every coefficient
-    # of its polynomial; the largest gives the packing width.
-    counts = _count_sweep(plan, total)
-    width = max(counts[c] for c in cells).bit_length()
-    del counts
-    if not width:
-        return [[] for _ in cells]
-
-    # Sweep 2: same fold with each cell's polynomial packed into one int;
-    # multiplying by q is a shift by one field.
+def _sweep(plan, total, width):
+    """Every cell of the box after the fold: its plain count at width 0, its
+    polynomial packed at q = 2**width otherwise (multiplying by q is a
+    shift by one field)."""
     table = [0] * total
     table[0] = 1
     widths = repeat(width)
@@ -305,7 +269,23 @@ def _fold_cells(roots, box, targets):
             continue
         for a in starts:
             b = a + run
-            table[a:b] = map(add, table[a:b], map(lshift, table[a - delta:b - delta], widths))
-    packed = [table[c] for c in cells]
-    del table
+            src = table[a - delta:b - delta]
+            table[a:b] = map(add, table[a:b], map(lshift, src, widths) if width else src)
+    return table
+
+
+def _fold_cells(roots, box, targets):
+    """Coefficient list of each target's polynomial, from one fold over the
+    box, which holds every target."""
+    plan, total, cells = _plan(roots, box, targets)
+    # Sweep 1: plain counts.  Each target's count bounds every coefficient
+    # of its polynomial; the largest gives the packing width.
+    counts = _sweep(plan, total, 0)
+    width = max(counts[c] for c in cells).bit_length()
+    del counts
+    if not width:
+        return [[] for _ in cells]
+    # Sweep 2: the same fold with each cell's polynomial packed into one int;
+    # the table is freed before the members are decoded.
+    packed = list(map(_sweep(plan, total, width).__getitem__, cells))
     return [unpack_fields(p, width) for p in packed]

@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ._record import Record
-from .errors import ListingTooLarge, RankTooSmall
+from .errors import ListingTooLarge, RankTooSmall, count_text
 
 LIE_TYPES = ("A", "B", "C", "D")
 
@@ -72,7 +72,8 @@ def check_listing(lie_type: str, rank: int) -> None:
     entries = rank * positive_root_count(lie_type, rank)
     if entries > MAX_LISTING_ENTRIES:
         raise ListingTooLarge(
-            f"root listing of {entries} entries exceeds the budget of {MAX_LISTING_ENTRIES}"
+            f"root listing of {count_text(entries)} entries exceeds the budget of "
+            f"{MAX_LISTING_ENTRIES}"
         )
 
 

@@ -736,6 +736,34 @@ def test_overlong_rank_still_exits_64(capsys):
     assert err.startswith("usage error: argument --rank: invalid int value")
 
 
+_N4000, _N4300 = "9" * 4000, "9" * 4300
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["qpoly", "--type", "A", "--rank", "3", "--weight", ",".join([_N4000] * 3)],
+     "lattice fold over ~10**12000 cells exceeds the budget of 4194304"),
+    (["roots", "--type", "A", "--rank", _N4000],
+     "root listing of ~10**12000 entries exceeds the budget of 1048576"),
+    (["converge", "--family", "product", "--ranks", "10", "--bumps", _N4300],
+     f"product family with --bumps {_N4300} needs rank > ~10**4300, got 10"),
+], ids=["qpoly", "roots", "converge"])
+def test_refused_count_past_the_int_str_digit_limit(capsys, argv, message):
+    # the refused count has over 4300 digits, CPython's default limit on int
+    # to text, so the message gives its order of magnitude instead
+    start = time.perf_counter()
+    rc, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_count_text_writes_out_only_ints_inside_the_digit_limit(digit_limit_640):
+    from qkostant.errors import count_text
+
+    assert count_text(9565938) == "9565938"
+    assert count_text(2 ** 1920 - 1) == str(2 ** 1920 - 1)  # 578 digits
+    assert count_text(2 ** 1920) == "~10**578"
+
+
 def test_input_errors_exit_2(capsys):
     cases = [
         ["roots", "--type", "C", "--rank", "1"],
@@ -794,6 +822,9 @@ _IMPORT_CASES = [
       "fractions", "decimal"}),
     # a closed route loads neither the lattice fold nor fractions
     (["qpoly", "--type", "C", "--rank", "20", "--route", "explicit"],
+     {"qkostant.kostant", "qkostant.stats", "qkostant.gaussianity", "qkostant.verify",
+      "qkostant.holonomic", "fractions", "decimal"}),
+    (["qpoly", "--type", "B", "--rank", "12", "--route", "gf"],
      {"qkostant.kostant", "qkostant.stats", "qkostant.gaussianity", "qkostant.verify",
       "qkostant.holonomic", "fractions", "decimal"}),
     (["stats", "--type", "C", "--rank", "6"],

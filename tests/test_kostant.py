@@ -21,12 +21,13 @@ from qkostant import (
 )
 from qkostant.kostant import (
     _cell_indices,
-    _fold,
     _fold_cells,
     _plan,
     _roots_below,
+    _sweep,
     qanalogs,
 )
+from qkostant.kronecker import unpack_fields
 
 rng = random.Random(977)
 
@@ -248,14 +249,14 @@ def test_fold_width_fits_a_coefficient_equal_to_the_count():
     # two 2-part decompositions and no others: g = 2q^2, so g(1) = 2 needs
     # the whole 2-bit field
     roots = [(0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 0, 0)]
-    assert _fold(roots, (1, 1, 1, 1)) == [0, 0, 2]
+    assert _fold_cells(roots, (1, 1, 1, 1), ((1, 1, 1, 1),))[0] == [0, 0, 2]
 
 
 def per_cell_fold(roots, target):
     """The lattice fold one cell at a time on a dict of coefficient lists.
 
     Cells are visited in ascending lexicographic order, which is the packed
-    order _fold uses, so each root's geometric series is realized in place.
+    order _fold_cells uses, so each root's geometric series is realized in place.
     """
     cells = list(itertools.product(*(range(t + 1) for t in target)))
     table = {cell: [] for cell in cells}
@@ -287,7 +288,8 @@ def test_fold_runs_match_a_per_cell_fold():
                          if all(a <= b for a, b in zip(root, w))]
                 orders = (roots, roots[::-1], _roots_below(system, w))
                 for order in orders:
-                    assert _fold(order, w) == per_cell_fold(order, w), (t, r, w, order)
+                    assert _fold_cells(order, w, (w,))[0] == per_cell_fold(order, w), (
+                        t, r, w, order)
                 # members one short of w on one coordinate each: a finished
                 # coordinate of size 3 is swept over [1, 2] only, so its
                 # runs start partway along it, or shrink to one cell
@@ -295,6 +297,34 @@ def test_fold_runs_match_a_per_cell_fold():
                 want = [per_cell_fold(roots, m) for m in members]
                 for order in orders:
                     assert _fold_cells(order, w, members) == want, (t, r, w, order)
+
+
+def test_sweep_at_width_0_sums_the_fields_of_the_packed_sweep():
+    # one loop serves both sweeps: at every member's cell of a multi-member
+    # plan, the count is the sum of the packed polynomial's fields, and both
+    # agree with the per-cell fold; each plan finishes coordinates short of
+    # the box and has slice runs and one-cell runs (in a highest root's box
+    # the last root in ascending order touches every coordinate, so nothing
+    # finishes; a 0 at coordinate 2 splits the box)
+    for t, w in (("B", (1, 0, 1, 3, 3)), ("C", (1, 0, 2, 2, 3)), ("D", (1, 0, 1, 2, 3))):
+        r = len(w)
+        system = build_root_system(t, r)
+        members = [w] + [w[:k] + (c - 1,) + w[k + 1:] for k, c in enumerate(w) if c]
+        roots = [root for root in system.positive_roots
+                 if all(a <= b for a, b in zip(root, w))]
+        for order in (roots, roots[::-1], _roots_below(system, w)):
+            plan, total, cells = _plan(order, w, members)
+            unfinished, _, _ = _plan(order, w, ((0,) * r, w))
+            assert (sum(len(starts) * run for _, starts, run in plan)
+                    < sum(len(starts) * run for _, starts, run in unfinished)), (t, order)
+            assert {run == 1 for _, _, run in plan} == {True, False}, (t, order)
+            counts = _sweep(plan, total, 0)
+            width = max(counts[c] for c in cells).bit_length()
+            packed = _sweep(plan, total, width)
+            for m, c in zip(members, cells):
+                want = per_cell_fold(order, m)
+                assert unpack_fields(packed[c], width) == want, (t, m, order)
+                assert counts[c] == sum(want), (t, m, order)
 
 
 def test_fold_order_keeps_blocks_and_descends_inside_each():
@@ -315,7 +345,7 @@ def test_a_all_ones_sweeps_one_cell_less_than_its_box():
     # cell alone once the coordinates after its support are finished
     for r in range(1, 13):
         w = (1,) * r
-        plan, total = _plan(_roots_below(build_root_system("A", r), w), w, (w,))
+        plan, total, _ = _plan(_roots_below(build_root_system("A", r), w), w, (w,))
         assert total == 2 ** r
         assert sum(len(starts) * run for _, starts, run in plan) == 2 ** r - 1
 
@@ -351,8 +381,8 @@ def test_finished_ranges_never_sweep_more_cells(monkeypatch):
     work = []  # (cells, runs) swept by each fold
     for roots, box, targets in folds:
         # members spanning the whole box finish no coordinate short of it
-        unfinished, _ = _plan(roots, box, ((0,) * len(box), box))
-        finished, _ = _plan(roots, box, targets)
+        unfinished, _, _ = _plan(roots, box, ((0,) * len(box), box))
+        finished, _, _ = _plan(roots, box, targets)
         for root, (_, starts, run), (_, plain_starts, plain_run) in zip(
                 roots, finished, unfinished):
             assert len(starts) * run <= len(plain_starts) * plain_run, (box, root)
@@ -370,7 +400,7 @@ def test_highest_root_plans_are_pinned(lie_type, rank, cells, runs):
     # the (cells, runs) each single-target highest-root fold sweeps
     system = build_root_system(lie_type, rank)
     w = system.highest_root
-    plan, _ = _plan(_roots_below(system, w), w, (w,))
+    plan, _, _ = _plan(_roots_below(system, w), w, (w,))
     assert sum(len(starts) * run for _, starts, run in plan) == cells
     assert sum(len(starts) for _, starts, _ in plan) == runs
 
@@ -443,7 +473,7 @@ def test_property_fold_is_independent_of_root_order():
         roots = [root for root in build_root_system(t, r).positive_roots
                  if all(a <= b for a, b in zip(root, w))]
         shuffled = data.draw(st.permutations(roots))
-        assert _fold(shuffled, w) == _fold(roots, w)
+        assert _fold_cells(shuffled, w, (w,)) == _fold_cells(roots, w, (w,))
 
     check()
 
