@@ -19,13 +19,15 @@ Four alternatives to the lattice-fold oracle live here:
   D = 5 (at q = 1 the two extensions coincide): it takes the real part of
   (A + B*s) * (2*beta_plus)**e for the family numerator pair (A, B) and
   divides it by 2**e * (q**2+4), checking that both divisions are exact
-  instead of assuming it.  Its cost is the surd power: about log2(e)
-  squarings of three QPoly products each, and a four-product step per
-  further set bit of e.  The parts grow to about 2e coefficients of up to
-  about 1.4e bits, and QPoly multiplies two such long parts as one
+  instead of assuming it.  Its cost is the surd power, taken left to
+  right: about log2(e) squarings of three QPoly products each, and per set
+  bit of e one four-product step by the short 2*beta_plus.  The parts grow
+  to about 2e coefficients of up to about 1.4e bits, and QPoly multiplies
+  two such long parts, which meet only in a squaring, as one
   Kronecker-packed big-integer product (kronecker.packed_product).  In
-  process C161 takes 14-20 ms, and B800 and D800 about 2 s each (2-core
-  machine; 27-44 ms and 5-6 s on the schoolbook product).
+  process C161 takes 11-13 ms, D500 0.18-0.28 s and B800 0.8-1.2 s (2-core
+  machine; 12-20 ms, 0.3-0.5 s and 1.5-2.2 s with the power taken right to
+  left).
 * the holonomic route (behind highest_qpoly): the same highest-root
   polynomial from the linear recurrence its coefficients satisfy.  It and
   its tables live in the holonomic module, which only a B/C/D

@@ -22,7 +22,8 @@ lattice fold and the gf sweep also use).  A short factor stays on the
 schoolbook double loop.
 
 Surd.__mul__ squares in three products, (a*a + D*b*b, 2*a*b), when both
-operands are the same object, as _power's squarings are.
+operands are the same object, as _power's squarings are; _power runs left
+to right, so its other steps multiply by the base itself.
 
 power_sums gives the exact sums of k**j * c_k (j = 0..top) that every
 moment computation reads, and jet_at_one turns its first three sums into
@@ -359,16 +360,15 @@ class Root5(Surd):
 
 
 def _power(base, n: int, one):
-    """base**n by square-and-multiply, starting from one; n is an int >= 0."""
+    """base**n from one by left-to-right square-and-multiply, so every
+    multiply step is by base itself; n is an int >= 0."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("exponent must be a nonnegative int")
     result = one
-    while n:
-        if n & 1:
+    for bit in bin(n)[2:]:
+        result = result * result
+        if bit == "1":
             result = result * base
-        n >>= 1
-        if n:
-            base = base * base
     return result
 
 

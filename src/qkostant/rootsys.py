@@ -19,11 +19,10 @@ which makes it deterministic.
 
 Every coordinate lies in {0, 1, 2} and supports are contiguous except for
 the D-type fork vectors e_i + e_r, which skip alpha_{r-1}.
+build_root_system keeps no cache: verify builds each of its systems once.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from ._record import Record
 from .errors import ListingTooLarge, RankTooSmall, count_text
@@ -129,9 +128,6 @@ class RootSystem(Record):
         return f"RootSystem({self.lie_type}{self.rank}, {self.count} positive roots)"
 
 
-# verify --max-rank m builds 4m - 6 distinct systems, so 64 serves every max
-# rank the fold budget admits (up to 14) without building one twice.
-@lru_cache(maxsize=64)
 def build_root_system(lie_type: str, rank: int) -> RootSystem:
     """Construct the positive system, sorted lexicographically."""
     validate_type_rank(lie_type, rank)

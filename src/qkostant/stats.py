@@ -15,8 +15,9 @@ are rational and are computed here by three routes that must agree:
 * closed_moments: for the highest root of each family, closed expressions
   in Q(sqrt(5)) built from powers of 5 +/- sqrt(5).  Root5 keeps integer
   parts integers, so (5 +/- sqrt(5))**r and the products built from them
-  stay in plain ints until the first division.  The surd parts cancel for
-  every family, leaving rationals.
+  stay in plain ints, and each moment is one numerator over one
+  denominator: one Q(sqrt(5)) division per moment.  The surd parts cancel
+  for every family, leaving rationals.
 
 The closed-form variance for family B carries one documented correction:
 its denominator token is evaluated as (5 - 3*sqrt(5)), matching the
@@ -33,7 +34,6 @@ from ._record import Record
 from .errors import ZeroDistribution
 from .polyring import QPoly, Root5, jet_at_one
 from .rootsys import validate_type_rank
-from .closedform import SupportSpec
 
 
 class MomentPair(Record):
@@ -110,32 +110,27 @@ def closed_moments(lie_type: str, rank: int):
         mean_den = (Root5(5, -3) * lo + Root5(5, 3) * hi) * 5
         mean = mean_num / mean_den
         d = (Root5(5, -3) * lo + Root5(5, 3) * hi) ** 2 * (-5)
-        t1 = (
+        return mean, (
             Root5(p20) * r * r
-            + (Root5(-182, 78) * lo2 - Root5(182, 78) * hi2 + Root5(Fraction(36 * p20, 5))) * r
+            + (Root5(-182, 78) * lo2 - Root5(182, 78) * hi2 + Root5(36 * p20 // 5)) * r
+            + Root5(146, -50) * lo2 + Root5(146, 50) * hi2 - Root5(63 * p20 // 5)
         ) / d
-        t2 = (
-            Root5(146, -50) * lo2 + Root5(146, 50) * hi2 - Root5(Fraction(63 * p20, 5))
-        ) / d
-        return mean, t1 + t2
     if lie_type == "C":
         mean = (
             (Root5(1, -1) + Root5(7, -1) * r) * lo + (Root5(1, 1) + Root5(7, 1) * r) * hi
         ) / ((lo + hi) * 10)
         d = (lo + hi) ** 2 * 25
-        t1 = (
-            Root5(Fraction(p20, 4)) * r * r
-            + ((lo2 + hi2) * 13 + Root5(Fraction(9 * p20, 5))) * r
+        return mean, (
+            Root5(p20 // 4) * r * r
+            + ((lo2 + hi2) * 13 + Root5(9 * p20 // 5)) * r
+            + Root5(-21, 4) * hi2 - Root5(21, 4) * lo2 - Root5(37 * 20 ** r)
         ) / d
-        t2 = (Root5(-21, 4) * hi2 - Root5(21, 4) * lo2 - Root5(37 * 20 ** r)) / d
-        return mean, t1 + t2
     # type D
     mean = (
         (Root5(15, -1) + Root5(-5, 7) * r) * lo + (Root5(15, 1) - Root5(5, 7) * r) * hi
     ) / (Root5(0, 10) * (lo - hi))
     d = (hi - lo) ** 2 * (-25)
-    t1 = (
-        Root5(Fraction(p20, 4)) * r * r - ((hi2 + lo2) * 13 + Root5(Fraction(p20, 5))) * r
+    return mean, (
+        Root5(p20 // 4) * r * r - ((hi2 + lo2) * 13 + Root5(p20 // 5)) * r
+        + Root5(34, -3) * hi2 + Root5(34, 3) * lo2 - Root5(23 * 20 ** r)
     ) / d
-    t2 = (Root5(34, -3) * hi2 + Root5(34, 3) * lo2 - Root5(23 * 20 ** r)) / d
-    return mean, t1 + t2

@@ -7,36 +7,35 @@ token, see stats.TYPE_B_VARIANCE_NOTE); everything else is strict.
 
 run_all(max_rank) drives the whole suite and is what the CLI's verify
 subcommand prints.  Identical inputs produce byte-identical reports.  It
-computes each distinct polynomial once: the checks read tables built before
-the first check runs, except for the polynomials only one check needs (the
-type-A rows of chain-identity-A and the pinned values of fixed-examples).
-The bump-weight tables (oracle and product polynomials) are lists aligned
-with the list of specs, so no check hashes a spec, and a weight's label ("A7
-((2, 1),)") is built only when its case fails.  The product form reads only
-(rank, bump count, total extra), so it and its moments are computed once per
-such key: 46 times for the 461 bump weights at max rank 8.
+builds each input (root system, fold, product form, gf or explicit
+polynomial) once, into tables that every check reads, fixed-examples too.
+The bump-weight tables are lists aligned with the list of specs, so no check
+hashes a spec, and a weight's label ("A7 ((2, 1),)") is built only when its
+case fails.  The product form reads only (rank, bump count, total extra), so
+it and its moments are computed once per such key: 46 times for the 461
+bump weights at max rank 8.
 
 Every fold runs in the max-rank system of its type.  The positive roots of
 X_R that vanish on alpha_1..alpha_{R-r} are the positive roots of X_r on the
 remaining diagram (Bourbaki, Lie Groups and Lie Algebras, Ch. VI), and every
 positive root is a nonnegative combination of simple roots, so padding a
 rank-r weight w with R - r leading zeros gives K_{X_R}(0, ..., 0, w) =
-K_{X_r}(w), coefficient for coefficient.  So every bump weight is read from
-a kostant.qanalogs call at max_rank, as are the B/C/D highest roots (one call
-per family), and each call folds once per maximal padded weight: no fold is
-larger than one requested weight's own box.
+K_{X_r}(w), coefficient for coefficient.  So every bump weight and B/C/D
+highest root is read from a kostant.qanalogs call at max_rank, which folds
+once per maximal padded weight, over that weight's own box.
 
 K(w) reads only the roots below w, so two systems with the same roots below
-a weight give it the same polynomial.  The types whose roots below the join
-(componentwise max) of their padded bump weights are the same list, as
-kostant._roots_below computes it, share one qanalogs call over the union of
-their weights.  Every root of B_R or C_R with a coefficient 2 has a 2 at
+a weight give it the same polynomial.  There is one fold request per type
+for its padded bump weights and one per B/C/D family for its padded highest
+roots; requests whose roots below the join (componentwise max) of their
+weights are the same list, as kostant._roots_below computes it, share one
+qanalogs call.  Every root of B_R or C_R with a coefficient 2 has a 2 at
 alpha_R (B) or alpha_{R-1} (C), where every padded bump weight is 1, so the
-roots below their weights are A_R's: A, B and C share one call, and D, whose
-fork roots differ, has its own (17 folds at max rank 8 instead of 23).  The
-grouping key is the computed list, not that theorem, so a type whose roots
-below its join differed would get its own call, and each type reads only
-its own call's polynomials.
+A, B and C bump weights share one call; D's have their own, and each
+family's highest roots, which reach all its roots, one more: 5 calls and 16
+folds at max rank 8.  The key is the computed list, not that theorem, so a
+request whose roots below its join differed would get its own call, and
+each request reads only its own call's polynomials.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from .closedform import (
     weight_of,
 )
 from .errors import RankTooSmall
-from .kostant import _roots_below, check_target, qanalog, qanalogs
+from .kostant import _roots_below, check_target, qanalogs
 from .polyring import QPoly
 from .rootsys import LIE_TYPES, MIN_RANK, build_root_system, highest_root, positive_root_count
 from .stats import (
@@ -144,20 +143,20 @@ def _check_mean_growth():
     )
 
 
-def _check_fixed_examples():
-    b2 = build_root_system("B", 2)
-    b2_poly = qanalog(b2, (1, 2))
-    c3_poly = gf_coefficient("C", 3)
-    a3_poly = explicit_qpoly("A", 3)
+def _check_fixed_examples(built, folds, gf, chain_explicit):
+    b2 = built["B", 2]
+    b2_poly = folds["B", 2]
+    c3_poly = gf["C", 3]
+    a3_poly = chain_explicit[3]
     checks = [
-        ("A3 root count", build_root_system("A", 3).count == 6),
+        ("A3 root count", built["A", 3].count == 6),
         ("B2 roots", b2.positive_roots == ((0, 1), (1, 0), (1, 1), (1, 2))),
-        ("D4 root count", build_root_system("D", 4).count == 12),
+        ("D4 root count", built["D", 4].count == 12),
         ("C3 highest root", highest_root("C", 3) == (2, 2, 1)),
         ("B4 highest root", highest_root("B", 4) == (1, 2, 2, 2)),
         ("B2 highest-root poly", b2_poly == QPoly((0, 1, 1, 1))),
         ("C3 gf poly", c3_poly == QPoly((0, 1, 2, 4, 2, 1))),
-        ("D4 gf poly", gf_coefficient("D", 4) == QPoly((0, 1, 4, 6, 3, 1))),
+        ("D4 gf poly", gf["D", 4] == QPoly((0, 1, 4, 6, 3, 1))),
         ("A3 chain poly", a3_poly == QPoly((0, 1, 2, 1))),
         ("A3 stats", moments_from_poly(a3_poly) == MomentPair(2, Fraction(1, 2))),
         ("B2 stats", moments_from_poly(b2_poly) == MomentPair(2, Fraction(2, 3))),
@@ -181,6 +180,7 @@ def run_all(max_rank: int = 8):
     for t, r in _systems(max_rank, "BCD"):
         check_target(r, highest_root(t, r))
     systems = list(_systems(max_rank))
+    built = {key: build_root_system(*key) for key in systems}
     highest = [(t, r) for t, r in systems if t != "A"]
     specs = list(_spec_suite(max_rank))
 
@@ -189,28 +189,28 @@ def run_all(max_rank: int = 8):
     def pad(w):
         return (0,) * (max_rank - len(w)) + w
 
-    # The bump-weight tables are lists aligned with specs, which holds each
-    # type's specs together.  Types with the same roots below the join of
-    # their padded weights share one qanalogs call and one table; a type
-    # reads only its own root set's table.
+    # One fold request per type for its padded bump weights, in spec order,
+    # then one per B/C/D family for its padded highest roots, in ascending
+    # rank.  Requests with the same roots below the join of their weights
+    # share one qanalogs call and one table; each reads only its own table.
+    requests = [(t, [pad(weight_of(s)) for s in group])
+                for t, group in groupby(specs, key=lambda s: s.lie_type)]
+    requests += [(t, [pad(highest_root(*key)) for key in group])
+                 for t, group in groupby(highest, key=lambda key: key[0])]
     shared = {}  # roots below a join -> (the first such system, weight -> poly)
-    by_type = []  # (the table a type reads, its padded weights in spec order)
-    for t, group in groupby(specs, key=lambda s: s.lie_type):
-        weights = [pad(weight_of(s)) for s in group]
-        system = build_root_system(t, max_rank)
+    reads = []  # (the table a request reads, its padded weights)
+    for t, weights in requests:
+        system = built[t, max_rank]
         key = tuple(_roots_below(system, tuple(map(max, zip(*weights)))))
         table = shared.setdefault(key, (system, {}))[1]
         table.update(dict.fromkeys(weights))
-        by_type.append((table, weights))
+        reads.append((table, weights))
     for system, table in shared.values():
         weights = list(table)
         table.update(zip(weights, qanalogs(system, weights)))
-    oracle = [table[w] for table, weights in by_type for w in weights]
-    folds = {}
-    for t in "BCD":
-        keys = [key for key in highest if key[0] == t]
-        folds.update(zip(keys, qanalogs(build_root_system(t, max_rank),
-                                        [pad(highest_root(*key)) for key in keys])))
+    found = [table[w] for table, weights in reads for w in weights]
+    # oracle is aligned with specs, which holds each type's specs together
+    oracle, folds = found[:len(specs)], dict(zip(highest, found[len(specs):]))
     # The product form and its moments read only (rank, bumps, extra).
     form_keys = [(s.rank, s.bump_count, s.total_extra) for s in specs]
     forms = {}  # key -> (product form, do its moments match the form's)
@@ -221,6 +221,7 @@ def run_all(max_rank: int = 8):
     product = [forms[key] for key in form_keys]
     # the all-ones weight of A_r is the A_r bump weight with no bumps
     chain = {s.rank: g for s, g in zip(specs, oracle) if s.lie_type == "A" and not s.entries}
+    chain_explicit = {r: explicit_qpoly("A", r) for r in range(1, max_rank + 1)}
     # The B/C/D highest-root gf and explicit polynomials from each family's
     # first explicit rank up to the extended rank.
     top = _EXTENDED_FACTOR * max_rank
@@ -230,17 +231,17 @@ def run_all(max_rank: int = 8):
             gf[t, r], explicit[t, r] = gf_coefficient(t, r), explicit_qpoly(t, r)
     moments = {(t, r): (closed_moments(t, r), moments_from_poly(gf[t, r])) for t, r in highest}
     cd_ranks = sum(1 for t, _ in highest if t in "CD")
-    counts = [(t, r, build_root_system(t, r).count, positive_root_count(t, r)) for t, r in systems]
+    counts = [(t, r, built[t, r].count, positive_root_count(t, r)) for t, r in systems]
     return [
         _check("root-counts", [(f"{t}{r}: {n} != {want}", n == want) for t, r, n, want in counts],
                f"{len(systems)} systems up to rank {max_rank}"),
         _check("highest-root-membership", [
-            (f"{t}{r}: highest root not in listing", highest_root(t, r) in build_root_system(t, r))
+            (f"{t}{r}: highest root not in listing", highest_root(t, r) in built[t, r])
             for t, r in systems
         ], f"{len(systems)} systems"),
-        _check_fixed_examples(),
+        _check_fixed_examples(built, folds, gf, chain_explicit),
         _check("chain-identity-A", [
-            (f"A{r}", chain[r] == explicit_qpoly("A", r)) for r in range(1, max_rank + 1)
+            (f"A{r}", chain[r] == chain_explicit[r]) for r in range(1, max_rank + 1)
         ], f"ranks 1..{max_rank}"),
         _check("product-vs-oracle", [(s, g == p) for s, g, (p, _) in zip(specs, oracle, product)],
                f"{len(specs)} bump weights", _spec_label),

@@ -410,13 +410,13 @@ def _record_verify_calls(monkeypatch):
 
 
 def test_verify_folds_each_maximal_weight_once(monkeypatch):
-    for max_rank, fold_count, form_count in ((5, 7, 19), (8, 17, 46)):
+    for max_rank, fold_count, form_count in ((5, 6, 19), (8, 16, 46)):
         with monkeypatch.context() as patch:
             _check_verify_folds(patch, max_rank, fold_count, form_count)
 
 
 def _check_verify_folds(monkeypatch, max_rank, fold_count, form_count):
-    from qkostant import verify
+    from qkostant import kostant, verify
 
     folded, explicits = [], []
 
@@ -429,11 +429,12 @@ def _check_verify_folds(monkeypatch, max_rank, fold_count, form_count):
         return closedform.explicit_qpoly(lie_type, rank)
 
     calls, boxes, products = _record_verify_calls(monkeypatch)
-    monkeypatch.setattr(verify, "qanalog", counting_qanalog)
+    monkeypatch.setattr(kostant, "qanalog", counting_qanalog)
     monkeypatch.setattr(verify, "explicit_qpoly", counting_explicit)
     verify.run_all(max_rank)
-    # the only single-target fold is the pinned B2 example
-    assert folded == [("B", 2, (1, 2))]
+    # no single-target fold: the pinned B2 example reads the B highest-root
+    # table
+    assert folded == []
     # one qanalogs call per distinct set of roots below the bump weights: the
     # A, B and C bump weights have the same roots below them and share A's
     # call, D's have their own; then one call per B/C/D family for the
@@ -454,18 +455,16 @@ def _check_verify_folds(monkeypatch, max_rank, fold_count, form_count):
     assert [(t, targets) for t, _, targets in calls[2:]] == [
         (t, [padded(highest_root(t, r)) for r in range(MIN_RANK[t], max_rank + 1)])
         for t in "BCD"]
-    # one fold per maximal weight, each over one requested weight's own box,
-    # and one more for the pinned B2 example
+    # one fold per maximal weight, each over one requested weight's own box
     assert len(boxes) == fold_count
     requested = {w for _, _, targets in calls for w in targets}
-    assert set(boxes) <= requested | {(1, 2)}
+    assert set(boxes) <= requested
     # the product form is computed once per (rank, bumps, extra)
     keys = [(s.rank, s.bump_count, s.total_extra) for s in products]
     assert len(keys) == len(set(keys)) == form_count
     assert set(keys) == {(s.rank, s.bump_count, s.total_extra) for s in specs}
-    # every highest root's explicit polynomial is computed once, apart from
-    # the pinned A3 example
-    assert {key for key in explicits if explicits.count(key) > 1} == {("A", 3)}
+    # every explicit polynomial is computed once
+    assert {key for key in explicits if explicits.count(key) > 1} == set()
     assert set(explicits) == {("A", r) for r in range(1, max_rank + 1)} | {
         (t, r) for t, lo in (("B", 2), ("C", 1), ("D", 4))
         for r in range(lo, 2 * max_rank + 1)

@@ -179,7 +179,7 @@ def test_gf_negative_coefficient_fails_loudly(monkeypatch, fam, k, entry, rank, 
         gf_coefficient(fam, rank)
 
 
-def test_gf_list_sweep_matches_per_rank_calls():
+def test_highest_qpoly_matches_gf_and_explicit_at_shuffled_ranks():
     # highest_qpoly serves every rank at or above the Lie minimum as gf does
     for fam in "BCD":
         ranks = list(range(0, 60, 3)) + [7, 7, 41, 0, 120]

@@ -171,6 +171,27 @@ def test_surd_square_matches_product_with_a_copy():
         assert square == x * y and type(square) is type(x), x
 
 
+def test_explicit_power_packs_only_its_long_squarings(monkeypatch):
+    # _power runs left to right, so every multiply step is by the short
+    # 2*beta_plus and only a squaring multiplies two long parts: three packed
+    # products for each squaring of (2*beta_plus)**k with k >= 8, the powers
+    # whose parts have at least 16 coefficients.  e = 160 squares four such
+    # powers (k = 10, 20, 40, 80) and e = 798 six (k = 12, 24, 49, 99, 199, 399).
+    calls = []
+    packed = polyring.packed_product
+
+    def counting_packed(a, b):
+        calls.append((len(a), len(b)))
+        return packed(a, b)
+
+    monkeypatch.setattr(polyring, "packed_product", counting_packed)
+    for lie_type, rank, products in (("C", 161, 12), ("B", 800, 18)):
+        calls.clear()
+        g = closedform.explicit_qpoly(lie_type, rank)
+        assert len(calls) == products, (lie_type, rank)
+    assert g(1) == closedform.highest_jet("B", 800)[0]
+
+
 def test_power_sums_and_jet():
     assert power_sums([], 4) == [0] * 5
     assert jet_at_one(()) == (0, 0, 0)

@@ -142,16 +142,18 @@ def test_sorted_and_deterministic():
         assert again.positive_roots == system.positive_roots
 
 
-def test_root_system_cache_is_bounded_and_serves_verify():
+def test_verify_builds_each_system_once(monkeypatch):
     from qkostant import verify
 
-    info = build_root_system.cache_info()
-    assert info.maxsize is not None and info.maxsize >= 32
-    build_root_system.cache_clear()
+    built = []
+
+    def counting_build(lie_type, rank):
+        built.append((lie_type, rank))
+        return build_root_system(lie_type, rank)
+
+    monkeypatch.setattr(verify, "build_root_system", counting_build)
     verify.run_all(8)
-    info = build_root_system.cache_info()
-    # every miss built a distinct system and none was evicted and built again
-    assert info.misses == info.currsize == 26
+    assert len(built) == len(set(built)) == 26
 
 
 def test_rank_validation():
