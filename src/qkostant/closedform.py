@@ -27,7 +27,9 @@ Four alternatives to the lattice-fold oracle live here:
   Kronecker-packed big-integer product (kronecker.packed_product).  In
   process C161 takes 11-13 ms, D500 0.18-0.28 s and B800 0.8-1.2 s (2-core
   machine; 12-20 ms, 0.3-0.5 s and 1.5-2.2 s with the power taken right to
-  left).
+  left).  It and gf_coefficient solve one order-2 recurrence past a start
+  rank, so agreeing at two ranks there makes them agree at every rank:
+  shared_recurrence states that rule, and verify checks it.
 * the holonomic route (behind highest_qpoly): the same highest-root
   polynomial from the linear recurrence its coefficients satisfy.  It and
   its tables live in the holonomic module, which only a B/C/D
@@ -312,6 +314,17 @@ _EXPLICIT = {
     "C": ((0, 4, 0, 1), (0, 0, 1), 1),
     "D": ((0, 4, 16, 25, 16, 10, 3, 1), (0, 2, 9, 12, 8, 3, 1), 4),
 }
+
+
+def shared_recurrence() -> tuple:
+    """(holds, starts): whether 2*beta_plus, so its conjugate too, is a root of
+    y**2 - 2*S1*y + 4*S2, and per family the rank max(shift, last numerator
+    rank - 1) past which explicit_qpoly and gf_coefficient then both solve
+    x_r = S1*x_{r-1} - S2*x_{r-2}: agreeing at ranks shift..starts[t] + 1,
+    they agree at every rank from shift on (Stanley, EC1 4.1)."""
+    (s1, s2), y = _GF_SHIFTS, _TWO_BETA_PLUS
+    starts = {t: max(shift, max(_GF_NUMERATORS[t]) - 1) for t, (_, _, shift) in _EXPLICIT.items()}
+    return y * y - 2 * s1 * y + 4 * s2 == 0, starts
 
 
 def _div_s_squared(p: QPoly, label: str) -> QPoly:

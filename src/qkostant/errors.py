@@ -47,7 +47,7 @@ class DegenerateDistribution(KostantError, ValueError):
 
 
 class FoldTooLarge(KostantError):
-    """A lattice-fold box exceeds the cell budget, so it is refused up front."""
+    """A lattice fold exceeds the cell or bit budget, so it is refused up front."""
 
 
 class ListingTooLarge(KostantError):

@@ -80,6 +80,9 @@ one-target case, whose range is the target itself.
 Boxes over MAX_FOLD_CELLS cells are refused before any table is allocated.
 Every fold's box is one target's own box, so for qanalogs the budget
 applies to each target's box and no fold allocates more than the largest.
+The packed sweep's cell w holds at most (h(w) + 1) * W bits, h(w) its
+height, so once the count sweep gives W, a fold whose cells' bounds sum
+past MAX_FOLD_BITS is refused before the packed table is allocated.
 """
 
 from __future__ import annotations
@@ -97,6 +100,8 @@ from .rootsys import RootSystem, Weight
 
 #: Largest box prod_i (target_i + 1) the lattice fold will allocate.
 MAX_FOLD_CELLS = 2 ** 22
+#: Largest bound on the bits of the packed sweep's table it will allocate.
+MAX_FOLD_BITS = 2 ** 32
 
 
 def qanalog(system: RootSystem, target) -> QPoly:
@@ -104,7 +109,8 @@ def qanalog(system: RootSystem, target) -> QPoly:
 
     Returns QPoly zero when any coordinate is negative and QPoly one for the
     zero weight (the empty multiset).  Raises FoldTooLarge when the box
-    prod_i (target_i + 1) has more than MAX_FOLD_CELLS cells.
+    prod_i (target_i + 1) has more than MAX_FOLD_CELLS cells, or its packed
+    table could hold more than MAX_FOLD_BITS bits.
     """
     return qanalogs(system, (target,))[0]
 
@@ -114,7 +120,8 @@ def qanalogs(system: RootSystem, targets) -> tuple:
     target.
 
     Every target is checked as qanalog checks it, so FoldTooLarge is raised
-    when any target's box has more than MAX_FOLD_CELLS cells, and one with a
+    when any target's box has more than MAX_FOLD_CELLS cells or a fold's
+    packed table could hold more than MAX_FOLD_BITS bits, and one with a
     negative coordinate gives QPoly zero.  The rest are de-duplicated and
     each is read from the fold of the first maximal target that dominates
     it componentwise.
@@ -285,6 +292,15 @@ def _fold_cells(roots, box, targets):
     del counts
     if not width:
         return [[] for _ in cells]
+    # Cell w's polynomial has degree <= h(w) (every root has height >= 1)
+    # and coefficients <= its count <= the top member's (adding simple roots
+    # maps decompositions one to one); h(w) averages sum(box) / 2.
+    bits = total * (sum(box) + 2) // 2 * width
+    if bits > MAX_FOLD_BITS:
+        raise FoldTooLarge(
+            f"lattice fold over {count_text(total)} cells packs up to {count_text(bits)} "
+            f"bits, exceeding the budget of {count_text(MAX_FOLD_BITS)} bits"
+        )
     # Sweep 2: the same fold with each cell's polynomial packed into one int;
     # the table is freed before the members are decoded.
     packed = list(map(_sweep(plan, total, width).__getitem__, cells))

@@ -15,6 +15,10 @@ case fails.  The product form reads only (rank, bump count, total extra), so
 it and its moments are computed once per such key: 46 times for the 461
 bump weights at max rank 8.
 
+The gf and explicit tables stop at max_rank (20 pairs at max rank 8):
+gf-vs-explicit carries their agreement to every rank by the recurrence rule
+closedform.shared_recurrence states, and fails when the rule does not hold.
+
 Every fold runs in the max-rank system of its type.  The positive roots of
 X_R that vanish on alpha_1..alpha_{R-r} are the positive roots of X_r on the
 remaining diagram (Bourbaki, Lie Groups and Lie Algebras, Ch. VI), and every
@@ -52,6 +56,7 @@ from .closedform import (
     gf_coefficient,
     iter_support_specs,
     product_qpoly,
+    shared_recurrence,
     weight_of,
 )
 from .errors import RankTooSmall
@@ -66,9 +71,6 @@ from .stats import (
     moments_from_poly,
     product_moments,
 )
-
-#: Rank reached by the pure closed-form checks, as a multiple of max_rank.
-_EXTENDED_FACTOR = 2
 
 
 class CheckResult(Record):
@@ -223,13 +225,14 @@ def run_all(max_rank: int = 8):
     chain = {s.rank: g for s, g in zip(specs, oracle) if s.lie_type == "A" and not s.entries}
     chain_explicit = {r: explicit_qpoly("A", r) for r in range(1, max_rank + 1)}
     # The B/C/D highest-root gf and explicit polynomials from each family's
-    # first explicit rank up to the extended rank.
-    top = _EXTENDED_FACTOR * max_rank
+    # first explicit rank up to max_rank; shared_recurrence carries their
+    # agreement to every rank.
     gf, explicit = {}, {}
     for t, (_, _, lo) in _EXPLICIT.items():
-        for r in range(lo, top + 1):
+        for r in range(lo, max_rank + 1):
             gf[t, r], explicit[t, r] = gf_coefficient(t, r), explicit_qpoly(t, r)
     moments = {(t, r): (closed_moments(t, r), moments_from_poly(gf[t, r])) for t, r in highest}
+    holds, starts = shared_recurrence()
     cd_ranks = sum(1 for t, _ in highest if t in "CD")
     counts = [(t, r, built[t, r].count, positive_root_count(t, r)) for t, r in systems]
     return [
@@ -253,8 +256,11 @@ def run_all(max_rank: int = 8):
             (f"{t}{r}", folds[t, r] == gf[t, r] == explicit[t, r])
             for t, r in highest
         ], f"oracle=gf=explicit, {len(highest)} highest roots"),
-        _check("gf-vs-explicit", [(f"{t}{r}", gf[t, r] == explicit[t, r]) for t, r in gf],
-               f"{len(gf)} ranks up to {top}"),
+        _check("gf-vs-explicit", [(f"{t}{r}", gf[t, r] == explicit[t, r]) for t, r in gf] + [
+            ("2*beta_plus not a root of y^2 - 2*S1*y + 4*S2", holds)] + [
+            (f"{t}: recurrence from rank {s} needs max rank {s + 1}", s + 1 <= max_rank)
+            for t, s in starts.items()
+        ], f"agree at every rank: {len(gf)} ranks up to {max_rank}, then a shared recurrence"),
         _check("product-moments", [(s, ok) for s, (_, ok) in zip(specs, product)],
                f"{len(specs)} bump weights", _spec_label),
         _check("closed-mean", [

@@ -382,6 +382,41 @@ def test_verify_over_budget_max_rank_refused_before_any_check(capsys, monkeypatc
     assert err.startswith("error: lattice fold over")
 
 
+def test_fold_bit_budget_refuses_before_the_packed_sweep(capsys, monkeypatch):
+    # B2 (1023, 1023) has 2**20 cells, inside the cell budget, but its packed
+    # table would hold up to 20401094656 bits (2.4 GiB); the count sweep
+    # alone sets the width, and nothing is allocated after it
+    import tracemalloc
+
+    from qkostant import kostant
+
+    widths = []
+
+    def traced_sweep(plan, total, width):
+        widths.append(width)
+        table = sweep(plan, total, width)
+        tracemalloc.start()
+        return table
+
+    sweep = kostant._sweep
+    monkeypatch.setattr(kostant, "_sweep", traced_sweep)
+    start = time.perf_counter()
+    try:
+        rc, out, err = run_cli(["qpoly", "--type", "B", "--rank", "2", "--weight", "1023,1023"],
+                               capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 5.0
+    assert widths == [0]
+    assert peak < 2 ** 20
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: lattice fold over 1048576 cells packs up to 20401094656 bits, exceeding the "
+        f"budget of {2 ** 32} bits\n"
+    )
+
+
 def _record_verify_calls(monkeypatch):
     """Record run_all's qanalogs calls as (type, rank, targets), the box of
     every fold, and every spec product_qpoly is called on."""
@@ -467,7 +502,7 @@ def _check_verify_folds(monkeypatch, max_rank, fold_count, form_count):
     assert {key for key in explicits if explicits.count(key) > 1} == set()
     assert set(explicits) == {("A", r) for r in range(1, max_rank + 1)} | {
         (t, r) for t, lo in (("B", 2), ("C", 1), ("D", 4))
-        for r in range(lo, 2 * max_rank + 1)
+        for r in range(lo, max_rank + 1)
     }
 
 
@@ -586,6 +621,20 @@ _VERIFY_FAULTS = [
         _WARN_B,
     ]),
 ]
+
+
+def test_verify_gf_vs_explicit_fails_when_the_recurrence_starts_past_max_rank(monkeypatch):
+    # a B numerator at rank 20 leaves gf unchanged up to rank 8, but the two
+    # routes share their recurrence only from rank 19 on, so agreement up to
+    # rank 8 carries no further
+    from qkostant import verify
+
+    monkeypatch.setitem(closedform._GF_NUMERATORS["B"], 20, QPoly((0, 1)))
+    results = verify.run_all(8)
+    assert [(c.name, c.status, c.detail) for c in results if c.status != "PASS"] == [
+        ("gf-vs-explicit", "FAIL", "B: recurrence from rank 19 needs max rank 20"),
+        _WARN_B,
+    ]
 
 
 @pytest.mark.parametrize("module, name, fault, expected", _VERIFY_FAULTS,

@@ -267,6 +267,13 @@ def test_beta_vieta_identities():
         assert beta * beta - beta * (p * 2) + c == 0
 
 
+def test_shared_recurrence_checks_the_shift_polynomials(monkeypatch):
+    assert closedform.shared_recurrence() == (True, {"B": 2, "C": 1, "D": 4})
+    # 2*beta_plus is no root once S2 is off by q^3
+    monkeypatch.setattr(closedform, "_GF_SHIFTS", (QPoly((2, 2, 1)), QPoly((1, 2, 1, 2))))
+    assert closedform.shared_recurrence()[0] is False
+
+
 def test_explicit_type_a():
     assert explicit_qpoly("A", 1) == QPoly.q()
     assert explicit_qpoly("A", 4) == QPoly.q() * QPoly((1, 1)) ** 3
