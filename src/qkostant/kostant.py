@@ -74,15 +74,26 @@ lowest bit.  Each maximal target's fold reads all its members from their
 own cells of that one table, and finishes coordinates to the members'
 range [min, max] on each coordinate.  Roots are nonnegative, so a root
 that is not below a member adds nothing to the member's cell, and folding
-the maximal target's extra roots leaves it unchanged.  qanalog is the
-one-target case, whose range is the target itself.
+the maximal target's extra roots leaves it unchanged.
+
+One target.  qanalog and count_decompositions serve one target, and the
+fold's box grows exponentially with the rank even where the coordinates
+stay small, as in the all-ones weights and highest roots.  The transfer
+module's prefix DP gives the same polynomial in time polynomial in the
+rank while the coordinates stay bounded, and its tables give a bound on
+its transitions before any pass.  They run the DP when that bound is
+below the box prod_i (target_i + 1), and fold the target, as the one-member
+case of qanalogs, otherwise: A17 all-ones bounds 578 transitions against
+131072 cells, the B8 highest root 6641 against 4374.  qanalogs always folds.
 
 Boxes over MAX_FOLD_CELLS cells are refused before any table is allocated.
 Every fold's box is one target's own box, so for qanalogs the budget
 applies to each target's box and no fold allocates more than the largest.
 The packed sweep's cell w holds at most (h(w) + 1) * W bits, h(w) its
 height, so once the count sweep gives W, a fold whose cells' bounds sum
-past MAX_FOLD_BITS is refused before the packed table is allocated.
+past MAX_FOLD_BITS is refused before the packed table is allocated.  Both
+budgets are checked on qanalog's target whichever of the fold and the DP
+runs, so a weight is refused or served the same way by either.
 """
 
 from __future__ import annotations
@@ -110,9 +121,20 @@ def qanalog(system: RootSystem, target) -> QPoly:
     Returns QPoly zero when any coordinate is negative and QPoly one for the
     zero weight (the empty multiset).  Raises FoldTooLarge when the box
     prod_i (target_i + 1) has more than MAX_FOLD_CELLS cells, or its packed
-    table could hold more than MAX_FOLD_BITS bits.
+    table could hold more than MAX_FOLD_BITS bits, whichever of the fold
+    and the transfer DP runs.
     """
-    return qanalogs(system, (target,))[0]
+    target = check_target(system.rank, target)
+    if any(c < 0 for c in target):
+        return QPoly.zero()
+    roots = _roots_below(system, target)
+    dp = _cheaper_transfer(roots, target)
+    if dp is None:
+        return QPoly(_fold_cells(roots, target, (target,))[0])
+    # The simple roots below the target sum to it, so the count is >= 1.
+    width = dp.packed(0).bit_length()
+    _check_packed_bits(target, width)
+    return QPoly(unpack_fields(dp.packed(width), width))
 
 
 def qanalogs(system: RootSystem, targets) -> tuple:
@@ -175,13 +197,28 @@ def check_target(rank: int, target) -> Weight:
 def count_decompositions(system: RootSystem, target) -> int:
     """Number of multisets of positive roots summing to the target.
 
-    Runs the fold's sweep once, at width 0, with no packed sweep.
+    Runs one pass at width 0, of the transfer DP or of the fold as qanalog
+    chooses, with no packed pass.
     """
     target = check_target(system.rank, target)
     if any(c < 0 for c in target):
         return 0
-    plan, total, _ = _plan(_roots_below(system, target), target, (target,))
+    roots = _roots_below(system, target)
+    dp = _cheaper_transfer(roots, target)
+    if dp is not None:
+        return dp.packed(0)
+    plan, total, _ = _plan(roots, target, (target,))
     return _sweep(plan, total, 0)[-1]
+
+
+def _cheaper_transfer(roots, target):
+    """The transfer DP over the roots below the target, when its transition
+    bound is below the fold's box; None otherwise."""
+    # Imported here: qanalogs always folds, so verify never loads it.
+    from .transfer import PrefixTransfer
+
+    dp = PrefixTransfer(roots, target)
+    return dp if dp.bound < prod(c + 1 for c in target) else None
 
 
 def _roots_below(system: RootSystem, target: Weight) -> list:
@@ -292,16 +329,23 @@ def _fold_cells(roots, box, targets):
     del counts
     if not width:
         return [[] for _ in cells]
+    _check_packed_bits(box, width)
+    # Sweep 2: the same fold with each cell's polynomial packed into one int;
+    # the table is freed before the members are decoded.
+    packed = list(map(_sweep(plan, total, width).__getitem__, cells))
+    return [unpack_fields(p, width) for p in packed]
+
+
+def _check_packed_bits(box, width):
+    """Raise FoldTooLarge when the packed sweep's table over the box, at
+    this width, could hold more than MAX_FOLD_BITS bits."""
     # Cell w's polynomial has degree <= h(w) (every root has height >= 1)
     # and coefficients <= its count <= the top member's (adding simple roots
     # maps decompositions one to one); h(w) averages sum(box) / 2.
+    total = prod(t + 1 for t in box)
     bits = total * (sum(box) + 2) // 2 * width
     if bits > MAX_FOLD_BITS:
         raise FoldTooLarge(
             f"lattice fold over {count_text(total)} cells packs up to {count_text(bits)} "
             f"bits, exceeding the budget of {count_text(MAX_FOLD_BITS)} bits"
         )
-    # Sweep 2: the same fold with each cell's polynomial packed into one int;
-    # the table is freed before the members are decoded.
-    packed = list(map(_sweep(plan, total, width).__getitem__, cells))
-    return [unpack_fields(p, width) for p in packed]

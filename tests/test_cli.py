@@ -417,6 +417,27 @@ def test_fold_bit_budget_refuses_before_the_packed_sweep(capsys, monkeypatch):
     )
 
 
+def test_oracle_on_a22_all_ones_runs_in_small_memory(capsys):
+    # the A22 all-ones box has 2**22 cells, the most the fold admits; the
+    # transfer DP runs instead, and each of its states holds one open root
+    import tracemalloc
+
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        rc, out, err = run_cli(["qpoly", "--type", "A", "--rank", "22", "--weight",
+                                ",".join(["1"] * 22), "--route", "oracle"], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 2.0
+    assert peak < 16 * 2 ** 20
+    assert (rc, err) == (0, "")
+    # q * (1 + q)**21
+    coeffs = ",".join(map(str, [0] + [math.comb(21, k) for k in range(22)]))
+    assert out.splitlines()[1] == f'oracle,22,"{coeffs}",'
+
+
 def _record_verify_calls(monkeypatch):
     """Record run_all's qanalogs calls as (type, rank, targets), the box of
     every fold, and every spec product_qpoly is called on."""
@@ -870,17 +891,19 @@ _IMPORT_CASES = [
       "fractions", "decimal"}),
     # a closed route loads neither the lattice fold nor fractions
     (["qpoly", "--type", "C", "--rank", "20", "--route", "explicit"],
-     {"qkostant.kostant", "qkostant.stats", "qkostant.gaussianity", "qkostant.verify",
-      "qkostant.holonomic", "fractions", "decimal"}),
+     {"qkostant.kostant", "qkostant.transfer", "qkostant.stats", "qkostant.gaussianity",
+      "qkostant.verify", "qkostant.holonomic", "fractions", "decimal"}),
     (["qpoly", "--type", "B", "--rank", "12", "--route", "gf"],
-     {"qkostant.kostant", "qkostant.stats", "qkostant.gaussianity", "qkostant.verify",
-      "qkostant.holonomic", "fractions", "decimal"}),
+     {"qkostant.kostant", "qkostant.transfer", "qkostant.stats", "qkostant.gaussianity",
+      "qkostant.verify", "qkostant.holonomic", "fractions", "decimal"}),
     (["stats", "--type", "C", "--rank", "6"],
-     {"qkostant.kostant", "qkostant.gaussianity", "qkostant.verify", "qkostant.holonomic"}),
+     {"qkostant.kostant", "qkostant.transfer", "qkostant.gaussianity", "qkostant.verify",
+      "qkostant.holonomic"}),
     (["converge", "--family", "D", "--ranks", "12,8"],
-     {"qkostant.kostant", "qkostant.stats", "qkostant.verify"}),
+     {"qkostant.kostant", "qkostant.transfer", "qkostant.stats", "qkostant.verify"}),
+    # verify reads every oracle polynomial from qanalogs, which always folds
     (["verify", "--max-rank", "5", "--format", "csv"],
-     {"qkostant.gaussianity", "qkostant.holonomic"}),
+     {"qkostant.transfer", "qkostant.gaussianity", "qkostant.holonomic"}),
 ]
 
 

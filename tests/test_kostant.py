@@ -1,4 +1,5 @@
-"""The lattice-fold counter versus a direct multiset enumerator."""
+"""The lattice-fold counter and the prefix transfer DP versus a direct
+multiset enumerator and each other."""
 
 import itertools
 import math
@@ -28,6 +29,7 @@ from qkostant.kostant import (
     qanalogs,
 )
 from qkostant.kronecker import unpack_fields
+from qkostant.transfer import PrefixTransfer
 
 rng = random.Random(977)
 
@@ -494,3 +496,84 @@ def test_property_qanalogs_read_members_over_finished_ranges():
         assert qanalogs(system, targets) == tuple(qanalog(system, w) for w in targets)
 
     check()
+
+
+def transfer_coefficients(system, w):
+    """Both passes of the transfer DP over the roots below w, whatever its
+    bound, checking that the count pass sums the packed pass's fields."""
+    dp = PrefixTransfer(_roots_below(system, w), w)
+    count = dp.packed(0)
+    width = count.bit_length()
+    coeffs = unpack_fields(dp.packed(width), width)
+    assert sum(coeffs) == count
+    return coeffs
+
+
+def fold_coefficients(system, w):
+    return _fold_cells(_roots_below(system, w), w, (w,))[0]
+
+
+def test_transfer_matches_the_fold_on_a_small_grid():
+    # every weight of each box, zeros included; D4 and D5 reach the fork
+    # roots e_i + e_r, which are 0 at alpha_{r-1}
+    grid = [("A", 1, 5), ("A", 2, 4), ("A", 3, 3), ("A", 4, 2), ("B", 2, 4), ("B", 3, 3),
+            ("B", 4, 2), ("C", 3, 3), ("C", 4, 2), ("D", 4, 2), ("D", 5, 2)]
+    weights = 0
+    for t, r, cmax in grid:
+        system = build_root_system(t, r)
+        for w in all_weights(r, cmax):
+            assert transfer_coefficients(system, w) == fold_coefficients(system, w), (t, r, w)
+            weights += 1
+    assert weights == 815
+
+
+def test_property_transfer_matches_the_fold():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def weights(draw):
+        t = draw(st.sampled_from(LIE_TYPES))
+        r = draw(st.integers(MIN_RANK[t], 7))
+        return t, r, tuple(draw(st.lists(st.integers(0, 4), min_size=r, max_size=r)))
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(weights())
+    # q + q**2: the fork root e_3 + e_5, or alpha_3 and alpha_5; then fork
+    # roots beside e_i - e_{r-1}, which closes where the forks hold their 0
+    @hypothesis.example(("D", 5, (0, 0, 1, 0, 1)))
+    @hypothesis.example(("D", 6, (1, 1, 1, 1, 0, 2)))
+    @hypothesis.example(("D", 7, (0, 1, 2, 3, 3, 0, 2)))
+    @hypothesis.example(("C", 7, (4, 0, 4, 4, 0, 4, 4)))
+    def check(case):
+        t, r, w = case
+        system = build_root_system(t, r)
+        assert transfer_coefficients(system, w) == fold_coefficients(system, w)
+
+    check()
+
+
+@pytest.mark.parametrize("lie_type, rank, weight, transfer", [
+    ("A", 17, None, True), ("A", 20, None, True), ("B", 12, None, True),
+    ("B", 8, None, False), ("C", 4, (5, 5, 5, 5), False), ("B", 2, (60, 60), False),
+    ("B", 2, (1023, 1023), False),
+])
+def test_qanalog_runs_the_transfer_dp_below_the_box(monkeypatch, lie_type, rank, weight,
+                                                    transfer):
+    # the transition bound against the box prod(t + 1); it counts
+    # transitions, not states, so B2 (1023, 1023) folds: its DP has few
+    # states but shares one prefix's 1023 copies 524,800 ways
+    from qkostant import kostant
+
+    system = build_root_system(lie_type, rank)
+    w = system.highest_root if weight is None else weight
+    dp = kostant._cheaper_transfer(_roots_below(system, w), w)
+    assert (dp is not None) == transfer
+    if transfer:
+        def no_fold(*args):
+            raise AssertionError("folded a target the transfer DP is cheaper for")
+
+        monkeypatch.setattr(kostant, "_fold_cells", no_fold)
+        monkeypatch.setattr(kostant, "_sweep", no_fold)
+        assert qanalog(system, w) == QPoly(transfer_coefficients(system, w))
+        assert count_decompositions(system, w) == dp.packed(0)
