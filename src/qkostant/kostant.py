@@ -64,36 +64,39 @@ coefficients is at most the member's plain count g(1), so the same sweep
 at width 0, which computes g(1), gives a width W, the largest
 g(1).bit_length() over the members, in which the decoding is exact.
 
-Many targets.  qanalogs serves a list of targets from one fold per maximal
-target.  Walked by descending coordinate sum, each target joins the first
-maximal target so far that dominates it componentwise, or becomes one
-itself.  The walk keeps, for each coordinate k and value v, the maximal
-targets m with m_k >= v as a bitset; a target's dominators are the
-intersection of its own buckets (k, t_k), and the first of them is the
-lowest bit.  Each maximal target's fold reads all its members from their
-own cells of that one table, and finishes coordinates to the members'
-range [min, max] on each coordinate.  Roots are nonnegative, so a root
-that is not below a member adds nothing to the member's cell, and folding
-the maximal target's extra roots leaves it unchanged.
+Many targets.  qanalogs serves a list of targets from one fold or DP per
+maximal target, and qanalog is its one-target case.  Walked by descending
+coordinate sum, each target joins the first maximal target so far that
+dominates it componentwise, or becomes one itself.  The walk keeps, for
+each coordinate k and value v, the maximal targets m with m_k >= v as a
+bitset; a target's dominators are the intersection of its own buckets
+(k, t_k), and the first of them is the lowest bit.  Each maximal target's
+fold reads all its members from their own cells of that one table, and
+finishes coordinates to the members' range [min, max] on each coordinate.
+Roots are nonnegative, so a root that is not below a member adds nothing
+to the member's cell, and folding the maximal target's extra roots leaves
+it unchanged.
 
-One target.  qanalog and count_decompositions serve one target, and the
-fold's box grows exponentially with the rank even where the coordinates
-stay small, as in the all-ones weights and highest roots.  The transfer
-module's prefix DP gives the same polynomial in time polynomial in the
-rank while the coordinates stay bounded, and its tables give a bound on
-its transitions before any pass.  They run the DP when that bound is
-below the box prod_i (target_i + 1), and fold the target, as the one-member
-case of qanalogs, otherwise: A17 all-ones bounds 578 transitions against
-131072 cells, the B8 highest root 6641 against 4374.  qanalogs always folds.
+One target.  The fold's box grows exponentially with the rank even where
+the coordinates stay small, as in the all-ones weights and highest roots.
+The transfer module's prefix DP gives one target's polynomial in time
+polynomial in the rank while the coordinates stay bounded, and its tables
+give a bound on its transitions before any pass.  A maximal target with
+no other member runs the DP when that bound is below its box
+prod_i (target_i + 1), and is folded otherwise: A17 all-ones bounds 578
+transitions against 131072 cells, the B8 highest root 6641 against 4374.
+A maximal target with other members is always folded, since the DP reads
+only its own target.  Either method is run as the same two passes, a
+count pass at width 0 and a packed pass at width W, and count_decompositions
+runs the count pass alone.
 
 Boxes over MAX_FOLD_CELLS cells are refused before any table is allocated.
-Every fold's box is one target's own box, so for qanalogs the budget
-applies to each target's box and no fold allocates more than the largest.
-The packed sweep's cell w holds at most (h(w) + 1) * W bits, h(w) its
-height, so once the count sweep gives W, a fold whose cells' bounds sum
-past MAX_FOLD_BITS is refused before the packed table is allocated.  Both
-budgets are checked on qanalog's target whichever of the fold and the DP
-runs, so a weight is refused or served the same way by either.
+Every fold's box is one target's own box, so the budget applies to each
+target's box and no fold allocates more than the largest.  The packed
+sweep's cell w holds at most (h(w) + 1) * W bits, h(w) its height, so once
+the count pass gives W, a box whose cells' bounds sum past MAX_FOLD_BITS
+is refused before the packed pass, whichever of the fold and the DP runs:
+a weight is refused or served the same way by either.
 """
 
 from __future__ import annotations
@@ -122,34 +125,24 @@ def qanalog(system: RootSystem, target) -> QPoly:
     zero weight (the empty multiset).  Raises FoldTooLarge when the box
     prod_i (target_i + 1) has more than MAX_FOLD_CELLS cells, or its packed
     table could hold more than MAX_FOLD_BITS bits, whichever of the fold
-    and the transfer DP runs.
+    and the transfer DP runs.  It is the one-target case of qanalogs.
     """
-    target = check_target(system.rank, target)
-    if any(c < 0 for c in target):
-        return QPoly.zero()
-    roots = _roots_below(system, target)
-    dp = _cheaper_transfer(roots, target)
-    if dp is None:
-        return QPoly(_fold_cells(roots, target, (target,))[0])
-    # The simple roots below the target sum to it, so the count is >= 1.
-    width = dp.packed(0).bit_length()
-    _check_packed_bits(target, width)
-    return QPoly(unpack_fields(dp.packed(width), width))
+    return qanalogs(system, (target,))[0]
 
 
 def qanalogs(system: RootSystem, targets) -> tuple:
-    """qanalog at each of the targets, in input order, one fold per maximal
-    target.
+    """qanalog at each of the targets, in input order, one fold or transfer
+    DP per maximal target.
 
     Every target is checked as qanalog checks it, so FoldTooLarge is raised
-    when any target's box has more than MAX_FOLD_CELLS cells or a fold's
-    packed table could hold more than MAX_FOLD_BITS bits, and one with a
-    negative coordinate gives QPoly zero.  The rest are de-duplicated and
-    each is read from the fold of the first maximal target that dominates
-    it componentwise.
+    when any target's box has more than MAX_FOLD_CELLS cells or a packed
+    table could hold more than MAX_FOLD_BITS bits, and one with a negative
+    coordinate gives QPoly zero.  The rest are de-duplicated and each is
+    read from the passes of the first maximal target that dominates it
+    componentwise.
     """
     targets = [check_target(system.rank, t) for t in targets]
-    covers = {}  # maximal target -> the targets read from its fold
+    covers = {}  # maximal target -> the targets read from its passes
     tops = []  # the maximal targets, in the order found
     # Bucket (k, v) holds the maximal targets m with m[k] >= v, as a bitset
     # over tops.  The maximal targets that dominate t are the intersection
@@ -168,7 +161,7 @@ def qanalogs(system: RootSystem, targets) -> tuple:
             tops.append(t)
     polys = {}
     for top, members in covers.items():
-        polys.update(zip(members, _fold_cells(_roots_below(system, top), top, members)))
+        polys.update(zip(members, _decode(_passes(_roots_below(system, top), top, members), top)))
     return tuple(QPoly(polys[t]) if t in polys else QPoly.zero() for t in targets)
 
 
@@ -197,28 +190,32 @@ def check_target(rank: int, target) -> Weight:
 def count_decompositions(system: RootSystem, target) -> int:
     """Number of multisets of positive roots summing to the target.
 
-    Runs one pass at width 0, of the transfer DP or of the fold as qanalog
-    chooses, with no packed pass.
+    Runs the count pass alone, of the transfer DP or of the fold as qanalog
+    chooses.
     """
     target = check_target(system.rank, target)
     if any(c < 0 for c in target):
         return 0
-    roots = _roots_below(system, target)
-    dp = _cheaper_transfer(roots, target)
-    if dp is not None:
-        return dp.packed(0)
-    plan, total, _ = _plan(roots, target, (target,))
-    return _sweep(plan, total, 0)[-1]
+    return _passes(_roots_below(system, target), target, (target,))(0)[0]
 
 
-def _cheaper_transfer(roots, target):
-    """The transfer DP over the roots below the target, when its transition
-    bound is below the fold's box; None otherwise."""
-    # Imported here: qanalogs always folds, so verify never loads it.
-    from .transfer import PrefixTransfer
+def _passes(roots, box, members):
+    """The members' values, packed at q = 2**width, as a function of width.
 
-    dp = PrefixTransfer(roots, target)
-    return dp if dp.bound < prod(c + 1 for c in target) else None
+    A lone member, which is the box itself, runs the transfer DP when its
+    transition bound is below the box; every other box is folded.
+    """
+    if len(members) == 1:
+        # Imported here: every fold verify makes reads at least 2 members,
+        # so verify never loads it.
+        from .transfer import PrefixTransfer
+
+        dp = PrefixTransfer(roots, box)
+        if dp.bound < prod(c + 1 for c in box):
+            return lambda width: [dp.packed(width)]
+    plan, total, cells = _plan(roots, box, members)
+    # each sweep's table is freed once the members' cells are read
+    return lambda width: list(map(_sweep(plan, total, width).__getitem__, cells))
 
 
 def _roots_below(system: RootSystem, target: Weight) -> list:
@@ -318,30 +315,17 @@ def _sweep(plan, total, width):
     return table
 
 
-def _fold_cells(roots, box, targets):
-    """Coefficient list of each target's polynomial, from one fold over the
-    box, which holds every target."""
-    plan, total, cells = _plan(roots, box, targets)
-    # Sweep 1: plain counts.  Each target's count bounds every coefficient
-    # of its polynomial; the largest gives the packing width.
-    counts = _sweep(plan, total, 0)
-    width = max(counts[c] for c in cells).bit_length()
-    del counts
-    if not width:
-        return [[] for _ in cells]
-    _check_packed_bits(box, width)
-    # Sweep 2: the same fold with each cell's polynomial packed into one int;
-    # the table is freed before the members are decoded.
-    packed = list(map(_sweep(plan, total, width).__getitem__, cells))
-    return [unpack_fields(p, width) for p in packed]
-
-
-def _check_packed_bits(box, width):
-    """Raise FoldTooLarge when the packed sweep's table over the box, at
-    this width, could hold more than MAX_FOLD_BITS bits."""
+def _decode(passes, box):
+    """Coefficient list of each member's polynomial, from a count pass and
+    a packed pass over the box."""
+    # Pass 1: plain counts.  Each member's count bounds every coefficient
+    # of its polynomial; the largest gives the packing width, at least 1 for
+    # a system without its simple roots, where every count can be 0.
+    width = max(passes(0)).bit_length() or 1
     # Cell w's polynomial has degree <= h(w) (every root has height >= 1)
     # and coefficients <= its count <= the top member's (adding simple roots
-    # maps decompositions one to one); h(w) averages sum(box) / 2.
+    # maps decompositions one to one); h(w) averages sum(box) / 2.  The
+    # transfer DP holds no table, and is refused on the same bound.
     total = prod(t + 1 for t in box)
     bits = total * (sum(box) + 2) // 2 * width
     if bits > MAX_FOLD_BITS:
@@ -349,3 +333,5 @@ def _check_packed_bits(box, width):
             f"lattice fold over {count_text(total)} cells packs up to {count_text(bits)} "
             f"bits, exceeding the budget of {count_text(MAX_FOLD_BITS)} bits"
         )
+    # Pass 2: each member's polynomial packed into one int.
+    return [unpack_fields(p, width) for p in passes(width)]

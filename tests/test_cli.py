@@ -439,30 +439,30 @@ def test_oracle_on_a22_all_ones_runs_in_small_memory(capsys):
 
 
 def _record_verify_calls(monkeypatch):
-    """Record run_all's qanalogs calls as (type, rank, targets), the box of
-    every fold, and every spec product_qpoly is called on."""
+    """Record run_all's qanalogs calls as (type, rank, targets), every fold
+    as (box, members), and every spec product_qpoly is called on."""
     from qkostant import kostant, verify
 
-    calls, boxes, products = [], [], []
+    calls, folds, products = [], [], []
 
     def counting_qanalogs(system, targets):
         targets = [tuple(w) for w in targets]
         calls.append((system.lie_type, system.rank, targets))
         return kostant.qanalogs(system, targets)
 
-    def counting_fold_cells(roots, box, targets):
-        boxes.append(box)
-        return fold_cells(roots, box, targets)
+    def counting_plan(roots, box, members):
+        folds.append((box, list(members)))
+        return plan(roots, box, members)
 
     def counting_product(spec):
         products.append(spec)
         return closedform.product_qpoly(spec)
 
-    fold_cells = kostant._fold_cells
+    plan = kostant._plan
     monkeypatch.setattr(verify, "qanalogs", counting_qanalogs)
-    monkeypatch.setattr(kostant, "_fold_cells", counting_fold_cells)
+    monkeypatch.setattr(kostant, "_plan", counting_plan)
     monkeypatch.setattr(verify, "product_qpoly", counting_product)
-    return calls, boxes, products
+    return calls, folds, products
 
 
 def test_verify_folds_each_maximal_weight_once(monkeypatch):
@@ -484,7 +484,7 @@ def _check_verify_folds(monkeypatch, max_rank, fold_count, form_count):
         explicits.append((lie_type, rank))
         return closedform.explicit_qpoly(lie_type, rank)
 
-    calls, boxes, products = _record_verify_calls(monkeypatch)
+    calls, folds, products = _record_verify_calls(monkeypatch)
     monkeypatch.setattr(kostant, "qanalog", counting_qanalog)
     monkeypatch.setattr(verify, "explicit_qpoly", counting_explicit)
     verify.run_all(max_rank)
@@ -512,9 +512,12 @@ def _check_verify_folds(monkeypatch, max_rank, fold_count, form_count):
         (t, [padded(highest_root(t, r)) for r in range(MIN_RANK[t], max_rank + 1)])
         for t in "BCD"]
     # one fold per maximal weight, each over one requested weight's own box
-    assert len(boxes) == fold_count
+    assert len(folds) == fold_count
     requested = {w for _, _, targets in calls for w in targets}
-    assert set(boxes) <= requested
+    assert {box for box, _ in folds} <= requested
+    # every fold reads at least 2 members: no maximal weight is alone, so
+    # none can take the transfer DP
+    assert min(len(members) for _, members in folds) >= 2
     # the product form is computed once per (rank, bumps, extra)
     keys = [(s.rank, s.bump_count, s.total_extra) for s in products]
     assert len(keys) == len(set(keys)) == form_count
@@ -901,7 +904,8 @@ _IMPORT_CASES = [
       "qkostant.holonomic"}),
     (["converge", "--family", "D", "--ranks", "12,8"],
      {"qkostant.kostant", "qkostant.transfer", "qkostant.stats", "qkostant.verify"}),
-    # verify reads every oracle polynomial from qanalogs, which always folds
+    # verify reads every oracle polynomial from qanalogs, and every maximal
+    # weight it folds has other members, so none takes the transfer DP
     (["verify", "--max-rank", "5", "--format", "csv"],
      {"qkostant.transfer", "qkostant.gaussianity", "qkostant.holonomic"}),
 ]

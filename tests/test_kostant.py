@@ -15,6 +15,7 @@ from qkostant import (
     LIE_TYPES,
     MIN_RANK,
     QPoly,
+    RootSystem,
     build_root_system,
     count_decompositions,
     explicit_qpoly,
@@ -22,7 +23,7 @@ from qkostant import (
 )
 from qkostant.kostant import (
     _cell_indices,
-    _fold_cells,
+    _decode,
     _plan,
     _roots_below,
     _sweep,
@@ -138,9 +139,13 @@ def test_degree_and_lowest_exponent_bounds():
 
 
 def test_count_is_value_at_one():
-    system = build_root_system("C", 4)
-    w = (2, 2, 2, 1)
-    assert count_decompositions(system, w) == qanalog(system, w)(1)
+    # on both methods: C4 bounds 821 transitions against a box of 54 and
+    # folds, A12 all-ones 288 against 4096 and runs the transfer DP
+    for lie_type, weight, transfer in (("C", (2, 2, 2, 1), False), ("A", (1,) * 12, True)):
+        system = build_root_system(lie_type, len(weight))
+        dp = PrefixTransfer(_roots_below(system, weight), weight)
+        assert (dp.bound < math.prod(c + 1 for c in weight)) == transfer
+        assert count_decompositions(system, weight) == qanalog(system, weight)(1)
 
 
 def test_count_of_a_weight_with_a_negative_coordinate_is_zero():
@@ -180,17 +185,19 @@ def test_qanalogs_width_fits_the_widest_target():
 
 
 def test_qanalogs_fold_each_maximal_target_in_its_own_box(monkeypatch):
+    # every maximal target here folds: the transfer DP's bound is at or
+    # above its box
     from qkostant import kostant
 
     boxes, members = [], []
-    fold_cells = kostant._fold_cells
+    plan = kostant._plan
 
-    def counting_fold_cells(roots, box, targets):
+    def counting_plan(roots, box, targets):
         boxes.append(box)
         members.append(list(targets))
-        return fold_cells(roots, box, targets)
+        return plan(roots, box, targets)
 
-    monkeypatch.setattr(kostant, "_fold_cells", counting_fold_cells)
+    monkeypatch.setattr(kostant, "_plan", counting_plan)
     # each target's box has 4001 cells, their join's 4001**2 > MAX_FOLD_CELLS
     system = build_root_system("A", 2)
     targets = [(4000, 0), (0, 4000)]
@@ -247,18 +254,41 @@ def test_fold_budget_refuses_before_allocating():
     assert time.perf_counter() - start < 1.0
 
 
+def fold_cells(roots, box, members):
+    """Each member's coefficient list from one fold over the box, with the
+    roots folded in the order given."""
+    plan, total, cells = _plan(roots, box, members)
+    return _decode(lambda width: list(map(_sweep(plan, total, width).__getitem__, cells)), box)
+
+
 def test_fold_width_fits_a_coefficient_equal_to_the_count():
     # two 2-part decompositions and no others: g = 2q^2, so g(1) = 2 needs
     # the whole 2-bit field
     roots = [(0, 0, 1, 1), (0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 0, 0)]
-    assert _fold_cells(roots, (1, 1, 1, 1), ((1, 1, 1, 1),))[0] == [0, 0, 2]
+    assert fold_cells(roots, (1, 1, 1, 1), ((1, 1, 1, 1),))[0] == [0, 0, 2]
+
+
+def test_a_system_without_its_simple_roots_decodes_zero_counts():
+    # no simple root, so a member's count can be 0, and every member's count
+    # is 0 for (1, 0, 0), which folds, and for (1, 0, 1), which runs the
+    # transfer DP
+    roots = ((1, 1, 0), (0, 1, 1), (1, 1, 1))
+    system = RootSystem("A", 3, roots, (1, 1, 1))
+    zeros = 0
+    for w in all_weights(3, 2):
+        want = brute_force_qpoly(system, w)
+        zeros += want.is_zero
+        assert qanalog(system, w) == want, w
+        assert qanalogs(system, [w, (1, 0, 0)]) == (want, QPoly.zero()), w
+        assert count_decompositions(system, w) == want(1), w
+    assert zeros == 17
 
 
 def per_cell_fold(roots, target):
     """The lattice fold one cell at a time on a dict of coefficient lists.
 
     Cells are visited in ascending lexicographic order, which is the packed
-    order _fold_cells uses, so each root's geometric series is realized in place.
+    order the fold uses, so each root's geometric series is realized in place.
     """
     cells = list(itertools.product(*(range(t + 1) for t in target)))
     table = {cell: [] for cell in cells}
@@ -290,7 +320,7 @@ def test_fold_runs_match_a_per_cell_fold():
                          if all(a <= b for a, b in zip(root, w))]
                 orders = (roots, roots[::-1], _roots_below(system, w))
                 for order in orders:
-                    assert _fold_cells(order, w, (w,))[0] == per_cell_fold(order, w), (
+                    assert fold_cells(order, w, (w,))[0] == per_cell_fold(order, w), (
                         t, r, w, order)
                 # members one short of w on one coordinate each: a finished
                 # coordinate of size 3 is swept over [1, 2] only, so its
@@ -298,7 +328,7 @@ def test_fold_runs_match_a_per_cell_fold():
                 members = [w] + [w[:k] + (c - 1,) + w[k + 1:] for k, c in enumerate(w) if c]
                 want = [per_cell_fold(roots, m) for m in members]
                 for order in orders:
-                    assert _fold_cells(order, w, members) == want, (t, r, w, order)
+                    assert fold_cells(order, w, members) == want, (t, r, w, order)
 
 
 def test_sweep_at_width_0_sums_the_fields_of_the_packed_sweep():
@@ -367,13 +397,13 @@ def test_finished_ranges_never_sweep_more_cells(monkeypatch):
     from qkostant.closedform import SupportSpec, weight_of
 
     folds = []
-    fold_cells = kostant._fold_cells
+    plan = kostant._plan
 
-    def recording_fold_cells(roots, box, targets):
+    def recording_plan(roots, box, targets):
         folds.append((roots, box, targets))
-        return fold_cells(roots, box, targets)
+        return plan(roots, box, targets)
 
-    monkeypatch.setattr(kostant, "_fold_cells", recording_fold_cells)
+    monkeypatch.setattr(kostant, "_plan", recording_plan)
     verify.run_all(8)
     assert len(folds) == 16
     for t, r, support in _ORACLE_FOLD_TARGETS:
@@ -475,7 +505,7 @@ def test_property_fold_is_independent_of_root_order():
         roots = [root for root in build_root_system(t, r).positive_roots
                  if all(a <= b for a, b in zip(root, w))]
         shuffled = data.draw(st.permutations(roots))
-        assert _fold_cells(shuffled, w, (w,)) == _fold_cells(roots, w, (w,))
+        assert fold_cells(shuffled, w, (w,)) == fold_cells(roots, w, (w,))
 
     check()
 
@@ -510,7 +540,7 @@ def transfer_coefficients(system, w):
 
 
 def fold_coefficients(system, w):
-    return _fold_cells(_roots_below(system, w), w, (w,))[0]
+    return fold_cells(_roots_below(system, w), w, (w,))[0]
 
 
 def test_transfer_matches_the_fold_on_a_small_grid():
@@ -562,18 +592,29 @@ def test_qanalog_runs_the_transfer_dp_below_the_box(monkeypatch, lie_type, rank,
                                                     transfer):
     # the transition bound against the box prod(t + 1); it counts
     # transitions, not states, so B2 (1023, 1023) folds: its DP has few
-    # states but shares one prefix's 1023 copies 524,800 ways
+    # states but shares one prefix's 1023 copies 524,800 ways.  qanalog,
+    # qanalogs and count_decompositions make the same choice.
     from qkostant import kostant
 
     system = build_root_system(lie_type, rank)
     w = system.highest_root if weight is None else weight
-    dp = kostant._cheaper_transfer(_roots_below(system, w), w)
-    assert (dp is not None) == transfer
-    if transfer:
-        def no_fold(*args):
-            raise AssertionError("folded a target the transfer DP is cheaper for")
+    dp = PrefixTransfer(_roots_below(system, w), w)
+    assert (dp.bound < math.prod(c + 1 for c in w)) == transfer
 
-        monkeypatch.setattr(kostant, "_fold_cells", no_fold)
-        monkeypatch.setattr(kostant, "_sweep", no_fold)
-        assert qanalog(system, w) == QPoly(transfer_coefficients(system, w))
-        assert count_decompositions(system, w) == dp.packed(0)
+    class Folded(Exception):
+        pass
+
+    def no_fold(*args):
+        raise Folded
+
+    monkeypatch.setattr(kostant, "_plan", no_fold)
+    monkeypatch.setattr(kostant, "_sweep", no_fold)
+    if not transfer:
+        for call in (qanalog, lambda system, w: qanalogs(system, [w]), count_decompositions):
+            with pytest.raises(Folded):
+                call(system, w)
+        return
+    want = QPoly(transfer_coefficients(system, w))
+    assert qanalog(system, w) == want
+    assert qanalogs(system, [w]) == (want,)
+    assert count_decompositions(system, w) == dp.packed(0)
