@@ -59,6 +59,48 @@ def test_cli_stdout_matches_pinned_digest(capsys, key):
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED[key]["sha256"]
 
 
+# One pinned request per subcommand, run through `python -m qkostant.cli`, so
+# the bytes entry() flushes before it exits are pinned too, not only what
+# main() writes in process.
+_ENTRY_KEYS = (
+    "roots --type D --rank 4 --format json",
+    "qpoly --type B --rank 6 --support 3:2",
+    "stats --type B --rank 9",
+    "converge --family D --ranks 12,40",
+    "verify --max-rank 5",
+)
+
+
+def _run_entry(argv):
+    return subprocess.run([sys.executable, "-m", "qkostant.cli", *argv], capture_output=True)
+
+
+def test_entry_stdout_matches_pinned_digest():
+    for key in _ENTRY_KEYS:
+        proc = _run_entry(key.split(" "))
+        assert proc.returncode == _PINNED[key]["exit"], (key, proc.stderr)
+        assert hashlib.sha256(proc.stdout).hexdigest() == _PINNED[key]["sha256"], key
+    # Invalid input: exit 2 and nothing on stdout.
+    proc = _run_entry(["qpoly", "--type", "B", "--rank", "3", "--weight", "1,2"])
+    assert proc.returncode == cli.EXIT_BAD_INPUT
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error:")
+
+
+def test_entry_flushes_redirected_stdout(tmp_path):
+    # A file is block-buffered, so the last block is written at exit.
+    path = tmp_path / "roots.csv"
+    with path.open("wb") as f:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qkostant.cli", "roots", "--type", "A", "--rank", "120"],
+            stdout=f, stderr=subprocess.PIPE,
+        )
+    assert proc.returncode == 0, proc.stderr
+    lines = path.read_text().splitlines()
+    assert len(lines) == 1 + 120 * 121 // 2  # header and the 7,260 positive roots
+    assert lines[-1] == ",".join(["7259", '"' + ",".join(["1"] * 120) + '"'])
+
+
 # ----------------------------------------------------------------- roots
 
 def test_roots_csv_exact_bytes(capsys):
@@ -920,6 +962,41 @@ def test_subcommands_import_only_their_layers(argv, absent):
     loaded = set(proc.stderr.rsplit("MODULES ", 1)[1].split())
     assert "qkostant.rootsys" in loaded
     assert not loaded & (_NEVER_LOADED | absent)
+
+
+# Reports, from an atexit hook, how many objects the request froze.
+_FREEZE_AT_EXIT = """\
+import atexit, gc, runpy, sys
+atexit.register(lambda: sys.stderr.write("\\nFROZEN %d" % gc.get_freeze_count()))
+runpy.run_module("qkostant.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["roots", "--type", "A", "--rank", "3"], cli.EXIT_OK),
+    (["roots", "--type", "A", "--rank", "0"], cli.EXIT_BAD_INPUT),
+    (["roots", "--type", "Z", "--rank", "3"], cli.EXIT_USAGE),
+], ids=["ok", "bad-input", "usage"])
+def test_entry_freezes_the_heap_and_still_runs_atexit(argv, code):
+    proc = subprocess.run(
+        [sys.executable, "-c", _FREEZE_AT_EXIT, *argv], capture_output=True, text=True,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert int(proc.stderr.rsplit("FROZEN ", 1)[1]) > 0
+
+
+def test_entry_freezes_the_heap_on_a_closed_pipe_too():
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _FREEZE_AT_EXIT, "roots", "--type", "A", "--rank", "120"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"index,coeffs\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
+    assert "Traceback" not in err, err
+    assert int(err.rsplit("FROZEN ", 1)[1]) > 0
 
 
 @pytest.mark.skipif(
