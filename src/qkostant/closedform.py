@@ -45,16 +45,16 @@ to rank r against the packed sweep's O(r**3).  gf_jet exposes the sweep;
 highest_jet serves the stats subcommand from it without building P_r.
 
 The gf sweep.  Every coefficient of P_r is nonnegative, so each is at most
-P_r(1), the first entry of the jet.  With W = P_r(1)'s bit length rounded
-up to a whole byte, the packed sweep runs the recurrence at q = 2**W on
-plain Python integers: multiplying by the fixed sparse polynomials is a few
-shifts and adds.  That sweep is exact integer linear arithmetic, so the
-last value is P_r(2**W) whatever carries or borrows the intermediate terms
-hold, and one linear-time byte decode (kronecker.unpack_fields) reads the
-coefficients back.  The decoded coefficients must reproduce the whole jet,
-not just the sum: a negative packed value, fields that do not sum to P_r(1)
-(a negative coefficient borrows from the field above it), or fields with
-the right sum but the wrong P'(1) or P''(1)/2 (a misplaced field) raise
+P_r(1), the first entry of the jet.  With W = P_r(1)'s bit length (at
+least 1), the packed sweep runs the recurrence at q = 2**W on plain Python
+integers: multiplying by the fixed sparse polynomials is a few shifts and
+adds.  That sweep is exact integer linear arithmetic, so the last value is
+P_r(2**W) whatever carries or borrows the intermediate terms hold, and one
+linear-time decode (kronecker.unpack_fields) reads the coefficients back.
+The decoded coefficients must reproduce the whole jet, not just the sum: a
+negative packed value, fields that do not sum to P_r(1) (a negative
+coefficient borrows from the field above it), or fields with the right sum
+but the wrong P'(1) or P''(1)/2 (a misplaced field) raise
 InternalCancellationFailure.  There is no cache: every call sweeps from
 rank 0 and keeps only its last two terms, so memory is O(size of P_r).
 
@@ -204,9 +204,9 @@ def gf_coefficient(lie_type: str, rank: int) -> QPoly:
     nonnegative coefficients with the jet gf_jet gives P_r.
     """
     jet = gf_jet(lie_type, rank)
-    # P_r(1) bounds every coefficient.  Whole bytes per field, so each field
-    # decodes without a shift.
-    w = 8 * max(1, -(-jet[0].bit_length() // 8))
+    # P_r(1) bounds every coefficient, so its bit length is a field width
+    # that decodes exactly.
+    w = jet[0].bit_length() or 1
     # At q = 2**w, with d = X_{k-1} - X_{k-2}: (2+2q+q^2) X_{k-1} -
     # (1+2q+q^2+q^3) X_{k-2} = X_{k-1} + d + 2q d + q^2 d - q^3 X_{k-2}.
     at_w = {k: n(1 << w) for k, n in _GF_NUMERATORS[lie_type].items()}

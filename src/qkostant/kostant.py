@@ -67,10 +67,7 @@ g(1).bit_length() over the members, in which the decoding is exact.
 Many targets.  qanalogs serves a list of targets from one fold or DP per
 maximal target, and qanalog is its one-target case.  Walked by descending
 coordinate sum, each target joins the first maximal target so far that
-dominates it componentwise, or becomes one itself.  The walk keeps, for
-each coordinate k and value v, the maximal targets m with m_k >= v as a
-bitset; a target's dominators are the intersection of its own buckets
-(k, t_k), and the first of them is the lowest bit.  Each maximal target's
+dominates it componentwise, or becomes one itself.  Each maximal target's
 fold reads all its members from their own cells of that one table, and
 finishes coordinates to the members' range [min, max] on each coordinate.
 Roots are nonnegative, so a root that is not below a member adds nothing
@@ -101,11 +98,9 @@ a weight is refused or served the same way by either.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from functools import reduce
 from itertools import compress, repeat
 from math import prod
-from operator import add, and_, lshift, mul
+from operator import add, ge, lshift, mul
 
 from .errors import DimensionMismatch, FoldTooLarge, count_text
 from .kronecker import unpack_fields
@@ -142,23 +137,11 @@ def qanalogs(system: RootSystem, targets) -> tuple:
     componentwise.
     """
     targets = [check_target(system.rank, t) for t in targets]
-    covers = {}  # maximal target -> the targets read from its passes
-    tops = []  # the maximal targets, in the order found
-    # Bucket (k, v) holds the maximal targets m with m[k] >= v, as a bitset
-    # over tops.  The maximal targets that dominate t are the intersection
-    # of t's buckets (k, t[k]), and the first one found is its lowest bit.
-    buckets = defaultdict(int)
+    covers = {}  # maximal target -> the targets read from its passes, in the order found
     live = dict.fromkeys(t for t in targets if all(c >= 0 for c in t))
     for t in sorted(live, key=sum, reverse=True):
-        found = reduce(and_, map(buckets.__getitem__, enumerate(t)))
-        if found:
-            covers[tops[(found & -found).bit_length() - 1]].append(t)
-        else:
-            covers[t] = [t]
-            for k, c in enumerate(t):
-                for v in range(c + 1):
-                    buckets[k, v] |= 1 << len(tops)
-            tops.append(t)
+        top = next((m for m in covers if all(map(ge, m, t))), t)
+        covers.setdefault(top, []).append(t)
     polys = {}
     for top, members in covers.items():
         polys.update(zip(members, _decode(_passes(_roots_below(system, top), top, members), top)))

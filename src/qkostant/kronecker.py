@@ -21,9 +21,8 @@ def unpack_fields(packed: int, width: int) -> list:
 
     packed must be nonnegative and every coefficient below 2**width.  The
     integer is converted to bytes once and each field is read back from the
-    bytes it spans, so decoding is linear in the size of packed; a width
-    that is a whole number of bytes needs no shift.  The result has no
-    trailing zero fields.
+    bytes it spans, so decoding is linear in the size of packed.  The result
+    has no trailing zero fields.
     """
     bits = packed.bit_length()
     buf = packed.to_bytes(-(-bits // 8), "little")

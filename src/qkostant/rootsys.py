@@ -129,15 +129,12 @@ class RootSystem(Record):
 
 
 def build_root_system(lie_type: str, rank: int) -> RootSystem:
-    """Construct the positive system, sorted lexicographically."""
+    """Construct the positive system, sorted lexicographically.
+
+    The listing is not checked here: verify's root-counts and
+    highest-root-membership checks compare it with positive_root_count and
+    highest_root, so a fault in it is reported as a FAIL, not a traceback.
+    """
     validate_type_rank(lie_type, rank)
-    roots = _positive_roots(lie_type, rank)
-    uniq = sorted(set(roots))
-    if len(uniq) != len(roots) or len(uniq) != positive_root_count(lie_type, rank):
-        raise AssertionError(
-            f"root listing for {lie_type}{rank} is inconsistent with its count formula"
-        )
-    top = highest_root(lie_type, rank)
-    if top not in uniq:
-        raise AssertionError(f"highest root of {lie_type}{rank} missing from listing")
-    return RootSystem(lie_type, rank, tuple(uniq), top)
+    roots = tuple(sorted(_positive_roots(lie_type, rank)))
+    return RootSystem(lie_type, rank, roots, highest_root(lie_type, rank))

@@ -751,6 +751,31 @@ def test_verify_reads_each_oracle_polynomial_at_its_spec(monkeypatch, spec, syst
     ]
 
 
+@pytest.mark.parametrize("dropped, failures", [
+    ((0, 0, 1, 1), [("root-counts", "FAIL", "B4: 15 != 16")]),
+    ((1, 2, 2, 2), [("root-counts", "FAIL", "B4: 15 != 16"),
+                    ("highest-root-membership", "FAIL", "B4: highest root not in listing")]),
+])
+def test_verify_reports_a_faulty_root_listing(monkeypatch, dropped, failures):
+    # the builder does not re-check its listing, so a root missing from B4's
+    # reaches verify's own checks as FAIL lines instead of a traceback
+    from qkostant import rootsys, verify
+
+    listing = rootsys._positive_roots
+
+    def one_missing(lie_type, rank):
+        roots = listing(lie_type, rank)
+        if (lie_type, rank) == ("B", 4):
+            roots.remove(dropped)
+        return roots
+
+    monkeypatch.setattr(rootsys, "_positive_roots", one_missing)
+    results = verify.run_all(8)
+    assert [(c.name, c.status, c.detail) for c in results if c.status != "PASS"] == [
+        *failures, _WARN_B,
+    ]
+
+
 def test_verify_failure_exits_1(capsys, monkeypatch):
     from qkostant import verify
 

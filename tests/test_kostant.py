@@ -528,6 +528,45 @@ def test_property_qanalogs_read_members_over_finished_ranges():
     check()
 
 
+def test_property_qanalogs_passes_once_per_maximal_target(monkeypatch):
+    # any target list, negative and repeated targets included: one pass per
+    # maximal nonnegative target, found here by comparing every pair
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from qkostant import kostant
+
+    boxes = []
+    passes = kostant._passes
+
+    def counting_passes(roots, box, members):
+        boxes.append(box)
+        return passes(roots, box, members)
+
+    @st.composite
+    def target_lists(draw):
+        t = draw(st.sampled_from(LIE_TYPES))
+        r = draw(st.integers(MIN_RANK[t], 5))
+        target = st.tuples(*[st.integers(-1, 2)] * r)
+        return t, r, draw(st.lists(target, max_size=8))
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(target_lists())
+    def check(case):
+        t, r, targets = case
+        system = build_root_system(t, r)
+        live = {w for w in targets if min(w) >= 0}
+        maximal = [w for w in live
+                   if not any(u != w and all(map(operator.ge, u, w)) for u in live)]
+        boxes.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(kostant, "_passes", counting_passes)
+            found = qanalogs(system, targets)
+        assert sorted(boxes) == sorted(maximal)
+        assert found == tuple(qanalog(system, w) for w in targets)
+
+    check()
+
+
 def transfer_coefficients(system, w):
     """Both passes of the transfer DP over the roots below w, whatever its
     bound, checking that the count pass sums the packed pass's fields."""
