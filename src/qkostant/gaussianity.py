@@ -12,16 +12,16 @@ from exact intermediate quantities:
 * the error |log M(t) - t**2/2| of the standardized log moment generating
   function at fixed points t.
 
-log M(t) is evaluated by Horner's rule on the normalized coefficients when
-the degree and coefficient sizes are modest and the Horner sum is finite and
-positive, and otherwise by log-sum-exp on log p_k + k*t/sigma, which stays
-finite for arbitrarily large coefficients and |t|.
+log M(t) is one Horner sum in `decimal` at _MGF_DIGITS digits, anchored so
+that no term exceeds its coefficient: it neither overflows nor vanishes at
+any t whose t*t/2 is finite, and every digit of the error that the CLI
+prints through %.12g is correct.
 """
 
 from __future__ import annotations
 
 import math
-import sys
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate
 
@@ -33,9 +33,9 @@ from .rootsys import FAMILIES, LIE_TYPES, validate_type_rank
 
 DEFAULT_T_GRID = (-1.0, -0.5, 0.5, 1.0)
 
-_HORNER_MAX_DEGREE = 2000
-_HORNER_MAX_BITS = 900
-_EXP_MAX_ARG = math.log(sys.float_info.max)
+_MGF_DIGITS = 28
+# a wider coefficient keeps its top _MGF_BITS bits, about 4 per digit
+_MGF_BITS = 4 * _MGF_DIGITS
 
 
 class DistSummary(Record):
@@ -74,35 +74,38 @@ def _central_moments(g: QPoly):
             Fraction(n4, g1 ** 4))
 
 
-def _log_mgfs(coeffs, g1: int, t_grid, mu_f: float, sigma_f: float) -> list:
-    """log of the standardized moment generating function at each t.
+def _decimal(c: int) -> Decimal:
+    """c rounded to the current context, read from its top _MGF_BITS bits:
+    converting every digit of a wide c costs time quadratic in its length."""
+    shift = max(c.bit_length() - _MGF_BITS, 0)
+    return Decimal(c >> shift) * Decimal(2) ** shift
 
-    The t share the per-coefficient work: c/g1 for Horner's rule and
-    log c - log g1 for log-sum-exp are each computed once, on the first t
-    that takes that path.
+
+def _mgf_errors(coeffs, g1: int, mu: Fraction, m2: Fraction, t_grid) -> list:
+    """|log M(t) - t*t/2| of the standardized distribution at each t.
+
+    With n = t/sigma and anchor a, the top degree for n >= 0 and the lowest
+    nonzero one for n < 0, g1*M(t)*e**(n*mu) = e**(a*n) * sum c_k y**|k-a|
+    for y = e**-|n| <= 1.  Every term is at most its coefficient and the
+    term at a is c_a, so the sum is finite and positive; an underflow of y
+    to 0 leaves c_a.
     """
-    horner_ok = len(coeffs) - 1 <= _HORNER_MAX_DEGREE and g1.bit_length() <= _HORNER_MAX_BITS
-    probs = logs = None
-    out = []
-    for t in t_grid:
-        n = t / sigma_f
-        if horner_ok and n < _EXP_MAX_ARG:
-            if probs is None:
-                probs = [c / g1 if c else 0.0 for c in reversed(coeffs)]
-            z = math.exp(n)
-            acc = 0.0
-            for p in probs:
-                acc = acc * z + p
-            if 0.0 < acc < math.inf:
-                out.append(math.log(acc) - t * mu_f / sigma_f)
-                continue
-        if logs is None:
-            log_g1 = math.log(g1)
-            logs = [(k, math.log(c) - log_g1) for k, c in enumerate(coeffs) if c]
-        terms = [lp + k * n for k, lp in logs]
-        top = max(terms)
-        out.append(top + math.log(math.fsum(math.exp(v - top) for v in terms))
-                   - t * mu_f / sigma_f)
+    low = next(k for k, c in enumerate(coeffs) if c)
+    with localcontext(Context(prec=_MGF_DIGITS)):
+        ds = [_decimal(c) for c in coeffs[low:]]
+        g1_d = _decimal(g1)
+        mu_d = _decimal(mu.numerator) / _decimal(mu.denominator)
+        sigma = (_decimal(m2.numerator) / _decimal(m2.denominator)).sqrt()
+        out = []
+        for t in t_grid:
+            t_d = Decimal(t)
+            n = t_d / sigma
+            y = (-abs(n)).exp()
+            acc = Decimal(0)
+            for c in (ds if n >= 0 else reversed(ds)):
+                acc = acc * y + c
+            a = len(coeffs) - 1 if n >= 0 else low
+            out.append(float(abs((acc / g1_d).ln() + n * (a - mu_d) - t_d * t_d / 2)))
     return out
 
 
@@ -127,14 +130,11 @@ def summarize(g: QPoly, t_grid=DEFAULT_T_GRID, family=None, rank=None) -> DistSu
     mu_f, var_f = float(mu), float(m2)
     sigma_f = math.sqrt(var_f)
     skew = float(m3) / var_f ** 1.5
-    exkurt = float(m4 / (m2 * m2)) - 3.0
+    exkurt = float(m4 / (m2 * m2) - 3)
 
     ks = max(abs(cum / g1 - normal_cdf((k + 0.5 - mu_f) / sigma_f))
              for k, cum in enumerate(accumulate(g.coeffs)))
-    errors = tuple(
-        (t, abs(log_m - t * t / 2.0))
-        for t, log_m in zip(t_grid, _log_mgfs(g.coeffs, g1, t_grid, mu_f, sigma_f))
-    )
+    errors = tuple(zip(t_grid, _mgf_errors(g.coeffs, g1, mu, m2, t_grid)))
     return DistSummary(family, rank, mu, m2, ks, skew, exkurt, errors)
 
 

@@ -355,20 +355,23 @@ def _reject_constant(name):
 
 
 def test_converge_mgf_output_is_finite(capsys):
-    # at rank 30 the Horner sum overflows at t = 1000, exp(t/sigma) overflows
-    # at t = 5000 and underflows to a zero sum at t = -5000; each time the
-    # log-sum-exp path must take over
-    argv = ["converge", "--family", "B", "--ranks", "30", "--t-grid", "1000,5000,-5000"]
+    # in float arithmetic these t overflow or underflow the sum at rank 30,
+    # and B1300's coefficients are over 1024 bits; +-1.3e154 is near the
+    # largest t whose t*t/2 is finite
+    argv = ["converge", "--family", "B", "--ranks", "30,1300",
+            "--t-grid", "1000,5000,-5000,1.3e154,-1.3e154"]
     rc, out, _ = run_cli(argv, capsys)
     assert rc == 0
-    row = out.splitlines()[1].split(",")
-    assert all(math.isfinite(float(v)) for v in row[4:])
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 2
+    assert all(math.isfinite(float(v)) for row in rows for v in row[4:])
     rc, out, _ = run_cli(argv + ["--format", "json"], capsys)
     assert rc == 0
     record = json.loads(out, parse_constant=_reject_constant)
-    errors = record["payload"][0]["mgf_errors"]
-    assert len(errors) == 3
-    assert all(math.isfinite(e["abs_error"]) for e in errors)
+    for summary in record["payload"]:
+        errors = summary["mgf_errors"]
+        assert len(errors) == 5
+        assert all(math.isfinite(e["abs_error"]) for e in errors)
 
 
 # ---------------------------------------------------------------- verify

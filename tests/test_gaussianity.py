@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -72,25 +73,65 @@ def test_summary_invariant_under_scaling():
     assert a.mgf_errors == b.mgf_errors
 
 
-def test_horner_and_logsumexp_paths_agree(monkeypatch):
-    g = gf_coefficient("D", 40)
-    g1, mu, m2, _, _ = gaussianity._central_moments(g)
-    mu_f, sigma_f = float(mu), math.sqrt(float(m2))
-    t_grid = (-1.0, -0.5, 0.5, 1.0)
-    horner = gaussianity._log_mgfs(g.coeffs, g1, t_grid, mu_f, sigma_f)
-    monkeypatch.setattr(gaussianity, "_HORNER_MAX_DEGREE", -1)
-    lse = gaussianity._log_mgfs(g.coeffs, g1, t_grid, mu_f, sigma_f)
-    for t, h, s in zip(t_grid, horner, lse):
-        assert abs(h - s) < 1e-11, t
-
-
-def test_large_rank_uses_logsumexp_without_overflow():
-    # rank 1300 exceeds the Horner degree cap; the sweep must still finish,
-    # and the error at t=1 tracks skewness/6 (about 0.002 here)
+def test_large_rank_mgf_error_is_finite():
+    # degree 2599, with coefficients over 1024 bits that no float holds; the
+    # error at t = 1 tracks skewness/6 (about 0.002 here)
     g = highest_qpoly("B", 1300)
-    assert g.degree > gaussianity._HORNER_MAX_DEGREE
-    s = summarize(g, t_grid=(1.0,))
+    assert max(g.coeffs).bit_length() > 1024
+    s = summarize(g, t_grid=(-1.0, 1.0))
+    assert all(math.isfinite(e) for _, e in s.mgf_errors)
     assert s.max_mgf_error < 3e-3
+
+
+def _reference_values(g, t_grid):
+    """Skewness, excess kurtosis and every |log M(t) - t*t/2| of g as
+    50-digit Decimals, from direct centred sums.
+
+    With d_k = k*g1 - sum(k*c_k) and n_j = sum(c_k * d_k**j), the central
+    moments are n_j / g1**(j+1), and M(t) = sum(c_k/g1 * e**(d_k*t*s)) with
+    s = sqrt(g1/n2): a different evaluation from the package's.
+    """
+    g1 = sum(g.coeffs)
+    s1 = sum(k * c for k, c in enumerate(g.coeffs))
+    centred = [(k * g1 - s1, c) for k, c in enumerate(g.coeffs) if c]
+    n2, n3, n4 = (sum(c * d ** j for d, c in centred) for j in (2, 3, 4))
+    with localcontext(Context(prec=50)):
+        skew = Decimal(n3) * Decimal(g1).sqrt() / (Decimal(n2) * Decimal(n2).sqrt())
+        kurt = Fraction(n4 * g1, n2 * n2) - 3
+        floats = [skew, Decimal(kurt.numerator) / kurt.denominator]
+        scale = (Decimal(g1) / n2).sqrt()
+        probs = [(d * scale, Decimal(c) / g1) for d, c in centred]
+        for t in t_grid:
+            t_d = Decimal(t)
+            m = sum(p * (x * t_d).exp() for x, p in probs)
+            floats.append(abs(m.ln() - t_d * t_d / 2))
+    return floats
+
+
+def _printed(x):
+    """x rounded to the 12 significant digits %.12g prints, from its exact value."""
+    return float(format(Decimal(x), ".11e"))
+
+
+_GOLDEN_T = (1000.0, 5000.0, -5000.0)
+
+
+@pytest.mark.parametrize("family, ranks, t_grid, bumps", [
+    ("A", (10, 20), (0.5, 1.0, -0.25), 0),
+    ("D", (12, 40), DEFAULT_T_GRID, 0),
+    ("product", (8, 12), DEFAULT_T_GRID, 2),
+    ("B", (30,), _GOLDEN_T, 0),
+    ("C", (30,), _GOLDEN_T, 0),
+    *((family, (100, 400), DEFAULT_T_GRID, 2 if family == "product" else 0)
+      for family in ("A", "B", "C", "D", "product")),
+])
+def test_printed_digits_match_a_50_digit_reference(family, ranks, t_grid, bumps):
+    # every skewness, excess kurtosis and MGF error converge prints, through
+    # %.12g, equals the 50-digit reference rounded the same way
+    for s in convergence_sweep(family, ranks, t_grid, bumps=bumps):
+        got = [s.skewness, s.excess_kurtosis, *(e for _, e in s.mgf_errors)]
+        want = _reference_values(family_poly(family, s.rank, bumps), t_grid)
+        assert list(map(_printed, got)) == list(map(_printed, want)), (family, s.rank)
 
 
 def test_diagnostics_shrink_along_ranks():
