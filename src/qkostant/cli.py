@@ -19,9 +19,15 @@ digits to text (sys.set_int_max_str_digits), and exact output can be longer
 (the B11000 variance), so main lifts that limit while _emit writes and
 restores the caller's value after.  Argument parsing keeps the limit.
 
+_parse_args reads argv against one flag table, _COMMANDS, which also
+generates the -h/--help text; a malformed argv is one `usage error:` line
+and exit 64.
+
 Every request is a fresh process, so start-up and exit count: the module
-level imports only what the parser needs, and each subcommand imports the
-layers it uses (and json or csv where it emits them) when it runs.  At exit,
+level imports only what the parser needs (not argparse, whose import, with
+gettext's and locale's, cost more than the parsing), and each subcommand
+imports the layers it uses (and json or csv where it emits them) when it
+runs.  At exit,
 entry() freezes the heap (gc.freeze) before sys.exit, so the interpreter's
 shutdown collections skip the objects the request leaves behind; main()
 does not, because in-process callers keep running after it returns.
@@ -29,11 +35,11 @@ does not, because in-process callers keep running after it returns.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 from ._record import Record
 from .errors import KostantError
@@ -60,13 +66,6 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse parser whose flag errors map to exit code 64."""
-
-    def error(self, message):
-        raise _UsageError(message)
-
-
 def _round(x: float) -> float:
     """x rounded through %.12g: the one rounding rule for every output float."""
     return float(format(x, ".12g"))
@@ -81,7 +80,7 @@ def _parse_int_list(text: str):
     try:
         return tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
+        raise _UsageError(f"expected comma-separated ints, got {text!r}")
 
 
 def _parse_t_grid(text: str):
@@ -91,7 +90,7 @@ def _parse_t_grid(text: str):
         if not all(math.isfinite(v * v / 2.0) for v in values):
             raise ValueError(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
+        raise _UsageError(
             f"expected comma-separated floats t with finite t*t/2, got {text!r}"
         )
     return values
@@ -108,12 +107,12 @@ def _parse_support(text: str):
     for part in text.split(","):
         halves = part.split(":")
         if len(halves) != 2:
-            raise argparse.ArgumentTypeError(
+            raise _UsageError(
                 f"support entries look like index:extra, got {part!r}")
         try:
             entries.append((int(halves[0]), int(halves[1])))
         except ValueError:
-            raise argparse.ArgumentTypeError(f"non-integer support entry {part!r}")
+            raise _UsageError(f"non-integer support entry {part!r}")
     return tuple(entries)
 
 
@@ -165,48 +164,146 @@ def _emit(fmt: str, command: str, out: _Output) -> None:
         print("\n".join(out.text))
 
 
-def _build_parser():
-    parser = _Parser(prog="qkostant", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+# The flag table.  A flag is (name, attribute, converter, default, help):
+# the converter is None for a switch, the tuple of allowed values for a
+# choice, or a function of the value's text that raises ValueError or
+# _UsageError; a default of _REQUIRED makes the flag required.
+_REQUIRED = object()
+_TYPE = ("--type", "lie_type", LIE_TYPES, _REQUIRED, "Lie type")
+_RANK = ("--rank", "rank", int, _REQUIRED, "rank")
+_FORMAT = ("--format", "format", ("csv", "json"), "csv", "output format (default: csv)")
+_HELP = ("--help", None, None, False, "show this help and exit")
 
-    p = sub.add_parser("roots", help="list the positive roots of one system")
-    p.add_argument("--type", required=True, choices=LIE_TYPES, dest="lie_type")
-    p.add_argument("--rank", required=True, type=int)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+# Each subcommand -> its help line and its flags.
+_COMMANDS = {
+    "roots": ("list the positive roots of one system", (_TYPE, _RANK, _FORMAT)),
+    "qpoly": ("part-count polynomial of a weight, by any route", (
+        _TYPE, _RANK,
+        ("--weight", "weight", _parse_weight, "highest",
+         'comma-separated coordinates, or "highest" (default)'),
+        ("--support", "support", _parse_support, None,
+         "bump pattern index:extra,index:extra over the all-ones weight"),
+        ("--route", "route", ("oracle", "product", "gf", "explicit", "all"), "all",
+         "the route to compute (default: all that apply)"),
+        ("--strict", "strict", None, False, "exit 3 if the computed routes disagree"),
+        _FORMAT)),
+    "stats": ("exact part-count mean and variance at the highest root",
+              (_TYPE, _RANK, _FORMAT)),
+    "converge": ("Gaussian-convergence diagnostics across ranks", (
+        ("--family", "family", FAMILIES, _REQUIRED, "family of weights"),
+        ("--ranks", "ranks", _parse_int_list, (25, 100, 400),
+         "comma-separated ranks (default: 25,100,400)"),
+        ("--bumps", "bumps", int, 0, "bumped index count for the product family"),
+        ("--t-grid", "t_grid", _parse_t_grid, None,
+         "comma-separated t values (default: gaussianity.DEFAULT_T_GRID)"),
+        _FORMAT)),
+    "verify": ("run the cross-route verification suite", (
+        ("--max-rank", "max_rank", int, 8, "largest rank checked (default: 8)"),
+        ("--format", "format", ("text", "csv", "json"), "text",
+         "output format (default: text)"))),
+}
 
-    p = sub.add_parser("qpoly", help="part-count polynomial of a weight, by any route")
-    p.add_argument("--type", required=True, choices=LIE_TYPES, dest="lie_type")
-    p.add_argument("--rank", required=True, type=int)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--weight", type=_parse_weight, default="highest",
-                       help='comma-separated coordinates, or "highest" (default)')
-    group.add_argument("--support", type=_parse_support,
-                       help="bump pattern index:extra,index:extra over the all-ones weight")
-    p.add_argument("--route", choices=("oracle", "product", "gf", "explicit", "all"),
-                   default="all")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 3 if the computed routes disagree")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("stats", help="exact part-count mean and variance at the highest root")
-    p.add_argument("--type", required=True, choices=LIE_TYPES, dest="lie_type")
-    p.add_argument("--rank", required=True, type=int)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+def _lookup(token, flags):
+    """The flag a --name[=value] token names, in full or by a unique prefix
+    of its name, and the value after "=" (None without one).  -h is --help.
+    No flag name is a prefix of another, so a full name is a unique prefix."""
+    name, eq, value = ("--help", "", "") if token == "-h" else token.partition("=")
+    found = [f for f in flags if f[0].startswith(name)]
+    if not (name.startswith("--") and len(name) > 2 and found):
+        raise _UsageError(f"unrecognized arguments: {token}")
+    if len(found) > 1:
+        raise _UsageError(
+            f"ambiguous option: {name} could match {', '.join(f[0] for f in found)}")
+    return found[0], value if eq else None
 
-    p = sub.add_parser("converge", help="Gaussian-convergence diagnostics across ranks")
-    p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--ranks", type=_parse_int_list, default=(25, 100, 400))
-    p.add_argument("--bumps", type=int, default=0,
-                   help="bumped index count for the product family")
-    p.add_argument("--t-grid", type=_parse_t_grid, dest="t_grid",
-                   help="comma-separated t values (default: gaussianity.DEFAULT_T_GRID)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("verify", help="run the cross-route verification suite")
-    p.add_argument("--max-rank", type=int, default=8, dest="max_rank")
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+def _form(flag) -> str:
+    """How a flag is written in a usage line: --rank RANK, --type {A,B,C,D}."""
+    name, attr, convert = flag[:3]
+    if convert is None:
+        return name
+    if isinstance(convert, tuple):
+        return f"{name} {{{','.join(convert)}}}"
+    return f"{name} {attr.upper()}"
 
-    return parser
+
+def _help(command) -> str:
+    """The -h/--help text of the top level (command None) or of one command."""
+    if command is None:
+        return "\n".join([
+            f"usage: qkostant {{{','.join(_COMMANDS)}}} [flags]", "",
+            __doc__.splitlines()[0], "", "commands:",
+            *(f"  {name:9} {line}" for name, (line, _) in _COMMANDS.items()), "",
+            "`qkostant <command> --help` lists the flags of one command."])
+    line, flags = _COMMANDS[command]
+    usage = [_form(f) if f[3] is _REQUIRED else f"[{_form(f)}]" for f in flags]
+    rows = [(_form(f), f[4] + (" (required)" if f[3] is _REQUIRED else "")) for f in flags]
+    rows.append(("-h, --help", _HELP[4]))
+    width = max(len(form) for form, _ in rows)
+    return "\n".join([f"usage: qkostant {command} {' '.join(usage)}", "", line, "", "flags:",
+                      *(f"  {form:{width}}  {text}" for form, text in rows)])
+
+
+def _parse_args(argv):
+    """The request argv names, as a namespace holding the command and every
+    attribute of that command's flags, or None once the help it asks for is
+    printed.  A malformed argv raises _UsageError.
+
+    A flag's value is the next token unless that token starts with "--", or
+    follows "=" in the same token; a repeated flag's last value wins.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv else None
+    if command is None or command.startswith("-"):
+        command, flags, tokens = None, (), iter(argv)  # only help comes before a command
+    elif command in _COMMANDS:
+        flags, tokens = _COMMANDS[command][1], iter(argv[1:])
+    else:
+        raise _UsageError(f"argument command: invalid choice: {command!r} "
+                          f"(choose from {', '.join(_COMMANDS)})")
+    values = {"command": command, **{f[1]: f[3] for f in flags}}
+    given = set()
+    for token in tokens:
+        flag, value = _lookup(token, (*flags, _HELP))
+        name, attr, convert = flag[:3]
+        if convert is None:
+            if value is not None:
+                raise _UsageError(f"argument {name}: ignored explicit argument {value!r}")
+            if flag is _HELP:
+                print(_help(command))
+                return None
+            value = True
+        else:
+            if value is None:
+                value = next(tokens, None)
+                if value is None or value.startswith("--"):
+                    raise _UsageError(f"argument {name}: expected one argument")
+            value = _convert(name, convert, value)
+        values[attr] = value
+        given.add(name)
+    missing = [f[0] for f in flags if values[f[1]] is _REQUIRED]
+    if command is None or missing:
+        raise _UsageError("the following arguments are required: "
+                          + ", ".join(missing or ["command"]))
+    if {"--weight", "--support"} <= given:
+        raise _UsageError("argument --support: not allowed with argument --weight")
+    return SimpleNamespace(**values)
+
+
+def _convert(name, convert, text):
+    """One flag's value from its text, through a choice tuple or a converter."""
+    try:
+        if not isinstance(convert, tuple):
+            return convert(text)
+        if text in convert:
+            return text
+        detail = f"invalid choice: {text!r} (choose from {', '.join(convert)})"
+    except ValueError:  # only int raises it: the other converters raise _UsageError
+        detail = f"invalid {convert.__name__} value: {text!r}"
+    except _UsageError as exc:
+        detail = exc
+    raise _UsageError(f"argument {name}: {detail}")
 
 
 def _cmd_roots(args) -> _Output:
@@ -342,12 +439,13 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args is None:  # the help was asked for and printed
+        return EXIT_OK
     try:
         out = _HANDLERS[args.command](args)
     except KostantError as exc:

@@ -16,6 +16,8 @@ import jsonschema
 import pytest
 
 from qkostant import (
+    FAMILIES,
+    LIE_TYPES,
     MIN_RANK,
     QPoly,
     TYPE_B_VARIANCE_NOTE,
@@ -816,11 +818,174 @@ def test_usage_errors_exit_64(capsys):
         ["converge", "--family", "B", "--t-grid", "1e200"],
         ["nonsense"],
         [],
+        ["qpoly", "--type", "A", "--r", "3"],  # ambiguous: --rank or --route
+        ["roots", "--type", "A", "--rank"],  # value missing at the end
+        ["roots", "--type", "--rank", "3"],  # a flag where the value should be
+        ["qpoly", "--type", "A", "--rank", "3", "--strict=yes"],
+        ["roots", "--type", "A", "--rank", "3", "--max-rank", "4"],  # verify's flag
+        ["qpoly", "--type", "A", "--rank", "6", "--weight", "highest", "--support", "3:1"],
+        ["qpoly", "--type", "A", "--rank", "6", "--support", "3:1", "--weight=highest"],
+        ["roots", "--type", "A", "--rank", "3", "extra"],
+        ["roots", "--type", "A", "--rank", "3", "--"],
+        ["roots", "-x"],
+        ["--type", "A", "roots"],
     ]
     for argv in cases:
-        rc, _, err = run_cli(argv, capsys)
-        assert rc == 64, argv
-        assert "usage error" in err
+        rc, out, err = run_cli(argv, capsys)
+        assert (rc, out) == (64, ""), argv
+        assert err.startswith("usage error: ") and err.count("\n") == 1, (argv, err)
+        assert "Traceback" not in err
+
+
+def test_usage_error_messages(capsys):
+    for argv, message in [
+        (["qpoly", "--type", "A", "--r=3"], "ambiguous option: --r could match --rank, --route"),
+        (["roots", "--type", "A", "--rank"], "argument --rank: expected one argument"),
+        (["qpoly", "--type", "A", "--rank", "3", "--strict=1"],
+         "argument --strict: ignored explicit argument '1'"),
+        (["qpoly", "--type", "A", "--rank", "6", "--weight", "highest", "--support", "3:1"],
+         "argument --support: not allowed with argument --weight"),
+        (["roots", "--rank", "3"], "the following arguments are required: --type"),
+        (["roots", "--type", "Q", "--rank", "3"],
+         "argument --type: invalid choice: 'Q' (choose from A, B, C, D)"),
+        (["converge", "--family", "B", "--ranks", "1,x"],
+         "argument --ranks: expected comma-separated ints, got '1,x'"),
+    ]:
+        assert run_cli(argv, capsys) == (64, "", f"usage error: {message}\n"), argv
+
+
+def test_unique_prefix_and_equals_forms_parse_like_the_full_flag(capsys):
+    # a full flag name is a unique prefix only while no name prefixes another
+    for _, flags in cli._COMMANDS.values():
+        names = [f[0] for f in (*flags, cli._HELP)]
+        assert not [(a, b) for a in names for b in names if a != b and b.startswith(a)]
+    full = cli._parse_args(["qpoly", "--type", "B", "--rank", "4", "--strict", "--route", "gf"])
+    for argv in (["qpoly", "--typ", "B", "--ra", "4", "--st", "--ro", "gf"],
+                 ["qpoly", "--type=B", "--ran=4", "--strict", "--rou=gf"],
+                 # a repeated flag: the last one wins
+                 ["qpoly", "--type", "C", "--rank", "9", "--type", "B", "--rank=4", "--strict",
+                  "--route", "gf"]):
+        assert cli._parse_args(argv) == full, argv
+    assert run_cli(["qpoly", "--typ", "B", "--rank", "4"], capsys) == \
+        run_cli(["qpoly", "--type", "B", "--rank", "4"], capsys)
+
+
+def test_values_may_start_with_a_single_dash(capsys):
+    # `--t-grid -0.5,1` reads the next token as the value, as `--t-grid=-0.5,1` does
+    base = ["converge", "--family", "B", "--ranks", "6,8"]
+    rc, out, err = run_cli([*base, "--t-grid", "-0.5,1"], capsys)
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[0].endswith("mgf_err[t=-0.5],mgf_err[t=1]")
+    assert run_cli([*base, "--t-grid=-0.5,1"], capsys) == (rc, out, err)
+    # a negative rank is a value too, refused by the layer, not the parser
+    rc, out, err = run_cli(["roots", "--type", "A", "--rank", "-3"], capsys)
+    assert (rc, out) == (2, "") and err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_help_prints_usage_and_returns_0(capsys, command):
+    for flag in ("-h", "--help", "--he"):
+        argv = [flag] if command is None else [command, flag]
+        rc, out, err = run_cli(argv, capsys)  # main returns: no SystemExit
+        assert (rc, err) == (0, ""), argv
+        assert out.startswith(f"usage: qkostant {command or ''}")
+        flags = () if command is None else cli._COMMANDS[command][1]
+        assert all(f[0] in out for f in flags)
+    # help wins over the flags after it, but not over an error before it
+    if command is not None:
+        assert run_cli([command, "-h", "--nonsense"], capsys)[0] == 0
+        assert run_cli([command, "--nonsense", "-h"], capsys)[0] == 64
+
+
+# ------------------------------------------------------------- argv fuzz
+
+# Tokens built from the flag table itself: every command's flags, prefixes
+# of them, unknown flags and stray tokens.  Values are empty, negative, not
+# numbers, or numbers up to 6 (the only digit the random text holds is 0), so
+# no request runs past rank 6; no token can ask for --help.
+_FUZZ_VALUES = ("", "-1", "0", "1", "3", "6", "x", "1,2", "-1,2", "1,,2", "highest", "3:1",
+                "2:x", "0.5,-1", "-0.5", "nan", "1e400", "A", "B", "D", "product", "csv",
+                "json", "text", "oracle", "gf", "all")
+
+
+def _fuzz_argv(st):
+    """argv of a command (or a stray word), a valid start and up to four
+    tokens: a flag of the command or of any, a prefix of one, or junk, with
+    a value after it, after "=", or none."""
+    every = sorted({f[0] for _, flags in cli._COMMANDS.values() for f in flags})
+    value = st.one_of(st.sampled_from(_FUZZ_VALUES), st.text("0,:-.xAe ", max_size=6))
+
+    def tokens(names):
+        name = st.one_of(
+            st.sampled_from(names),
+            st.sampled_from(every),
+            st.tuples(st.sampled_from(every), st.integers(3, 9)).map(lambda t: t[0][:t[1]]),
+            st.sampled_from(["--zzz", "--", "-x", "x", "--rank 3"]),
+        )
+        token = st.one_of(
+            st.tuples(name, value).map(list),
+            st.tuples(name, value).map(lambda t: [f"{t[0]}={t[1]}"]),
+            name.map(lambda n: [n]),
+        )
+        return st.lists(token, max_size=4).map(lambda groups: sum(groups, []))
+
+    # Each command starts from valid flags (converge and verify default to
+    # ranks up to 400 and 8, so they start from small ones); the tokens after
+    # them add to or override those.
+    small = st.integers(-1, 6).map(str)
+    typed = st.tuples(st.sampled_from(LIE_TYPES), small).map(
+        lambda t: ["--type", t[0], "--rank", t[1]])
+    start = {
+        "roots": typed, "qpoly": typed, "stats": typed,
+        "converge": st.tuples(st.sampled_from(FAMILIES), small).map(
+            lambda t: ["--family", t[0], "--ranks", f"{t[1]},6"]),
+        "verify": small.map(lambda r: ["--max-rank", r]),
+    }
+
+    def argv(command):
+        names = [f[0] for f in cli._COMMANDS[command][1]] if command in start else every
+        return st.tuples(start.get(command, st.just([])), tokens(names)).map(
+            lambda t: [command, *t[0], *t[1]])
+
+    return st.sampled_from([*cli._COMMANDS, "nonsense", ""]).flatmap(argv)
+
+
+def test_fuzzed_argv_parse_or_refuse():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(_fuzz_argv(hypothesis.strategies))
+    @hypothesis.example(["qpoly", "--we", "highest", "--su", "3:1"])
+    @hypothesis.example(["converge", "--ranks", "2,4", "--t-grid", "-0.5,1", "--fa=A"])
+    def check(argv):
+        try:
+            args = cli._parse_args(argv)
+        except cli._UsageError:
+            return
+        attrs = {f[1] for f in cli._COMMANDS[argv[0]][1]}
+        assert set(vars(args)) == {"command", *attrs}
+        assert args.command == argv[0]
+
+    check()
+
+
+def test_fuzzed_argv_exit_codes(capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(_fuzz_argv(hypothesis.strategies))
+    def check(argv):
+        capsys.readouterr()
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2, 3, 64), argv
+        if rc in (2, 64):
+            prefix = "error: " if rc == 2 else "usage error: "
+            assert err.startswith(prefix) and err.count("\n") == 1, (argv, err)
+        else:
+            assert err == "", (argv, err)
+
+    check()
 
 
 def test_non_integer_support_entry_exits_64(capsys):
@@ -951,7 +1116,7 @@ atexit.register(lambda: sys.stderr.write("\\nMODULES " + " ".join(sorted(sys.mod
 runpy.run_module("qkostant.cli", run_name="__main__", alter_sys=True)
 """
 
-_NEVER_LOADED = {"dataclasses", "inspect"}
+_NEVER_LOADED = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
 _IMPORT_CASES = [
     (["roots", "--type", "B", "--rank", "3", "--format", "json"],
      {"qkostant.closedform", "qkostant.kostant", "qkostant.polyring", "qkostant.kronecker",
