@@ -77,15 +77,17 @@ it unchanged.
 One target.  The fold's box grows exponentially with the rank even where
 the coordinates stay small, as in the all-ones weights and highest roots.
 The transfer module's prefix DP gives one target's polynomial in time
-polynomial in the rank while the coordinates stay bounded, and its tables
-give a bound on its transitions before any pass.  A maximal target with
-no other member runs the DP when that bound is below its box
-prod_i (target_i + 1), and is folded otherwise: A17 all-ones bounds 578
-transitions against 131072 cells, the B8 highest root 6641 against 4374.
-A maximal target with other members is always folded, since the DP reads
-only its own target.  Either method is run as the same two passes, a
-count pass at width 0 and a packed pass at width W, and count_decompositions
-runs the count pass alone.
+polynomial in the rank while the coordinates stay bounded, and counts its
+own work as it goes.  A maximal target with no other member runs the DP's
+count pass capped at box // UNIT_CELLS units, box = prod_i (target_i + 1)
+and UNIT_CELLS the measured time of a DP unit in fold cells.  If the pass
+finishes, its count is the DP's first pass; if it stops at the cap, the
+target is folded: A17 all-ones takes 903 units against a cap of 26214,
+the C10 highest root 3022 against 7873, and the B8 highest root folds at
+its cap of 874 (it needs 1586).  A maximal target with other members is
+always folded, since the DP reads only its own target.  Either method is
+run as the same two passes, a count pass at width 0 and a packed pass at
+width W, and count_decompositions runs the count pass alone.
 
 Boxes over MAX_FOLD_CELLS cells are refused before any table is allocated.
 Every fold's box is one target's own box, so the budget applies to each
@@ -111,6 +113,8 @@ from .rootsys import RootSystem, Weight
 MAX_FOLD_CELLS = 2 ** 22
 #: Largest bound on the bits of the packed sweep's table it will allocate.
 MAX_FOLD_BITS = 2 ** 32
+#: Fold cells swept in about the time of one unit of the transfer DP's work.
+UNIT_CELLS = 5
 
 
 def qanalog(system: RootSystem, target) -> QPoly:
@@ -186,7 +190,8 @@ def _passes(roots, box, members):
     """The members' values, packed at q = 2**width, as a function of width.
 
     A lone member, which is the box itself, runs the transfer DP when its
-    transition bound is below the box; every other box is folded.
+    count pass spends at most box // UNIT_CELLS units, and that pass is the
+    width-0 value; every other box is folded.
     """
     if len(members) == 1:
         # Imported here: every fold verify makes reads at least 2 members,
@@ -194,8 +199,9 @@ def _passes(roots, box, members):
         from .transfer import PrefixTransfer
 
         dp = PrefixTransfer(roots, box)
-        if dp.bound < prod(c + 1 for c in box):
-            return lambda width: [dp.packed(width)]
+        count = dp.packed(0, prod(c + 1 for c in box) // UNIT_CELLS)
+        if count is not None:
+            return lambda width: [dp.packed(width) if width else count]
     plan, total, cells = _plan(roots, box, members)
     # each sweep's table is freed once the members' cells are read
     return lambda width: list(map(_sweep(plan, total, width).__getitem__, cells))

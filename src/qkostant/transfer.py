@@ -30,30 +30,30 @@ whose bit length W bounds every coefficient, and a pass with each
 polynomial packed at q = 2**W gives the polynomial; both are exact integer
 linear arithmetic, so carries on the way do not matter.
 
-Cost.  The step into k makes at most C(E_k + w_{k-1}, w_{k-1}) shares,
-E_k the number of (open prefix, bin) pairs, since the prefixes open at
-k - 1 hold at most w_{k-1} roots (a fork's 0 aside), and each is completed
-by at most (w_k + 1)**s_k choices of starts, s_k the number of start
-classes at k.  PrefixTransfer.bound sums these before any pass, so a
-caller can compare it with the fold's box.
+Work.  A pass counts its work in units: one transition (each choice of
+one share per open prefix of a state, and each fill that completes one),
+one entry of a fill list as it is built, and one entry of a share list,
+charged by its size C(m + b - 1, b - 1), m copies among b bins, before it
+is built.  Given a cap, a pass stops with None once it has spent more
+than cap units, so a caller can try the count pass against another
+method's cost and lose little more than that.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import chain, product
-from math import comb
-from operator import itemgetter
+from itertools import islice
+from math import comb, inf, prod
 
 
 class PrefixTransfer:
     """The transfer DP over the given roots, which lie below the target.
 
     steps[k], for k = 0..r, is the step into coordinate k; step r opens no
-    prefix.  bound is the transition bound.
+    prefix.
     """
 
-    __slots__ = ("target", "steps", "bound")
+    __slots__ = ("steps",)
 
     def __init__(self, roots, target):
         spans = []  # (root, first, last nonzero coordinate)
@@ -61,41 +61,59 @@ class PrefixTransfer:
             support = [i for i, c in enumerate(root) if c]
             spans.append((root, support[0], support[-1]))
         ends = {root[:last + 1] for root, _, last in spans}
-        self.target, self.steps, parents = tuple(target), [], []
-        for k in range(len(target) + 1):
+        self.steps, parents = [], []
+        for k, w in enumerate((*target, 0)):
             level = sorted({root[:k + 1] for root, first, last in spans if first <= k <= last})
             kids = defaultdict(tuple)  # open prefix at k - 1 -> its children's indices
             for j, p in enumerate(level):
                 kids[p[:k]] += (j,)
             bins = [((None,) if p in ends else ()) + kids[p] for p in parents]
             starts = [j for j, p in enumerate(level) if not any(p[:k])]
-            self.steps.append(_Step(bins, [p[k] for p in level], starts))
+            self.steps.append(_Step(bins, [p[k] for p in level], starts, w))
             parents = level
-        self.bound, before = 0, 0
-        for step, w in zip(self.steps, target):
-            edges = sum(map(len, step.bins))
-            self.bound += comb(edges + before, before) * (w + 1) ** len(step.starts)
-            before = w
 
-    def packed(self, width) -> int:
-        """The target's polynomial packed at q = 2**width (its count at 0).
+    def packed(self, width, cap=None):
+        """The target's polynomial packed at q = 2**width (its count at 0),
+        or None once the pass has spent more than cap units of work.
 
         A state is keyed by its open prefixes' (index, multiplicity) pairs
         with multiplicity > 0, in ascending index order: start classes,
         which begin with k zeros, sort first, and each parent's children
-        follow one another in the parents' order.
+        follow one another in the parents' order.  A state's shares are
+        joined one parent at a time, keeping the combinations that use at
+        most w_k, and each is completed by the fills of what is left.
         """
+        left = inf if cap is None else cap
         states = {(): 1}
-        for step, w in zip(self.steps, (*self.target, 0)):
-            fills = [list(_fills(rem, step.starts, step.coords)) for rem in range(w + 1)]
-            nxt = defaultdict(int)
+        for step in self.steps:
+            nxt, w, fills_of = defaultdict(int), step.w, step.fills
             for state, value in states.items():
-                for choice in product(*map(step.__getitem__, state)):
-                    used = sum(map(itemgetter(0), choice))
-                    if used > w:
-                        continue
-                    kids = tuple(chain.from_iterable(map(itemgetter(1), choice)))
-                    for fill, count in fills[w - used]:
+                shares = list(map(step.get, state))
+                if None in shares:  # charged before they are built
+                    left -= sum(comb(m + len(step.bins[i]) - 1, m) for i, m in state
+                                if (i, m) not in step)
+                    if left < 0:
+                        return None
+                    shares = list(map(step.__getitem__, state))
+                left -= prod(map(len, shares))
+                if left < 0:
+                    return None
+                combos = shares[0] if shares else [(0, ())]
+                for more in shares[1:]:
+                    combos = [(u + v, p + q) for u, p in combos for v, q in more if u + v <= w]
+                for used, kids in combos:
+                    fills = fills_of.get(w - used)
+                    if fills is None:
+                        found = _fills(w - used, step.starts, step.coords)
+                        fills = list(islice(found, None if cap is None else left + 1))
+                        if len(fills) > left:  # never keep a list cut short
+                            return None
+                        left -= len(fills)
+                        fills_of[w - used] = fills
+                    left -= len(fills)
+                    if left < 0:
+                        return None
+                    for fill, count in fills:
                         nxt[fill + kids] += value << (width * count)
             states = nxt
         return states.get((), 0)
@@ -103,20 +121,23 @@ class PrefixTransfer:
 
 class _Step(dict):
     """The step into one coordinate k, mapping (parent, m) to the parent's
-    shares of m copies, built on first use and kept for the next pass.
+    shares of m copies that use at most w of coordinate k, built on first
+    use and kept for the next pass.
 
     bins holds each prefix open at k - 1 as the tuple of its bins (an index
     among the prefixes open at k, or None for close), coords each prefix
-    open at k's coordinate k, and starts the indices of the start classes.
+    open at k's coordinate k, starts the indices of the start classes, and
+    w the target's coordinate k (0 at k = r).  fills maps a remainder of w
+    to its _fills, also built on first use.
     """
 
-    def __init__(self, bins, coords, starts):
+    def __init__(self, bins, coords, starts, w):
         super().__init__()
-        self.bins, self.coords, self.starts = bins, coords, starts
+        self.bins, self.coords, self.starts, self.w, self.fills = bins, coords, starts, w, {}
 
     def __missing__(self, key):
         i, m = key
-        self[key] = shares = _shares(m, self.bins[i], self.coords)
+        self[key] = shares = [s for s in _shares(m, self.bins[i], self.coords) if s[0] <= self.w]
         return shares
 
 
@@ -137,12 +158,12 @@ def _shares(m, bins, coords):
 
 def _fills(rem, starts, coords):
     """Every (start multiplicities, roots started) whose coordinates sum to
-    rem."""
+    rem.  What is left fixes the last class's multiplicity."""
     if not starts:
         if not rem:
             yield (), 0
         return
-    h = coords[starts[0]]
-    for n in range(rem // h + 1):
-        for rest, count in _fills(rem - n * h, starts[1:], coords):
-            yield ((starts[0], n),) * (n > 0) + rest, count + n
+    h, rest = coords[starts[0]], starts[1:]
+    for n in range(rem // h + 1) if rest else (rem // h,) * (rem % h == 0):
+        for more, count in _fills(rem - n * h, rest, coords):
+            yield ((starts[0], n),) * (n > 0) + more, count + n

@@ -39,8 +39,13 @@ def load_schema():
     return json.loads(text)
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
 def check_json(stdout):
-    record = json.loads(stdout)
+    # RFC 8259 JSON has no NaN or Infinity
+    record = json.loads(stdout, parse_constant=_reject_constant)
     jsonschema.validate(record, load_schema())
     return record
 
@@ -352,10 +357,6 @@ def test_converge_out_of_range_exit_2(capsys, argv):
         assert "--bumps" in err and "index" not in err
 
 
-def _reject_constant(name):
-    raise ValueError(f"non-finite JSON constant {name}")
-
-
 def test_converge_mgf_output_is_finite(capsys):
     # in float arithmetic these t overflow or underflow the sum at rank 30,
     # and B1300's coefficients are over 1024 bits; +-1.3e154 is near the
@@ -369,7 +370,7 @@ def test_converge_mgf_output_is_finite(capsys):
     assert all(math.isfinite(float(v)) for row in rows for v in row[4:])
     rc, out, _ = run_cli(argv + ["--format", "json"], capsys)
     assert rc == 0
-    record = json.loads(out, parse_constant=_reject_constant)
+    record = check_json(out)
     for summary in record["payload"]:
         errors = summary["mgf_errors"]
         assert len(errors) == 5

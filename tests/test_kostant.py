@@ -22,6 +22,7 @@ from qkostant import (
     qanalog,
 )
 from qkostant.kostant import (
+    UNIT_CELLS,
     _cell_indices,
     _decode,
     _plan,
@@ -138,13 +139,19 @@ def test_degree_and_lowest_exponent_bounds():
             assert lowest >= math.ceil(total / biggest_part)
 
 
+def capped_count(system, w):
+    """The transfer DP's count pass over the roots below w with qanalog's
+    cap: None when qanalog folds a lone w."""
+    dp = PrefixTransfer(_roots_below(system, w), w)
+    return dp.packed(0, math.prod(c + 1 for c in w) // UNIT_CELLS)
+
+
 def test_count_is_value_at_one():
-    # on both methods: C4 bounds 821 transitions against a box of 54 and
-    # folds, A12 all-ones 288 against 4096 and runs the transfer DP
+    # on both methods: C4 (2, 2, 2, 1) spends more than its box of 54 cells
+    # allows and folds, A12 all-ones runs the transfer DP
     for lie_type, weight, transfer in (("C", (2, 2, 2, 1), False), ("A", (1,) * 12, True)):
         system = build_root_system(lie_type, len(weight))
-        dp = PrefixTransfer(_roots_below(system, weight), weight)
-        assert (dp.bound < math.prod(c + 1 for c in weight)) == transfer
+        assert (capped_count(system, weight) is not None) == transfer
         assert count_decompositions(system, weight) == qanalog(system, weight)(1)
 
 
@@ -185,8 +192,8 @@ def test_qanalogs_width_fits_the_widest_target():
 
 
 def test_qanalogs_fold_each_maximal_target_in_its_own_box(monkeypatch):
-    # every maximal target here folds: the transfer DP's bound is at or
-    # above its box
+    # every maximal target here folds: a lone one's capped count pass
+    # stops, as each A3 target shares 2048 copies of one prefix 2049 ways
     from qkostant import kostant
 
     boxes, members = [], []
@@ -198,9 +205,10 @@ def test_qanalogs_fold_each_maximal_target_in_its_own_box(monkeypatch):
         return plan(roots, box, targets)
 
     monkeypatch.setattr(kostant, "_plan", counting_plan)
-    # each target's box has 4001 cells, their join's 4001**2 > MAX_FOLD_CELLS
-    system = build_root_system("A", 2)
-    targets = [(4000, 0), (0, 4000)]
+    # each target's box has 4098 cells, their join's 2 * 2049**2 > MAX_FOLD_CELLS
+    system = build_root_system("A", 3)
+    targets = [(2048, 1, 0), (0, 2048, 1)]
+    assert [capped_count(system, w) for w in targets] == [None, None]
     want = tuple(qanalog(system, w) for w in targets)
     boxes.clear()
     assert qanalogs(system, targets) == want
@@ -568,8 +576,8 @@ def test_property_qanalogs_passes_once_per_maximal_target(monkeypatch):
 
 
 def transfer_coefficients(system, w):
-    """Both passes of the transfer DP over the roots below w, whatever its
-    bound, checking that the count pass sums the packed pass's fields."""
+    """Both passes of the transfer DP over the roots below w, uncapped,
+    checking that the count pass sums the packed pass's fields."""
     dp = PrefixTransfer(_roots_below(system, w), w)
     count = dp.packed(0)
     width = count.bit_length()
@@ -625,20 +633,21 @@ def test_property_transfer_matches_the_fold():
 @pytest.mark.parametrize("lie_type, rank, weight, transfer", [
     ("A", 17, None, True), ("A", 20, None, True), ("B", 12, None, True),
     ("B", 8, None, False), ("C", 4, (5, 5, 5, 5), False), ("B", 2, (60, 60), False),
-    ("B", 2, (1023, 1023), False),
+    ("B", 2, (1023, 1023), False), ("C", 10, None, True), ("A", 2, (4000, 0), True),
 ])
 def test_qanalog_runs_the_transfer_dp_below_the_box(monkeypatch, lie_type, rank, weight,
                                                     transfer):
-    # the transition bound against the box prod(t + 1); it counts
-    # transitions, not states, so B2 (1023, 1023) folds: its DP has few
-    # states but shares one prefix's 1023 copies 524,800 ways.  qanalog,
-    # qanalogs and count_decompositions make the same choice.
+    # the count pass's work against the box prod(t + 1) // UNIT_CELLS; it
+    # counts work, not states, so B2 (1023, 1023) folds: its DP has few
+    # states but shares one prefix's 1023 copies 524,800 ways.  A2
+    # (4000, 0) builds only the one fill it reads.  qanalog, qanalogs and
+    # count_decompositions make the same choice.
     from qkostant import kostant
 
     system = build_root_system(lie_type, rank)
     w = system.highest_root if weight is None else weight
-    dp = PrefixTransfer(_roots_below(system, w), w)
-    assert (dp.bound < math.prod(c + 1 for c in w)) == transfer
+    count = capped_count(system, w)
+    assert (count is not None) == transfer
 
     class Folded(Exception):
         pass
@@ -656,4 +665,63 @@ def test_qanalog_runs_the_transfer_dp_below_the_box(monkeypatch, lie_type, rank,
     want = QPoly(transfer_coefficients(system, w))
     assert qanalog(system, w) == want
     assert qanalogs(system, [w]) == (want,)
-    assert count_decompositions(system, w) == dp.packed(0)
+    assert count_decompositions(system, w) == count
+
+
+def test_capped_count_pass_builds_no_share_list_over_the_cap():
+    # B2 (1023, 1023) would share one prefix's 1023 copies 524,800 ways; the
+    # count pass charges that list before building it, stops, and the fold's
+    # bit budget refuses the weight
+    system = build_root_system("B", 2)
+    w = (1023, 1023)
+    cap = math.prod(c + 1 for c in w) // UNIT_CELLS
+    dp = PrefixTransfer(_roots_below(system, w), w)
+    assert dp.packed(0, cap) is None
+    assert all(len(shares) <= cap for step in dp.steps for shares in step.values())
+    start = time.perf_counter()
+    with pytest.raises(FoldTooLarge, match="bits"):
+        qanalog(system, w)
+    assert time.perf_counter() - start < 1.0
+
+
+# The seed-0 oracle-fold benchmark's weights, each read alone by qpoly:
+# (type, rank, weight, method, the work units of its full count pass).
+# The DP serves a weight when units <= box // UNIT_CELLS.
+_ORACLE_FOLD_CHOICES = [
+    ("C", 10, (2, 2, 2, 2, 2, 2, 2, 2, 2, 1), "dp", 3022),
+    ("B", 10, (1, 2, 2, 2, 2, 2, 2, 2, 2, 2), "dp", 3098),
+    ("A", 17, (1,) * 17, "dp", 903),
+    ("A", 15, (1, 1, 4, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1), "dp", 747),
+    ("A", 12, (1, 1, 4, 1, 1, 1, 1, 1, 1, 1, 1, 1), "dp", 471),
+    ("A", 14, (1,) * 14, "dp", 618),
+    ("B", 14, (1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 2, 1, 1, 1), "dp", 675),
+    ("D", 13, (1, 1, 1, 1, 1, 1, 2, 1, 3, 1, 1, 1, 1), "dp", 678),
+    ("B", 8, (1, 2, 2, 2, 2, 2, 2, 2), "fold", 1586),
+    ("C", 13, (1, 1, 1, 1, 1, 1, 1, 1, 3, 1, 1, 1, 1), "dp", 564),
+    ("D", 11, (1, 2, 2, 2, 2, 2, 2, 2, 2, 1, 1), "dp", 3566),
+    ("A", 16, (1,) * 16, "dp", 802),
+]
+
+
+@pytest.mark.parametrize("lie_type, rank, weight, method, units", _ORACLE_FOLD_CHOICES)
+def test_oracle_fold_weights_pin_their_method_and_units(monkeypatch, lie_type, rank, weight,
+                                                        method, units):
+    from qkostant import kostant
+
+    system = build_root_system(lie_type, rank)
+    roots = _roots_below(system, weight)
+    # a fresh pass finishes with exactly `units` to spend and stops with one less
+    assert PrefixTransfer(roots, weight).packed(0, units) is not None
+    assert PrefixTransfer(roots, weight).packed(0, units - 1) is None
+    assert (units <= math.prod(c + 1 for c in weight) // UNIT_CELLS) == (method == "dp")
+
+    folds = []
+    plan = kostant._plan
+
+    def counting_plan(*args):
+        folds.append(args[1])
+        return plan(*args)
+
+    monkeypatch.setattr(kostant, "_plan", counting_plan)
+    qanalog(system, weight)
+    assert folds == ([weight] if method == "fold" else [])
