@@ -13,23 +13,21 @@ Four alternatives to the lattice-fold oracle live here:
   on Kronecker-packed integers (see below).
 * explicit_qpoly: the same highest-root polynomial written directly as
   g_plus * beta_plus**e + g_minus * beta_minus**e with conjugate surds
-  beta = ((q**2+2q+2) +/- q*s)/2, s*s = q*q + 4.  Only the sum of the two
-  conjugate terms is needed, so the route works in polyring.Surd with
-  integer-polynomial parts and D = q*q + 4, the arithmetic Root5 uses with
-  D = 5 (at q = 1 the two extensions coincide): it takes the real part of
-  (A + B*s) * (2*beta_plus)**e for the family numerator pair (A, B) and
-  divides it by 2**e * (q**2+4), checking that both divisions are exact
-  instead of assuming it.  Its cost is the surd power, taken left to
-  right: about log2(e) squarings of three QPoly products each, and per set
-  bit of e one four-product step by the short 2*beta_plus.  The parts grow
-  to about 2e coefficients of up to about 1.4e bits, and QPoly multiplies
-  two such long parts, which meet only in a squaring, as one
-  Kronecker-packed big-integer product (kronecker.packed_product).  In
-  process C161 takes 11-13 ms, D500 0.18-0.28 s and B800 0.8-1.2 s (2-core
-  machine; 12-20 ms, 0.3-0.5 s and 1.5-2.2 s with the power taken right to
-  left).  It and gf_coefficient solve one order-2 recurrence past a start
-  rank, so agreeing at two ranks there makes them agree at every rank:
-  shared_recurrence states that rule, and verify checks it.
+  2*beta = T +/- X*s, T = q**2+2q+2, X = q, s*s = D = q**2+4.  Only the
+  sum of the two conjugate terms is needed: with (2*beta_plus)**e =
+  a + b*s and the family numerator pair (A, B) it is R / (2**e * D),
+  R = A*a + B*D*b, and both divisions are checked to be exact.  The power
+  runs left to right on a and b packed at q = 2**w, as the gf sweep runs:
+  per bit of e a squaring in three big-integer squares, per set bit a step
+  by T + X*s in shifts and adds.  No coefficient is negative, so before
+  each step w widens to hold the step's value at q = 1, (5 + sqrt(5))**k;
+  R is decoded once, at the width of R(1).  In process B55 takes 0.5 ms,
+  C161 3.8 ms, D500 0.12 s, B800 0.55 s and C1000 1.08 s (2-core machine;
+  1.5 ms, 6.3 ms, 0.14 s, 0.63 s and 1.23 s with QPoly parts multiplied
+  by one packed product each).  It and gf_coefficient solve one order-2
+  recurrence past a start rank, so agreeing at two ranks there makes them
+  agree at every rank: shared_recurrence states that rule, and verify
+  checks it.
 * the holonomic route (behind highest_qpoly): the same highest-root
   polynomial from the linear recurrence its coefficients satisfy.  It and
   its tables live in the holonomic module, which only a B/C/D
@@ -82,9 +80,9 @@ import itertools
 
 from ._record import Record
 from .errors import InternalCancellationFailure, InvalidSupport, RankTooSmall
-from .kronecker import unpack_fields
-from .polyring import QPoly, Root5, Surd, jet_at_one
-from .rootsys import Weight, validate_type_rank
+from .kronecker import repack, unpack_fields
+from .polyring import QPoly, Root5, jet_at_one
+from .rootsys import Weight, check_rank_type, validate_type_rank
 
 
 class SupportSpec(Record):
@@ -228,6 +226,7 @@ def gf_jet(lie_type: str, rank: int) -> tuple:
     """
     if lie_type not in _GF_NUMERATORS:
         raise ValueError(f"generating-function route covers B, C, D, not {lie_type!r}")
+    check_rank_type(rank)
     if rank < 0:
         raise ValueError("rank must be nonnegative")
     numerators = {k: jet_at_one(n.coeffs) for k, n in _GF_NUMERATORS[lie_type].items()}
@@ -284,8 +283,9 @@ def _gf_decode(packed: int, w: int, jet: tuple, label: str) -> QPoly:
 
 
 def _check_jet(coeffs, jet: tuple, what: str) -> None:
-    """Raise unless the coefficients have the jet (P(1), P'(1), P''(1)/2)."""
-    got = jet_at_one(coeffs)
+    """Raise unless the coefficients have the jet (P(1), P'(1), P''(1)/2),
+    or as many of its entries as jet holds."""
+    got = jet_at_one(coeffs)[:len(jet)]
     if got[0] != jet[0]:
         raise InternalCancellationFailure(
             f"{what} coefficients summing to {got[0]}, not P(1) = {jet[0]}"
@@ -296,15 +296,8 @@ def _check_jet(coeffs, jet: tuple, what: str) -> None:
         )
 
 
-class _QSurd(Surd):
-    """a + b*s over integer polynomials in q, with s*s = q*q + 4."""
-
-    __slots__ = ()
-    D = QPoly((4, 0, 1))
-
-
-#: 2*beta_plus = (q^2 + 2q + 2) + q*s; 2*beta_minus is its conjugate.
-_TWO_BETA_PLUS = _QSurd(QPoly((2, 2, 1)), QPoly((0, 1)))
+# 2*beta_plus = T + X*s with s*s = D; 2*beta_minus = T - X*s.
+_T, _X, _D = QPoly((2, 2, 1)), QPoly((0, 1)), QPoly((4, 0, 1))
 
 # Family numerators (A, B) with g_plus = (A + B*s) / (2(q^2 + 4)), and the
 # rank shift, which is also the family's minimum rank:
@@ -317,19 +310,21 @@ _EXPLICIT = {
 
 
 def shared_recurrence() -> tuple:
-    """(holds, starts): whether 2*beta_plus, so its conjugate too, is a root of
-    y**2 - 2*S1*y + 4*S2, and per family the rank max(shift, last numerator
-    rank - 1) past which explicit_qpoly and gf_coefficient then both solve
-    x_r = S1*x_{r-1} - S2*x_{r-2}: agreeing at ranks shift..starts[t] + 1,
-    they agree at every rank from shift on (Stanley, EC1 4.1)."""
-    (s1, s2), y = _GF_SHIFTS, _TWO_BETA_PLUS
+    """(holds, starts): whether 2*beta_plus = T + X*s, so its conjugate too, is
+    a root of y**2 - 2*S1*y + 4*S2 (its rational and s parts both vanish), and
+    per family the rank max(shift, last numerator rank - 1) past which
+    explicit_qpoly and gf_coefficient then both solve x_r = S1*x_{r-1} -
+    S2*x_{r-2}: agreeing at ranks shift..starts[t] + 1, they agree at every
+    rank from shift on (Stanley, EC1 4.1)."""
+    s1, s2 = _GF_SHIFTS
     starts = {t: max(shift, max(_GF_NUMERATORS[t]) - 1) for t, (_, _, shift) in _EXPLICIT.items()}
-    return y * y - 2 * s1 * y + 4 * s2 == 0, starts
+    rational = _T * _T + _X * _X * _D - 2 * s1 * _T + 4 * s2
+    return rational == 0 and 2 * _T * _X - 2 * s1 * _X == 0, starts
 
 
-def _div_s_squared(p: QPoly, label: str) -> QPoly:
-    """p / (q^2 + 4) by synthetic division; the remainder must be zero."""
-    rem = list(p.coeffs)
+def _div_s_squared(coeffs: list, label: str) -> QPoly:
+    """coeffs / (q^2 + 4) by synthetic division; the remainder must be zero."""
+    rem = list(coeffs)
     quot = [0] * (len(rem) - 2)
     for i in range(len(rem) - 1, 1, -1):
         c = rem[i]
@@ -342,21 +337,51 @@ def _div_s_squared(p: QPoly, label: str) -> QPoly:
     return QPoly(quot)
 
 
+def _byte_width(n: int) -> int:
+    """The bit length of n rounded up to whole bytes."""
+    return -(-n.bit_length() // 8) * 8
+
+
+def _times(packed: int, p: QPoly, w: int) -> int:
+    """packed * p(2**w) for a short p: one shift and add per nonzero term."""
+    return sum(c * packed << k * w for k, c in enumerate(p.coeffs) if c)
+
+
+def _surd_power(e: int) -> tuple:
+    """(a, b, w, z): (2*beta_plus)**e = a + b*s packed at q = 2**w, and its
+    value z = (5 + sqrt(5))**e at q = 1, which bounds every field (z.a >= z.b).
+    Packed arithmetic is exact, so (a + b)**2, the squaring's third square,
+    may carry between fields; only each step's result must fit them."""
+    a, b, w, z = 1, 0, 8, Root5(1)
+    xd = _X * _D
+    # a squaring per bit of e, then a step by T + X*s if the bit is set
+    for step in bin(e)[2:].replace("1", "sm").replace("0", "s"):
+        z = z * z if step == "s" else z * Root5(5, 1)
+        new = _byte_width(z.a)
+        a, b, w = repack(a, w, new), repack(b, w, new), new
+        if step == "s":
+            aa, bb, ab = a * a, b * b, a + b
+            a, b = aa + _times(bb, _D, w), ab * ab - aa - bb
+        else:
+            a, b = _times(a, _T, w) + _times(b, xd, w), _times(a, _X, w) + _times(b, _T, w)
+    return a, b, w, z
+
+
 def explicit_qpoly(lie_type: str, rank: int) -> QPoly:
     """Highest-root part-count polynomial from the conjugate-surd formulas.
 
     Type A is the plain product q*(1+q)**(rank-1).  For B/C/D, with
-    e = rank - shift, the conjugate sum g_plus*beta_plus**e + conjugate
-    equals Re[(A + B*s)(2*beta_plus)**e] / (2**e * (q^2+4)).  Both
-    divisions must be exact, and either failure raises
-    InternalCancellationFailure.
+    e = rank - shift, the conjugate sum g_plus*beta_plus**e + conjugate is
+    R / (2**e * (q^2+4)), R = A*a + B*D*b for (2*beta_plus)**e = a + b*s.  A
+    negative packed R, fields that do not sum to R(1), or either division
+    leaving a remainder raises InternalCancellationFailure.
     """
     if lie_type == "A":
-        if rank < 1:
-            raise RankTooSmall("type A needs rank >= 1")
+        validate_type_rank("A", rank)
         return _binomial_row(rank - 1).shifted(1)
     if lie_type not in _EXPLICIT:
         raise ValueError(f"unknown family {lie_type!r}")
+    check_rank_type(rank)
     a_coeffs, b_coeffs, shift = _EXPLICIT[lie_type]
     if rank < shift:
         raise RankTooSmall(
@@ -364,12 +389,19 @@ def explicit_qpoly(lie_type: str, rank: int) -> QPoly:
         )
     e = rank - shift
     label = f"{lie_type}{rank}"
-    power = _TWO_BETA_PLUS ** e
-    real = QPoly(a_coeffs) * power.a + QPoly(b_coeffs) * power.b * _QSurd.D
+    a, b, w, z = _surd_power(e)
+    num_a, num_bd = QPoly(a_coeffs), QPoly(b_coeffs) * _D
+    total = num_a(1) * z.a + num_bd(1) * z.b
+    width = max(w, _byte_width(total))  # repack never narrows
+    packed = _times(repack(a, w, width), num_a, width) + _times(repack(b, w, width), num_bd, width)
+    if packed < 0:
+        raise InternalCancellationFailure(f"surd sum for {label} is negative at q = 2^{width}")
+    coeffs = unpack_fields(packed, width)
+    _check_jet(coeffs, (total,), f"surd sum for {label} decodes to")
     mask = (1 << e) - 1
-    if any(c & mask for c in real.coeffs):
+    if any(c & mask for c in coeffs):
         raise InternalCancellationFailure(f"2^{e} does not divide the surd sum for {label}")
-    return _div_s_squared(QPoly([c >> e for c in real.coeffs]), label)
+    return _div_s_squared([c >> e for c in coeffs], label)
 
 
 class BenderReport(Record):

@@ -3,14 +3,10 @@
 When every coefficient lies in [0, 2**W), the value at q = 2**W holds one
 W-bit field per coefficient, lowest first, and integer + and * on packed
 values are polynomial + and * as long as no field overflows.  This module
-is the one codec for it.  The lattice fold (kostant) and the gf sweep
-(closedform) run their recurrences on packed integers and read the result
-with unpack_fields; QPoly.__mul__ (polyring) multiplies two long
-polynomials with packed_product, one big-integer product.
-
-Signed coefficients take a bias: adding 2**(W-1) to every field makes each
-field of a coefficient in [-2**(W-1), 2**(W-1)) nonnegative, and the biases
-of all n fields are one integer, added or taken off at once.
+is the one codec for it.  The lattice fold (kostant), the gf sweep and the
+explicit route's surd power (closedform) run on packed integers and read
+the result with unpack_fields; the surd power widens its fields with
+repack as its values grow.
 """
 
 from __future__ import annotations
@@ -33,32 +29,20 @@ def unpack_fields(packed: int, width: int) -> list:
     ]
 
 
-def _biases(width: int, n: int) -> int:
-    """2**(width-1) in each of n width-bit fields; width is a whole number of bytes."""
-    return int.from_bytes((1 << (width - 1)).to_bytes(width >> 3, "little") * n, "little")
+def repack(packed: int, width: int, new_width: int) -> int:
+    """The polynomial packed at q = 2**width, packed at q = 2**new_width.
 
-
-def packed_product(a: tuple, b: tuple) -> list:
-    """The coefficients of a * b, for two nonzero coefficient tuples, from one
-    big-integer product at q = 2**W.
-
-    No product coefficient exceeds min(len)*max|a|*max|b| in size, so W is
-    that bound's bit length plus a sign bit, rounded up to whole bytes.  A
-    factor is packed with the bias added to each coefficient and taken off
-    the packed value.  The product's fields are read with the bias added
-    and taken off each field again.  When a is b the one packed factor is
-    squared, which is faster than a product.
+    packed must be nonnegative and both widths whole bytes, with new_width
+    at least width.  Byte j of every field moves to byte j of its wider
+    field in one slice assignment, so the copy takes one step per byte of
+    the old width, not per field.
     """
-    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
-    width = 8 * (bound.bit_length() // 8 + 1)
-    half = 1 << (width - 1)
-    size = width >> 3
-
-    def pack(cs):
-        fields = b"".join([(c + half).to_bytes(size, "little") for c in cs])
-        return int.from_bytes(fields, "little") - _biases(width, len(cs))
-
-    x = pack(a)
-    product = x * x if a is b else x * pack(b)
-    biased = product + _biases(width, len(a) + len(b) - 1)
-    return [f - half for f in unpack_fields(biased, width)]
+    if new_width == width:
+        return packed
+    old, new = width >> 3, new_width >> 3
+    fields = -(-packed.bit_length() // width)
+    buf = packed.to_bytes(fields * old, "little")
+    out = bytearray(fields * new)
+    for j in range(old):
+        out[j::new] = buf[j::old]
+    return int.from_bytes(out, "little")

@@ -6,22 +6,20 @@ Two numeric layers live here, both float-free:
                 canonically normalized (no trailing zeros).  Every route
                 produces integer polynomials, so any other coefficient type
                 (Fraction, float, bool) is rejected at construction time.
-* Surd       -- a + b*s with s*s = D: one conjugate-pair arithmetic whose
-                parts keep their type (int, Fraction or QPoly).  Root5 is
-                its D = 5 subclass, the field Q(sqrt(5)); closedform's
-                explicit route uses D = q**2 + 4.
+* Root5      -- a + b*sqrt(5), the field Q(sqrt(5)), with int or Fraction
+                parts.  Int parts stay ints under +, -, * and **: the
+                closed moments and the explicit route's field bound
+                (5 + sqrt(5))**k are integer pairs until a division.
 
 Both take operands one way: _coerce makes an operand the class's own type or
 None, the decorator _coerced answers None with NotImplemented, and the base
 _Ring writes -, reflected - and ** (one square-and-multiply loop, _power) once.
 
-QPoly.__mul__ multiplies two long factors (both at least _PACKED_MIN_LEN
-coefficients) by Kronecker packing: one big-integer product, a square when
-both factors are the same object (kronecker.packed_product, the codec the
-lattice fold and the gf sweep also use).  A short factor stays on the
-schoolbook double loop.
+QPoly.__mul__ is the schoolbook double loop.  The long polynomials of the
+package are computed on Kronecker-packed integers (kronecker), so no
+QPoly product is long.
 
-Surd.__mul__ squares in three products, (a*a + D*b*b, 2*a*b), when both
+Root5.__mul__ squares in three products, (a*a + 5*b*b, 2*a*b), when both
 operands are the same object, as _power's squarings are; _power runs left
 to right, so its other steps multiply by the base itself.
 
@@ -36,7 +34,6 @@ import sys
 from operator import mul
 
 from .errors import NonRationalResult
-from .kronecker import packed_product
 
 
 def _is_int(c) -> bool:
@@ -51,13 +48,6 @@ def _canon_scalar(c):
 
 
 _INT_ONLY = frozenset((int,))
-
-# Both factors at least this long: QPoly.__mul__ packs them.  Timed against
-# the double loop, packing loses at 12 coefficients per factor, at 16 it
-# wins for 64-bit coefficients and ties for 8-bit ones, and from 24 it wins
-# for 512-bit ones too.  The surd powers of the explicit route, the long
-# factors multiplied here, have under 32-bit coefficients below length 24.
-_PACKED_MIN_LEN = 16
 
 
 def _coerced(op):
@@ -176,8 +166,6 @@ class QPoly(_Ring):
         a, b = self._coeffs, other._coeffs
         if not a or not b:
             return QPoly.zero()
-        if min(len(a), len(b)) >= _PACKED_MIN_LEN:
-            return QPoly(packed_product(a, b))
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -231,68 +219,64 @@ class QPoly(_Ring):
         return f"QPoly({list(self._coeffs)!r})"
 
 
-def _is_part(x, types) -> bool:
-    """x is a Surd part: of one of types or a Fraction, and not a bool.
+def _is_part(x) -> bool:
+    """x is a Root5 part: an int or a Fraction, and not a bool.
 
     A Fraction can exist only once fractions is loaded, so the module is
     looked up rather than imported: int and QPoly arithmetic never loads it.
     """
-    if isinstance(x, types):
+    if isinstance(x, int):
         return not isinstance(x, bool)
     fractions = sys.modules.get("fractions")
     return fractions is not None and isinstance(x, fractions.Fraction)
 
 
-class Surd(_Ring):
-    """a + b*s with s*s = D, where a subclass sets the class attribute D.
+class Root5(_Ring):
+    """An element a + b*sqrt(5) of Q(sqrt(5)), with int or Fraction parts.
 
     The parts keep the type they were given, so int parts stay ints under
-    +, -, * and **.  A part that is a bool, or neither a Fraction nor of a
-    type in _PARTS, raises TypeError; a scalar of a part type stands for
-    scalar + 0*s.
+    +, -, * and **.  A part that is a bool, or neither an int nor a
+    Fraction, raises TypeError; a part alone stands for part + 0*sqrt(5).
     """
 
     __slots__ = ("a", "b")
-    # The part types besides Fraction, which every Surd takes.
-    _PARTS = (int, QPoly)
 
     def __init__(self, a=0, b=0):
         for part in (a, b):
-            if not _is_part(part, self._PARTS):
-                raise TypeError(
-                    f"{type(self).__name__} part of type {type(part).__name__} refused")
+            if not _is_part(part):
+                raise TypeError(f"Root5 part of type {type(part).__name__} refused")
         self.a = a
         self.b = b
 
     @classmethod
     def _of(cls, a, b):
-        """cls(a, b) without the part check, for parts an operation built
-        from checked parts (int, Fraction and QPoly are closed under +, -, *)."""
+        """Root5(a, b) without the part check, for parts an operation built
+        from checked parts (int and Fraction are closed under +, -, *)."""
         new = object.__new__(cls)
         new.a = a
         new.b = b
         return new
 
     def _coerce(self, other):
-        if type(other) is type(self):
+        if type(other) is Root5:
             return other
-        return type(self)(other) if _is_part(other, self._PARTS) else None
+        return Root5(other) if _is_part(other) else None
 
     def conjugate(self):
         return self._of(self.a, -self.b)
 
     def norm(self):
-        return self.a * self.a - self.D * self.b * self.b
+        return self.a * self.a - 5 * self.b * self.b
 
     @_coerced
     def __eq__(self, other) -> bool:
         return self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        # a + 0*s equals its part a, so it hashes like it.
+        # a + 0*sqrt(5) equals its part a, so it hashes like it.
         if self.b == 0:
             return hash(self.a)
-        return hash((type(self).__name__, self.a, self.b))
+        return hash(("Root5", self.a, self.b))
 
     def __neg__(self):
         return self._of(-self.a, -self.b)
@@ -307,21 +291,13 @@ class Surd(_Ring):
     def __mul__(self, other):
         if other is self:
             a, b = self.a, self.b
-            return self._of(a * a + b * b * self.D, 2 * (a * b))
+            return self._of(a * a + b * b * 5, 2 * (a * b))
         return self._of(
-            self.a * other.a + self.b * other.b * self.D,
+            self.a * other.a + self.b * other.b * 5,
             self.a * other.b + self.b * other.a,
         )
 
     __rmul__ = __mul__
-
-
-class Root5(Surd):
-    """An element a + b*sqrt(5) of Q(sqrt(5)), with int or Fraction parts."""
-
-    __slots__ = ()
-    D = 5
-    _PARTS = (int,)
 
     def as_fraction(self) -> Fraction:
         from fractions import Fraction

@@ -47,12 +47,17 @@ def validate_type_rank(lie_type: str, rank: int) -> None:
     """Raise unless (lie_type, rank) names a supported root system."""
     if lie_type not in LIE_TYPES:
         raise ValueError(f"unknown family {lie_type!r}, expected one of {LIE_TYPES}")
-    if not isinstance(rank, int) or isinstance(rank, bool):
-        raise TypeError("rank must be an int")
+    check_rank_type(rank)
     if rank < MIN_RANK[lie_type]:
         raise RankTooSmall(
             f"type {lie_type} needs rank >= {MIN_RANK[lie_type]}, got {rank}"
         )
+
+
+def check_rank_type(rank) -> None:
+    """Raise TypeError unless rank is an int and not a bool."""
+    if not isinstance(rank, int) or isinstance(rank, bool):
+        raise TypeError("rank must be an int")
 
 
 def positive_root_count(lie_type: str, rank: int) -> int:

@@ -252,19 +252,18 @@ def test_gf_decode_checks_the_derivatives(monkeypatch):
 # ---------------------------------------------------------------- surd route
 
 def test_beta_vieta_identities():
-    # surds a + b*s with s*s = q^2 + 4
-    two_beta_plus = closedform._TWO_BETA_PLUS
-    two_beta_minus = two_beta_plus.conjugate()
+    # 2*beta_plus/minus = T +/- X*s with s*s = D = q^2 + 4, on their QPoly parts
+    t, x, d = closedform._T, closedform._X, closedform._D
     p = QPoly((2, 2, 1))
-    assert two_beta_plus + two_beta_minus == p * 2
-    # (2 beta+)(2 beta-) = 4 (1 + 2q + q^2 + q^3), four times the gf denominator's
-    # x^2 coefficient
+    assert (t, x, d) == (p, QPoly.q(), QPoly((4, 0, 1)))
+    # the sum is 2T and the product (norm) T^2 - X^2 D = 4 (1 + 2q + q^2 + q^3),
+    # four times the gf denominator's x^2 coefficient
     c = QPoly((1, 2, 1, 1)) * 4
-    assert two_beta_plus * two_beta_minus == c
-    assert two_beta_plus.norm() == c
-    # each 2*beta solves t^2 - 2(2+2q+q^2) t + 4(1+2q+q^2+q^3) = 0
-    for beta in (two_beta_plus, two_beta_minus):
-        assert beta * beta - beta * (p * 2) + c == 0
+    assert t * t - x * x * d == c
+    # each 2*beta solves y^2 - 2(2+2q+q^2) y + 4(1+2q+q^2+q^3) = 0: y = T +/- X*s
+    # gives (T^2 + X^2 D - 2pT + c) +/- (2TX - 2pX)*s, and both parts vanish
+    assert t * t + x * x * d - 2 * p * t + c == 0
+    assert 2 * t * x - 2 * p * x == 0
 
 
 def test_shared_recurrence_checks_the_shift_polynomials(monkeypatch):
@@ -308,6 +307,51 @@ def test_explicit_rank_floors():
         explicit_qpoly("D", 3)
     with pytest.raises(ValueError):
         explicit_qpoly("G", 2)
+
+
+@pytest.mark.parametrize("negate, failing_check", [
+    # -A*a + B*D*b is divisible by 2^e and q^2 + 4, with negative coefficients
+    ("A", "summing to"),
+    # -(A*a + B*D*b) is the whole surd sum negated
+    ("AB", "negative"),
+])
+def test_explicit_negative_surd_sum_fails_loudly(monkeypatch, negate, failing_check):
+    a_coeffs, b_coeffs, shift = closedform._EXPLICIT["B"]
+    a_coeffs = tuple(-c for c in a_coeffs)
+    if "B" in negate:
+        b_coeffs = tuple(-c for c in b_coeffs)
+    monkeypatch.setitem(closedform._EXPLICIT, "B", (a_coeffs, b_coeffs, shift))
+    for rank in (8, 40):
+        with pytest.raises(InternalCancellationFailure, match=f"B{rank} .*{failing_check}"):
+            explicit_qpoly("B", rank)
+
+
+def test_closed_routes_refuse_a_rank_that_is_not_an_int():
+    # True would be read as rank 1, and C1's polynomial q returned
+    for rank in (True, False, 5.0, "5"):
+        for route in (gf_coefficient, closedform.gf_jet, explicit_qpoly):
+            for fam in ("A", "B", "C", "D") if route is explicit_qpoly else "BCD":
+                with pytest.raises(TypeError, match="^rank must be an int$"):
+                    route(fam, rank)
+
+
+def test_explicit_multiplies_no_long_qpolys(monkeypatch):
+    # the surd power runs on packed integers: no QPoly product has two
+    # factors of 16 or more coefficients
+    long_products = []
+    real_mul = QPoly.__mul__
+
+    def counting_mul(self, other):
+        if isinstance(other, QPoly) and min(len(self.coeffs), len(other.coeffs)) >= 16:
+            long_products.append((len(self.coeffs), len(other.coeffs)))
+        return real_mul(self, other)
+
+    monkeypatch.setattr(QPoly, "__mul__", counting_mul)
+    for lie_type, rank in (("C", 161), ("B", 800)):
+        got = explicit_qpoly(lie_type, rank)
+        assert long_products == [], (lie_type, rank)
+    monkeypatch.undo()
+    assert got.coeffs == holonomic.holonomic_qpoly("B", 800).coeffs
 
 
 def test_cancellation_failure_is_loud():

@@ -53,3 +53,64 @@ def test_no_package_module_imports_a_name_it_never_reads():
         if (unread := unread_imports(ast.parse(path.read_text(), str(path))))
     }
     assert found == {}
+
+
+def private_names(tree):
+    """(line, name) of each private function, class or constant the module
+    defines at its top level: a name starting with _ that is not a dunder."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend((node.lineno, n.id) for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return [(line, name) for line, name in found
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))]
+
+
+def dead_private_names(trees):
+    """{module: [(line, name), ...]} of the private module-level names that
+    no module of trees reads: as a bare name, as an attribute of a module,
+    or through a from-import."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return {module: dead for module, tree in trees.items()
+            if (dead := [(line, name) for line, name in private_names(tree)
+                         if name not in read])}
+
+
+def test_the_dead_name_guard_sees_every_kind_of_private_name():
+    trees = {
+        "a": ast.parse(
+            "_USED, _UNUSED = 1, 2\n"
+            "_LEFT: int = 3\n"
+            "__version__ = '0'\n"
+            "def _helper():\n"
+            "    return _USED\n"
+            "class _Gone:\n"
+            "    _inner = 1\n"
+            "def _via_attr():\n"
+            "    pass\n"
+            "def _via_import():\n"
+            "    pass\n"
+        ),
+        "b": ast.parse("from .a import _via_import\nfrom . import a\nx = a._via_attr\n"),
+    }
+    assert dead_private_names(trees) == {
+        "a": [(1, "_UNUSED"), (2, "_LEFT"), (4, "_helper"), (6, "_Gone")],
+    }
+
+
+def test_no_package_module_defines_a_private_name_no_module_reads():
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    assert "closedform.py" in trees
+    assert dead_private_names(trees) == {}
