@@ -10,7 +10,7 @@ and it prints the literal `_ODE = {...}` block that holonomic.py holds.
 
 For family B, C or D with e = rank - shift, the highest-root polynomial is
 P = g + conj(g) with g = (A + B*s)*(T + q*s)**e / (2**(e+1) * (q**2+4)),
-T = q**2+2q+2, s*s = q**2+4, and (A, B, shift) the family's _EXPLICIT
+T = q**2+2q+2, s*s = q**2+4, and (A, B, shift) the family's EXPLICIT
 entry.  Writing R = g'/g and S = g''/g = R' + R**2 as x + y*s with x, y in
 Q(q, e), the Wronskian-style determinant
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import sympy as sp
 
-from qkostant.closedform import _EXPLICIT
+from qkostant.closedform import EXPLICIT
 
 q, e = sp.symbols("q e")
 S2 = q**2 + 4
@@ -57,7 +57,7 @@ def _log_derivative(x, y):
 
 
 def derive(family):
-    a, b, _ = _EXPLICIT[family]
+    a, b, _ = EXPLICIT[family]
     ra = _log_derivative(_poly(a), _poly(b))
     rt = _log_derivative(q**2 + 2 * q + 2, q)
     r = (sp.cancel(ra[0] + e * rt[0] - 2 * q / S2), sp.cancel(ra[1] + e * rt[1]))

@@ -21,10 +21,9 @@ Four alternatives to the lattice-fold oracle live here:
   per bit of e a squaring in three big-integer squares, per set bit a step
   by T + X*s in shifts and adds.  No coefficient is negative, so before
   each step w widens to hold the step's value at q = 1, (5 + sqrt(5))**k;
-  R is decoded once, at the width of R(1).  In process B55 takes 0.5 ms,
-  C161 3.8 ms, D500 0.12 s, B800 0.55 s and C1000 1.08 s (2-core machine;
-  1.5 ms, 6.3 ms, 0.14 s, 0.63 s and 1.23 s with QPoly parts multiplied
-  by one packed product each).  It and gf_coefficient solve one order-2
+  R is decoded once, at the width of R(1), as the gf sweep is (below).  In
+  process B55 takes 0.5 ms, C161 3.8 ms, D500 0.12 s, B800 0.55 s and
+  C1000 1.08 s (2-core machine).  It and gf_coefficient solve one order-2
   recurrence past a start rank, so agreeing at two ranks there makes them
   agree at every rank: shared_recurrence states that rule, and verify
   checks it.
@@ -48,13 +47,10 @@ least 1), the packed sweep runs the recurrence at q = 2**W on plain Python
 integers: multiplying by the fixed sparse polynomials is a few shifts and
 adds.  That sweep is exact integer linear arithmetic, so the last value is
 P_r(2**W) whatever carries or borrows the intermediate terms hold, and one
-linear-time decode (kronecker.unpack_fields) reads the coefficients back.
-The decoded coefficients must reproduce the whole jet, not just the sum: a
-negative packed value, fields that do not sum to P_r(1) (a negative
-coefficient borrows from the field above it), or fields with the right sum
-but the wrong P'(1) or P''(1)/2 (a misplaced field) raise
-InternalCancellationFailure.  There is no cache: every call sweeps from
-rank 0 and keeps only its last two terms, so memory is O(size of P_r).
+linear-time kronecker.decode reads the coefficients back, raising
+InternalCancellationFailure on a negative value or on fields without the
+whole jet.  There is no cache: every call sweeps from rank 0 and keeps
+only its last two terms, so memory is O(size of P_r).
 
 For type A, (1+q)**n in the product and explicit routes is built as a row
 of binomial coefficients, not by repeated squaring.
@@ -79,8 +75,8 @@ from __future__ import annotations
 import itertools
 
 from ._record import Record
-from .errors import InternalCancellationFailure, InvalidSupport, RankTooSmall
-from .kronecker import repack, unpack_fields
+from .errors import InternalCancellationFailure, InvalidSupport, RankTooSmall, is_int
+from .kronecker import decode, repack
 from .polyring import QPoly, Root5, jet_at_one
 from .rootsys import Weight, check_rank_type, validate_type_rank
 
@@ -103,7 +99,7 @@ class SupportSpec(Record):
     def __init__(self, lie_type: str, rank: int, entries: tuple):
         validate_type_rank(lie_type, rank)
         entries = tuple((i, c) for i, c in entries)
-        if not all(isinstance(x, int) and not isinstance(x, bool) for e in entries for x in e):
+        if not all(is_int(x) for e in entries for x in e):
             raise TypeError("support indices and extras must be ints")
         hi = _interior_end(lie_type, rank)
         last = None
@@ -215,7 +211,7 @@ def gf_coefficient(lie_type: str, rank: int) -> QPoly:
         if k in at_w:
             step += at_w[k]
         x1, x2 = step, x1
-    return _gf_decode(x1, w, jet, f"{lie_type}{rank}")
+    return QPoly(decode(x1, w, jet, f"gf sweep for {lie_type}{rank}"))
 
 
 def gf_jet(lie_type: str, rank: int) -> tuple:
@@ -273,36 +269,13 @@ def highest_jet(lie_type: str, rank: int) -> tuple:
     return gf_jet(lie_type, rank)
 
 
-def _gf_decode(packed: int, w: int, jet: tuple, label: str) -> QPoly:
-    """P_r from its value at q = 2**w, checked against its jet at q = 1."""
-    if packed < 0:
-        raise InternalCancellationFailure(f"gf sweep for {label} is negative at q = 2^{w}")
-    coeffs = unpack_fields(packed, w)
-    _check_jet(coeffs, jet, f"gf sweep for {label} decodes to")
-    return QPoly(coeffs)
-
-
-def _check_jet(coeffs, jet: tuple, what: str) -> None:
-    """Raise unless the coefficients have the jet (P(1), P'(1), P''(1)/2),
-    or as many of its entries as jet holds."""
-    got = jet_at_one(coeffs)[:len(jet)]
-    if got[0] != jet[0]:
-        raise InternalCancellationFailure(
-            f"{what} coefficients summing to {got[0]}, not P(1) = {jet[0]}"
-        )
-    if got != jet:
-        raise InternalCancellationFailure(
-            f"{what} coefficients with (P'(1), P''(1)/2) = {got[1:]}, not {jet[1:]}"
-        )
-
-
 # 2*beta_plus = T + X*s with s*s = D; 2*beta_minus = T - X*s.
 _T, _X, _D = QPoly((2, 2, 1)), QPoly((0, 1)), QPoly((4, 0, 1))
 
-# Family numerators (A, B) with g_plus = (A + B*s) / (2(q^2 + 4)), and the
-# rank shift, which is also the family's minimum rank:
-# value = g_plus * beta_plus**(rank - shift) + conjugate.
-_EXPLICIT = {
+#: Per family, the numerators (A, B) with g_plus = (A + B*s) / (2(q^2 + 4)),
+#: and the rank shift, which is also the family's minimum rank:
+#: value = g_plus * beta_plus**(rank - shift) + conjugate.
+EXPLICIT = {
     "B": ((0, 4, 4, 5, 1, 1), (0, 2, 3, 1, 1), 2),
     "C": ((0, 4, 0, 1), (0, 0, 1), 1),
     "D": ((0, 4, 16, 25, 16, 10, 3, 1), (0, 2, 9, 12, 8, 3, 1), 4),
@@ -317,7 +290,7 @@ def shared_recurrence() -> tuple:
     S2*x_{r-2}: agreeing at ranks shift..starts[t] + 1, they agree at every
     rank from shift on (Stanley, EC1 4.1)."""
     s1, s2 = _GF_SHIFTS
-    starts = {t: max(shift, max(_GF_NUMERATORS[t]) - 1) for t, (_, _, shift) in _EXPLICIT.items()}
+    starts = {t: max(shift, max(_GF_NUMERATORS[t]) - 1) for t, (_, _, shift) in EXPLICIT.items()}
     rational = _T * _T + _X * _X * _D - 2 * s1 * _T + 4 * s2
     return rational == 0 and 2 * _T * _X - 2 * s1 * _X == 0, starts
 
@@ -379,10 +352,10 @@ def explicit_qpoly(lie_type: str, rank: int) -> QPoly:
     if lie_type == "A":
         validate_type_rank("A", rank)
         return _binomial_row(rank - 1).shifted(1)
-    if lie_type not in _EXPLICIT:
+    if lie_type not in EXPLICIT:
         raise ValueError(f"unknown family {lie_type!r}")
     check_rank_type(rank)
-    a_coeffs, b_coeffs, shift = _EXPLICIT[lie_type]
+    a_coeffs, b_coeffs, shift = EXPLICIT[lie_type]
     if rank < shift:
         raise RankTooSmall(
             f"explicit formula for type {lie_type} starts at rank {shift}, got {rank}"
@@ -394,10 +367,7 @@ def explicit_qpoly(lie_type: str, rank: int) -> QPoly:
     total = num_a(1) * z.a + num_bd(1) * z.b
     width = max(w, _byte_width(total))  # repack never narrows
     packed = _times(repack(a, w, width), num_a, width) + _times(repack(b, w, width), num_bd, width)
-    if packed < 0:
-        raise InternalCancellationFailure(f"surd sum for {label} is negative at q = 2^{width}")
-    coeffs = unpack_fields(packed, width)
-    _check_jet(coeffs, (total,), f"surd sum for {label} decodes to")
+    coeffs = decode(packed, width, (total,), f"surd sum for {label}")
     mask = (1 << e) - 1
     if any(c & mask for c in coeffs):
         raise InternalCancellationFailure(f"2^{e} does not divide the surd sum for {label}")

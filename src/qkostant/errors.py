@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types, and the integer rule is_int, shared across the package.
 
 Everything user-facing derives from KostantError so callers (and the CLI)
 can catch bad input uniformly.  InternalCancellationFailure is deliberately
@@ -10,6 +10,11 @@ from __future__ import annotations
 
 import math
 import sys
+
+
+def is_int(x) -> bool:
+    """x is an int and not a bool, which would otherwise pass as 0 or 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def count_text(n: int) -> str:

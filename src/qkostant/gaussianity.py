@@ -27,7 +27,7 @@ from itertools import accumulate
 
 from ._record import Record
 from .closedform import SupportSpec, highest_qpoly, product_qpoly
-from .errors import DegenerateDistribution, InvalidSupport, ZeroDistribution, count_text
+from .errors import DegenerateDistribution, InvalidSupport, ZeroDistribution, count_text, is_int
 from .polyring import QPoly, power_sums
 from .rootsys import FAMILIES, LIE_TYPES, validate_type_rank
 
@@ -155,6 +155,8 @@ def family_poly(family: str, rank: int, bumps: int = 0) -> QPoly:
 
 def _check_rank(family, rank, bumps):
     """Raise unless family_poly(family, rank, bumps) is defined."""
+    if not is_int(bumps):
+        raise TypeError("bump count must be an int")
     if bumps and family != "product":
         raise InvalidSupport("--bumps only applies to the product family")
     if family in LIE_TYPES:

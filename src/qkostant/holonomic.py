@@ -1,6 +1,6 @@
 """The holonomic route to the B/C/D highest-root polynomials.
 
-With e = rank - shift (the shift of closedform._EXPLICIT), P_r is a sum of
+With e = rank - shift (the shift of closedform.EXPLICIT), P_r is a sum of
 two conjugate terms whose logarithmic derivatives lie in Q(q, e)(s), so
 eliminating them from P, P' and P'' gives c2*P'' + c1*P' + c0*P = 0 with
 c0, c1, c2 in Z[q, e] of q-degree at most 11 and e-degree at most 3 (the
@@ -16,8 +16,8 @@ From them each later p_n up to the degree (the height of the highest root)
 is one exact division of a sum of nine small-times-big products: O(r**2)
 bit operations for all 2r coefficients.  A table whose c1 or c2 is not
 divisible by q or q**2, a zero leading factor, a nonzero remainder, a
-negative coefficient, or coefficients without gf_jet's jet raise
-InternalCancellationFailure.
+negative coefficient, or coefficients without gf_jet's jet
+(kronecker.check_jet) raise InternalCancellationFailure.
 
 closedform.highest_qpoly is its one caller and imports this module only
 when it needs the route, so the requests that never build a B/C/D
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from . import closedform
 from .errors import InternalCancellationFailure
+from .kronecker import check_jet
 from .polyring import QPoly
 from .rootsys import highest_root
 
@@ -91,7 +92,7 @@ def holonomic_qpoly(lie_type: str, rank: int) -> QPoly:
     InternalCancellationFailure is raised.
     """
     label = f"holonomic recurrence for {lie_type}{rank}"
-    c0, c1, c2 = _ode_at(lie_type, rank - closedform._EXPLICIT[lie_type][2])
+    c0, c1, c2 = _ode_at(lie_type, rank - closedform.EXPLICIT[lie_type][2])
     # The coefficient of q**n in c2*P'' + c1*P' + c0*P is the sum over m of
     # (u_m + t*v_m + t*(t-1)*w_m) * p_{n-m}, t = n - m, with (u_m, v_m, w_m) =
     # (c0[m], c1[m+1], c2[m+2]).  Terms of c1 below q or of c2 below q**2
@@ -115,5 +116,5 @@ def holonomic_qpoly(lie_type: str, rank: int) -> QPoly:
         if c < 0:
             raise InternalCancellationFailure(f"{label} gives a negative coefficient at q^{n}")
         p.append(c)
-    closedform._check_jet(p, closedform.gf_jet(lie_type, rank), f"{label} gives")
+    check_jet(p, closedform.gf_jet(lie_type, rank), f"{label} gives")
     return QPoly(p)

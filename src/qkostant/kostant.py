@@ -59,10 +59,10 @@ Python integer (coefficient of q**k occupies the bit field [k*W, (k+1)*W)),
 so the inner update is one shift-and-add on native big integers.  The
 packed fold is exact integer linear arithmetic, so every cell holds its
 polynomial evaluated at q = 2**W, whatever carries cross field borders on
-the way.  Only the members' cells are decoded, and each of their
-coefficients is at most the member's plain count g(1), so the same sweep
-at width 0, which computes g(1), gives a width W, the largest
-g(1).bit_length() over the members, in which the decoding is exact.
+the way.  Only the members' cells are decoded, each coefficient is at
+most the member's plain count g(1), and the same sweep at width 0 gives
+g(1), so W is the largest g(1).bit_length() over the members; each
+member's fields must sum to its g(1), or kronecker.decode raises.
 
 Many targets.  qanalogs serves a list of targets from one fold or DP per
 maximal target, and qanalog is its one-target case.  Walked by descending
@@ -104,8 +104,8 @@ from itertools import compress, repeat
 from math import prod
 from operator import add, ge, lshift, mul
 
-from .errors import DimensionMismatch, FoldTooLarge, count_text
-from .kronecker import unpack_fields
+from .errors import DimensionMismatch, FoldTooLarge, count_text, is_int
+from .kronecker import decode
 from .polyring import QPoly
 from .rootsys import RootSystem, Weight
 
@@ -161,9 +161,8 @@ def check_target(rank: int, target) -> Weight:
     target = tuple(target)
     if len(target) != rank:
         raise DimensionMismatch(f"weight of length {len(target)} against rank {rank}")
-    for c in target:
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise TypeError("weight coordinates must be ints")
+    if not all(map(is_int, target)):
+        raise TypeError("weight coordinates must be ints")
     if all(c >= 0 for c in target):
         cells = prod(c + 1 for c in target)
         if cells > MAX_FOLD_CELLS:
@@ -310,7 +309,8 @@ def _decode(passes, box):
     # Pass 1: plain counts.  Each member's count bounds every coefficient
     # of its polynomial; the largest gives the packing width, at least 1 for
     # a system without its simple roots, where every count can be 0.
-    width = max(passes(0)).bit_length() or 1
+    counts = passes(0)
+    width = max(counts).bit_length() or 1
     # Cell w's polynomial has degree <= h(w) (every root has height >= 1)
     # and coefficients <= its count <= the top member's (adding simple roots
     # maps decompositions one to one); h(w) averages sum(box) / 2.  The
@@ -322,5 +322,6 @@ def _decode(passes, box):
             f"lattice fold over {count_text(total)} cells packs up to {count_text(bits)} "
             f"bits, exceeding the budget of {count_text(MAX_FOLD_BITS)} bits"
         )
-    # Pass 2: each member's polynomial packed into one int.
-    return [unpack_fields(p, width) for p in passes(width)]
+    # Pass 2: each member's polynomial packed into one int, checked by its count.
+    return [decode(p, width, (n,), f"packed pass for {box}")
+            for p, n in zip(passes(width), counts)]

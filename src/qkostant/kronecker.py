@@ -3,13 +3,45 @@
 When every coefficient lies in [0, 2**W), the value at q = 2**W holds one
 W-bit field per coefficient, lowest first, and integer + and * on packed
 values are polynomial + and * as long as no field overflows.  This module
-is the one codec for it.  The lattice fold (kostant), the gf sweep and the
-explicit route's surd power (closedform) run on packed integers and read
-the result with unpack_fields; the surd power widens its fields with
-repack as its values grow.
+is the one codec for it.  The lattice fold and the transfer DP (kostant),
+the gf sweep and the explicit route's surd power (closedform) read their
+packed results with decode, which trusts a field only if the value is
+nonnegative and the fields have the jet (P(1), P'(1), P''(1)/2), or its
+first entries, computed another way (check_jet, which the holonomic route
+applies to its unpacked coefficients): a negative coefficient borrows from
+the field above it, and a misplaced field or a wrong width moves the jet.
+The surd power widens its fields with repack as its values grow.
 """
 
 from __future__ import annotations
+
+from .errors import InternalCancellationFailure
+from .polyring import jet_at_one, power_sums
+
+
+def decode(packed: int, width: int, jet: tuple, what: str) -> list:
+    """unpack_fields(packed, width) if packed is nonnegative and its fields
+    have the given entries of the jet, else InternalCancellationFailure."""
+    if packed < 0:
+        raise InternalCancellationFailure(f"{what} is negative at q = 2^{width}")
+    coeffs = unpack_fields(packed, width)
+    check_jet(coeffs, jet, f"{what} decodes to")
+    return coeffs
+
+
+def check_jet(coeffs, jet: tuple, what: str) -> None:
+    """Raise InternalCancellationFailure, its message starting with what,
+    unless the coefficients have the given leading entries of the jet
+    (P(1), P'(1), P''(1)/2), computing only the power sums they need."""
+    got = jet_at_one(coeffs) if len(jet) > 2 else tuple(power_sums(coeffs, len(jet) - 1))
+    if got[0] != jet[0]:
+        raise InternalCancellationFailure(
+            f"{what} coefficients summing to {got[0]}, not P(1) = {jet[0]}"
+        )
+    if got != jet:
+        raise InternalCancellationFailure(
+            f"{what} coefficients with (P'(1), P''(1)/2) = {got[1:]}, not {jet[1:]}"
+        )
 
 
 def unpack_fields(packed: int, width: int) -> list:

@@ -25,7 +25,7 @@ build_root_system keeps no cache: verify builds each of its systems once.
 from __future__ import annotations
 
 from ._record import Record
-from .errors import ListingTooLarge, RankTooSmall, count_text
+from .errors import ListingTooLarge, RankTooSmall, count_text, is_int
 
 LIE_TYPES = ("A", "B", "C", "D")
 
@@ -56,7 +56,7 @@ def validate_type_rank(lie_type: str, rank: int) -> None:
 
 def check_rank_type(rank) -> None:
     """Raise TypeError unless rank is an int and not a bool."""
-    if not isinstance(rank, int) or isinstance(rank, bool):
+    if not is_int(rank):
         raise TypeError("rank must be an int")
 
 

@@ -32,7 +32,7 @@ K(w) reads only the roots below w, so two systems with the same roots below
 a weight give it the same polynomial.  There is one fold request per type
 for its padded bump weights and one per B/C/D family for its padded highest
 roots; requests whose roots below the join (componentwise max) of their
-weights are the same list, as kostant._roots_below computes it, share one
+weights are the same list, in the order of the listing, share one
 qanalogs call.  Every root of B_R or C_R with a coefficient 2 has a 2 at
 alpha_R (B) or alpha_{R-1} (C), where every padded bump weight is 1, so the
 A, B and C bump weights share one call; D's have their own, and each
@@ -46,10 +46,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import groupby
+from operator import le
 
 from ._record import Record
 from .closedform import (
-    _EXPLICIT,
+    EXPLICIT,
     SupportSpec,
     check_bender_conditions,
     explicit_qpoly,
@@ -59,8 +60,8 @@ from .closedform import (
     shared_recurrence,
     weight_of,
 )
-from .errors import RankTooSmall
-from .kostant import _roots_below, check_target, qanalogs
+from .errors import RankTooSmall, is_int
+from .kostant import check_target, qanalogs
 from .polyring import QPoly
 from .rootsys import LIE_TYPES, MIN_RANK, build_root_system, highest_root, positive_root_count
 from .stats import (
@@ -172,6 +173,8 @@ def _check_fixed_examples(built, folds, gf, chain_explicit):
 
 def run_all(max_rank: int = 8):
     """The full suite, in a fixed order, as a list of CheckResult."""
+    if not is_int(max_rank):
+        raise TypeError("max_rank must be an int")
     if max_rank < 5:
         raise RankTooSmall("max_rank must be at least 5 so every family participates")
     # Refuse an over-budget max_rank before any check runs.  The highest
@@ -193,8 +196,7 @@ def run_all(max_rank: int = 8):
 
     # One fold request per type for its padded bump weights, in spec order,
     # then one per B/C/D family for its padded highest roots, in ascending
-    # rank.  Requests with the same roots below the join of their weights
-    # share one qanalogs call and one table; each reads only its own table.
+    # rank; requests with the same roots below their join share one call.
     requests = [(t, [pad(weight_of(s)) for s in group])
                 for t, group in groupby(specs, key=lambda s: s.lie_type)]
     requests += [(t, [pad(highest_root(*key)) for key in group])
@@ -203,7 +205,8 @@ def run_all(max_rank: int = 8):
     reads = []  # (the table a request reads, its padded weights)
     for t, weights in requests:
         system = built[t, max_rank]
-        key = tuple(_roots_below(system, tuple(map(max, zip(*weights)))))
+        join = tuple(map(max, zip(*weights)))
+        key = tuple(root for root in system.positive_roots if all(map(le, root, join)))
         table = shared.setdefault(key, (system, {}))[1]
         table.update(dict.fromkeys(weights))
         reads.append((table, weights))
@@ -228,7 +231,7 @@ def run_all(max_rank: int = 8):
     # first explicit rank up to max_rank; shared_recurrence carries their
     # agreement to every rank.
     gf, explicit = {}, {}
-    for t, (_, _, lo) in _EXPLICIT.items():
+    for t, (_, _, lo) in EXPLICIT.items():
         for r in range(lo, max_rank + 1):
             gf[t, r], explicit[t, r] = gf_coefficient(t, r), explicit_qpoly(t, r)
     moments = {(t, r): (closed_moments(t, r), moments_from_poly(gf[t, r])) for t, r in highest}

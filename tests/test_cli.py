@@ -279,7 +279,7 @@ def test_stats_runs_no_packed_sweep(capsys, monkeypatch, lie_type):
     def refuse(*args):
         raise AssertionError("stats decoded a packed gf sweep")
 
-    monkeypatch.setattr(closedform, "_gf_decode", refuse)
+    monkeypatch.setattr(closedform, "decode", refuse)
     rc, out, _ = run_cli(["stats", "--type", lie_type, "--rank", "800"], capsys)
     assert rc == 0
     row = out.splitlines()[1].split(",")
@@ -412,6 +412,15 @@ def test_run_all_refuses_small_max_rank():
             verify.run_all(max_rank)
     # an input error for the CLI, and still a ValueError for library callers
     assert issubclass(RankTooSmall, KostantError) and issubclass(RankTooSmall, ValueError)
+
+
+def test_run_all_refuses_a_max_rank_that_is_not_an_int():
+    # True would be refused as a rank below 5, and 8.0 reach range() as a float
+    from qkostant import verify
+
+    for max_rank in (True, 8.0):
+        with pytest.raises(TypeError, match="max_rank must be an int"):
+            verify.run_all(max_rank)
 
 
 def test_verify_over_budget_max_rank_refused_before_any_check(capsys, monkeypatch):
@@ -660,13 +669,13 @@ def _wrong_closed_moments(lie_type, rank):
     return mean, var
 
 
-_REAL_GF_DECODE = closedform._gf_decode
+_REAL_DECODE = closedform.decode
 
 
-def _wrong_gf_decode(packed, w, count, label):
-    if label == "D6":
-        return QPoly((0, 9))
-    return _REAL_GF_DECODE(packed, w, count, label)
+def _wrong_gf_decode(packed, width, jet, what):
+    if what == "gf sweep for D6":
+        return [0, 9]
+    return _REAL_DECODE(packed, width, jet, what)
 
 
 _VERIFY_FAULTS = [
@@ -685,7 +694,7 @@ _VERIFY_FAULTS = [
         ("closed-mean", "FAIL", "C5"),
         ("closed-variance-B", "FAIL", "B2; B3; B4; B5 (+3 more)"),
     ]),
-    ("closedform", "_gf_decode", _wrong_gf_decode, [
+    ("closedform", "decode", _wrong_gf_decode, [
         ("route-agreement", "FAIL", "D6"),
         ("gf-vs-explicit", "FAIL", "D6"),
         ("closed-mean", "FAIL", "D6"),

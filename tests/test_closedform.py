@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qkostant import closedform, holonomic
+from qkostant import closedform, holonomic, kronecker
 from qkostant import (
     InternalCancellationFailure,
     InvalidSupport,
@@ -236,7 +236,7 @@ def test_type_a_jet_is_the_closed_form():
 
 def test_gf_decode_checks_the_derivatives(monkeypatch):
     # swapping two unequal adjacent fields keeps their sum but moves P'(1)
-    real_unpack = closedform.unpack_fields
+    real_unpack = kronecker.unpack_fields
 
     def swapped(packed, width):
         coeffs = real_unpack(packed, width)
@@ -244,7 +244,7 @@ def test_gf_decode_checks_the_derivatives(monkeypatch):
         coeffs[k], coeffs[k + 1] = coeffs[k + 1], coeffs[k]
         return coeffs
 
-    monkeypatch.setattr(closedform, "unpack_fields", swapped)
+    monkeypatch.setattr(kronecker, "unpack_fields", swapped)
     with pytest.raises(InternalCancellationFailure, match=r"B30 .*P'\(1\)"):
         gf_coefficient("B", 30)
 
@@ -289,9 +289,9 @@ def test_explicit_matches_gf_far_out():
 def test_explicit_perturbed_numerator_fails_loudly(monkeypatch, fam, bump, failing_check):
     # an odd bump of A's constant term breaks divisibility by 2^e, an even
     # one keeps it and breaks divisibility by q^2 + 4
-    a_coeffs, b_coeffs, shift = closedform._EXPLICIT[fam]
+    a_coeffs, b_coeffs, shift = closedform.EXPLICIT[fam]
     perturbed = (a_coeffs[0] + bump,) + a_coeffs[1:]
-    monkeypatch.setitem(closedform._EXPLICIT, fam, (perturbed, b_coeffs, shift))
+    monkeypatch.setitem(closedform.EXPLICIT, fam, (perturbed, b_coeffs, shift))
     with pytest.raises(InternalCancellationFailure, match=failing_check):
         explicit_qpoly(fam, shift + 6)
 
@@ -316,11 +316,11 @@ def test_explicit_rank_floors():
     ("AB", "negative"),
 ])
 def test_explicit_negative_surd_sum_fails_loudly(monkeypatch, negate, failing_check):
-    a_coeffs, b_coeffs, shift = closedform._EXPLICIT["B"]
+    a_coeffs, b_coeffs, shift = closedform.EXPLICIT["B"]
     a_coeffs = tuple(-c for c in a_coeffs)
     if "B" in negate:
         b_coeffs = tuple(-c for c in b_coeffs)
-    monkeypatch.setitem(closedform._EXPLICIT, "B", (a_coeffs, b_coeffs, shift))
+    monkeypatch.setitem(closedform.EXPLICIT, "B", (a_coeffs, b_coeffs, shift))
     for rank in (8, 40):
         with pytest.raises(InternalCancellationFailure, match=f"B{rank} .*{failing_check}"):
             explicit_qpoly("B", rank)
@@ -378,7 +378,7 @@ def test_holonomic_route_matches_gf_and_explicit():
 
 def test_ode_tables_annihilate_the_gf_polynomials():
     for fam in "BCD":
-        shift = closedform._EXPLICIT[fam][2]
+        shift = closedform.EXPLICIT[fam][2]
         for r in (*range(MIN_RANK[fam], 61), _FAR_RANK[fam]):
             p = gf_coefficient(fam, r)
             c0, c1, c2 = (QPoly(c) for c in holonomic._ode_at(fam, r - shift))

@@ -170,6 +170,15 @@ def test_family_poly_validation():
         family_poly("B", 20, bumps=2)
 
 
+def test_family_poly_refuses_a_bump_count_that_is_not_an_int():
+    # True would be read as one bump, and 1.0 reach range() as a float
+    for bumps in (True, 1.0):
+        with pytest.raises(TypeError, match="bump count must be an int"):
+            family_poly("product", 7, bumps)
+        with pytest.raises(TypeError, match="bump count must be an int"):
+            convergence_sweep("product", (7,), bumps=bumps)
+
+
 def test_sweep_refuses_bumps_outside_the_product_family():
     for family in "ABCD":
         with pytest.raises(InvalidSupport, match="--bumps only applies to the product family"):

@@ -1,4 +1,5 @@
-"""Every import in the package binds a name that its module reads."""
+"""Every import in the package binds a name that its module reads, every
+private name is read, and only by the module that defines it."""
 
 import ast
 import pathlib
@@ -114,3 +115,46 @@ def test_no_package_module_defines_a_private_name_no_module_reads():
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
     assert "closedform.py" in trees
     assert dead_private_names(trees) == {}
+
+
+def private_reads(tree):
+    """(line, name) of each private name the module reads from another
+    module of the package: imported by name (from .m import _x), or read as
+    an attribute of a package module it imported (m._x)."""
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if private(alias.name):
+                    found.append((node.lineno, alias.name))
+                elif node.module is None:  # from . import m
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and private(node.attr)):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(found)
+
+
+def test_the_private_read_guard_sees_imports_and_attributes():
+    source = (
+        "from . import m, n as k\n"
+        "from .m import _x, y\n"
+        "from ._record import Record\n"
+        "from os import _exit\n"
+        "def f(self, other):\n"
+        "    return m._x, k._z, m.y, self._y, other._z, m.__doc__\n"
+    )
+    assert private_reads(ast.parse(source)) == [(2, "_x"), (6, "k._z"), (6, "m._x")]
+
+
+def test_no_package_module_reads_another_modules_private_name():
+    found = {
+        path.name: reads
+        for path in sorted(SRC.glob("*.py"))
+        if (reads := private_reads(ast.parse(path.read_text(), str(path))))
+    }
+    assert found == {}

@@ -12,6 +12,7 @@ import pytest
 from qkostant import (
     DimensionMismatch,
     FoldTooLarge,
+    InternalCancellationFailure,
     LIE_TYPES,
     MIN_RANK,
     QPoly,
@@ -21,6 +22,7 @@ from qkostant import (
     explicit_qpoly,
     qanalog,
 )
+from qkostant import kronecker
 from qkostant.kostant import (
     UNIT_CELLS,
     _cell_indices,
@@ -666,6 +668,23 @@ def test_qanalog_runs_the_transfer_dp_below_the_box(monkeypatch, lie_type, rank,
     assert qanalog(system, w) == want
     assert qanalogs(system, [w]) == (want,)
     assert count_decompositions(system, w) == count
+
+
+@pytest.mark.parametrize("lie_type, rank, weight, transfer", [
+    ("B", 8, None, False), ("A", 12, (1,) * 12, True),
+])
+def test_each_member_is_decoded_against_its_own_count(monkeypatch, lie_type, rank, weight,
+                                                      transfer):
+    # fields read one bit too narrow no longer sum to the count pass's value,
+    # on the fold and on the transfer DP alike
+    system = build_root_system(lie_type, rank)
+    w = system.highest_root if weight is None else weight
+    assert (capped_count(system, w) is not None) == transfer
+    real_unpack = kronecker.unpack_fields
+    monkeypatch.setattr(kronecker, "unpack_fields",
+                        lambda packed, width: real_unpack(packed, width - 1))
+    with pytest.raises(InternalCancellationFailure, match=r"packed pass .* summing to"):
+        qanalog(system, w)
 
 
 def test_capped_count_pass_builds_no_share_list_over_the_cap():
