@@ -47,7 +47,6 @@ from .rootsys import (
     FAMILIES,
     LIE_TYPES,
     build_root_system,
-    check_listing,
     highest_root,
     validate_type_rank,
 )
@@ -153,7 +152,7 @@ def _emit(fmt: str, command: str, out: _Output) -> None:
 
         print(json.dumps({"schema_version": SCHEMA_VERSION, "command": command,
                           "parameters": out.params, "payload": out.payload},
-                         indent=2, sort_keys=True, default=_fmt_frac))
+                         indent=2, sort_keys=True, default=_fmt_frac, allow_nan=False))
     elif fmt == "csv":
         import csv
 
@@ -307,7 +306,6 @@ def _convert(name, convert, text):
 
 
 def _cmd_roots(args) -> _Output:
-    check_listing(args.lie_type, args.rank)
     system = build_root_system(args.lie_type, args.rank)
     header = ("index", "coeffs")
     rows = list(enumerate(system.positive_roots))

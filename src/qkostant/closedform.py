@@ -101,7 +101,7 @@ class SupportSpec(Record):
         entries = tuple((i, c) for i, c in entries)
         if not all(is_int(x) for e in entries for x in e):
             raise TypeError("support indices and extras must be ints")
-        hi = _interior_end(lie_type, rank)
+        hi = interior_end(lie_type, rank)
         last = None
         for i, c in entries:
             if c < 1:
@@ -129,7 +129,7 @@ class SupportSpec(Record):
         return sum(c for _, c in self.entries)
 
 
-def _interior_end(lie_type: str, rank: int) -> int:
+def interior_end(lie_type: str, rank: int) -> int:
     """Last index a bump may take; B/C/D have no bump weights below rank 5."""
     if lie_type != "A" and rank < 5:
         raise InvalidSupport(f"type {lie_type} product-form weights need rank >= 5, got {rank}")
@@ -162,19 +162,19 @@ def _binomial_row(n: int) -> QPoly:
     return QPoly(row)
 
 
-def iter_support_specs(lie_type, rank, max_bumps=2, max_extra=3):
-    """All valid specs with at most max_bumps bumped indices, each bumped by
-    1..max_extra, in a fixed deterministic order."""
+def iter_support_specs(lie_type, rank):
+    """The bump family: all valid specs with at most 2 bumped indices, each
+    bumped by 1..3, in a fixed deterministic order."""
     validate_type_rank(lie_type, rank)
     try:
-        interior = range(2, _interior_end(lie_type, rank) + 1)
+        interior = range(2, interior_end(lie_type, rank) + 1)
     except InvalidSupport:  # no bump weights at this rank
         return
-    for ell in range(max_bumps + 1):
+    for ell in range(3):
         for idxs in itertools.combinations(interior, ell):
             if any(b - a < 2 for a, b in zip(idxs, idxs[1:])):
                 continue
-            for extras in itertools.product(range(1, max_extra + 1), repeat=ell):
+            for extras in itertools.product(range(1, 4), repeat=ell):
                 yield SupportSpec(lie_type, rank, tuple(zip(idxs, extras)))
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from ._record import Record
-from .closedform import SupportSpec, highest_qpoly, product_qpoly
+from .closedform import SupportSpec, highest_qpoly, interior_end, product_qpoly
 from .errors import DegenerateDistribution, InvalidSupport, ZeroDistribution, count_text, is_int
 from .polyring import QPoly, power_sums
 from .rootsys import FAMILIES, LIE_TYPES, validate_type_rank
@@ -167,7 +167,7 @@ def _check_rank(family, rank, bumps):
         raise InvalidSupport(f"bump count must be >= 0, got {bumps}")
     else:
         validate_type_rank("A", rank)
-        if rank <= 2 * bumps:
+        if 2 * bumps > interior_end("A", rank):
             raise InvalidSupport(
                 f"product family with --bumps {bumps} needs rank > "
                 f"{count_text(2 * bumps)}, got {rank}"

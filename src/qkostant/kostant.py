@@ -13,6 +13,7 @@ exactly multiset (order-free) semantics, so any root order gives the same
 sums.  The fold order groups the roots below the target in blocks by their
 first support index, last block first, and takes each block in descending
 lexicographic order: the system's sorted listing with each block reversed.
+roots_below lists them so, and verify keys its shared calls by that list.
 
 Sweep boxes.  Each root sweeps one box of cells.  A coordinate is live
 once some root folded so far (this one included) has it in its support,
@@ -148,7 +149,7 @@ def qanalogs(system: RootSystem, targets) -> tuple:
         covers.setdefault(top, []).append(t)
     polys = {}
     for top, members in covers.items():
-        polys.update(zip(members, _decode(_passes(_roots_below(system, top), top, members), top)))
+        polys.update(zip(members, _decode(_passes(roots_below(system, top), top, members), top)))
     return tuple(QPoly(polys[t]) if t in polys else QPoly.zero() for t in targets)
 
 
@@ -182,7 +183,7 @@ def count_decompositions(system: RootSystem, target) -> int:
     target = check_target(system.rank, target)
     if any(c < 0 for c in target):
         return 0
-    return _passes(_roots_below(system, target), target, (target,))(0)[0]
+    return _passes(roots_below(system, target), target, (target,))(0)[0]
 
 
 def _passes(roots, box, members):
@@ -206,7 +207,7 @@ def _passes(roots, box, members):
     return lambda width: list(map(_sweep(plan, total, width).__getitem__, cells))
 
 
-def _roots_below(system: RootSystem, target: Weight) -> list:
+def roots_below(system: RootSystem, target: Weight) -> list:
     """The roots below the target in fold order: in blocks by first support
     index, last block first, each block in descending lexicographic order."""
     # The sorted listing reversed is descending: it holds the blocks by

@@ -19,7 +19,8 @@ which makes it deterministic.
 
 Every coordinate lies in {0, 1, 2} and supports are contiguous except for
 the D-type fork vectors e_i + e_r, which skip alpha_{r-1}.
-build_root_system keeps no cache: verify builds each of its systems once.
+build_root_system keeps no cache (verify builds each system once), and it
+refuses an over-budget listing (check_listing) before any root is built.
 """
 
 from __future__ import annotations
@@ -136,10 +137,11 @@ class RootSystem(Record):
 def build_root_system(lie_type: str, rank: int) -> RootSystem:
     """Construct the positive system, sorted lexicographically.
 
+    check_listing refuses an over-budget listing before any root is built.
     The listing is not checked here: verify's root-counts and
     highest-root-membership checks compare it with positive_root_count and
     highest_root, so a fault in it is reported as a FAIL, not a traceback.
     """
-    validate_type_rank(lie_type, rank)
+    check_listing(lie_type, rank)
     roots = tuple(sorted(_positive_roots(lie_type, rank)))
     return RootSystem(lie_type, rank, roots, highest_root(lie_type, rank))

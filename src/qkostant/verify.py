@@ -31,22 +31,21 @@ once per maximal padded weight, over that weight's own box.
 K(w) reads only the roots below w, so two systems with the same roots below
 a weight give it the same polynomial.  There is one fold request per type
 for its padded bump weights and one per B/C/D family for its padded highest
-roots; requests whose roots below the join (componentwise max) of their
-weights are the same list, in the order of the listing, share one
-qanalogs call.  Every root of B_R or C_R with a coefficient 2 has a 2 at
-alpha_R (B) or alpha_{R-1} (C), where every padded bump weight is 1, so the
-A, B and C bump weights share one call; D's have their own, and each
-family's highest roots, which reach all its roots, one more: 5 calls and 16
-folds at max rank 8.  The key is the computed list, not that theorem, so a
-request whose roots below its join differed would get its own call, and
-each request reads only its own call's polynomials.
+roots; requests share one qanalogs call when kostant.roots_below lists the
+same roots below the join (componentwise max) of their weights.  Every root
+of B_R or C_R with a coefficient 2 has a 2 at alpha_R (B) or alpha_{R-1}
+(C), where every padded bump weight is 1, so the A, B and C bump weights
+share one call; D's have their own, and each family's highest roots, which
+reach all its roots, one more: 5 calls and 16 folds at max rank 8.  The key
+is the computed list, not that theorem, so a request whose roots below its
+join differed would get its own call, and each request reads only its own
+call's polynomials.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import groupby
-from operator import le
 
 from ._record import Record
 from .closedform import (
@@ -61,7 +60,7 @@ from .closedform import (
     weight_of,
 )
 from .errors import RankTooSmall, is_int
-from .kostant import check_target, qanalogs
+from .kostant import check_target, qanalogs, roots_below
 from .polyring import QPoly
 from .rootsys import LIE_TYPES, MIN_RANK, build_root_system, highest_root, positive_root_count
 from .stats import (
@@ -206,7 +205,7 @@ def run_all(max_rank: int = 8):
     for t, weights in requests:
         system = built[t, max_rank]
         join = tuple(map(max, zip(*weights)))
-        key = tuple(root for root in system.positive_roots if all(map(le, root, join)))
+        key = tuple(roots_below(system, join))
         table = shared.setdefault(key, (system, {}))[1]
         table.update(dict.fromkeys(weights))
         reads.append((table, weights))

@@ -52,7 +52,7 @@ def criterion(n, label, budget=None):
 def suite_specs(max_rank=10):
     for t in LIE_TYPES:
         for r in range(MIN_RANK[t], max_rank + 1):
-            for spec in iter_support_specs(t, r, max_bumps=2, max_extra=3):
+            for spec in iter_support_specs(t, r):
                 yield spec
 
 

@@ -25,6 +25,7 @@ from qkostant import (
     closedform,
     highest_root,
     qanalog,
+    rootsys,
 )
 
 
@@ -218,15 +219,15 @@ def test_qpoly_fold_budget_refused_before_the_root_system(capsys, monkeypatch):
     assert err.startswith("error: lattice fold over")
 
 
+def _refuse_listing(*args):
+    raise AssertionError("roots listed for a refused listing")
+
+
 def test_roots_listing_budget_refused_before_the_root_system(capsys, monkeypatch):
     from qkostant.rootsys import MAX_LISTING_ENTRIES, check_listing
 
     check_listing("A", 120)  # the broken-pipe test's listing is inside the budget
-
-    def refuse(*args):
-        raise AssertionError("root system built for a refused listing")
-
-    monkeypatch.setattr(cli, "build_root_system", refuse)
+    monkeypatch.setattr(rootsys, "_positive_roots", _refuse_listing)
     start = time.perf_counter()
     for t, r in [("A", 128), ("B", 102), ("D", 100000)]:
         rc, out, err = run_cli(["roots", "--type", t, "--rank", str(r)], capsys)
@@ -235,6 +236,22 @@ def test_roots_listing_budget_refused_before_the_root_system(capsys, monkeypatch
         assert err.startswith("error: root listing of")
         assert f"budget of {MAX_LISTING_ENTRIES}" in err
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("lie_type, rank", [("A", 128), ("B", 102), ("C", 102), ("D", 102)])
+def test_oracle_listing_budget_refused_before_any_root(capsys, monkeypatch, lie_type, rank):
+    # a sparse weight's box is small, but the listing the oracle folds from
+    # is over budget; one rank lower it is inside
+    from qkostant.rootsys import MAX_LISTING_ENTRIES, check_listing
+
+    check_listing(lie_type, rank - 1)
+    monkeypatch.setattr(rootsys, "_positive_roots", _refuse_listing)
+    weight = ",".join(["0"] * (rank - 1) + ["1"])
+    rc, out, err = run_cli(["qpoly", "--type", lie_type, "--rank", str(rank),
+                            "--weight", weight, "--route", "oracle"], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: root listing of")
+    assert err.endswith(f"exceeds the budget of {MAX_LISTING_ENTRIES}\n")
 
 
 def test_qpoly_strict_disagreement_exit_code(capsys, monkeypatch):
@@ -919,8 +936,8 @@ _FUZZ_VALUES = ("", "-1", "0", "1", "3", "6", "x", "1,2", "-1,2", "1,,2", "highe
 
 
 def _fuzz_argv(st):
-    """argv of a command (or a stray word), a valid start and up to four
-    tokens: a flag of the command or of any, a prefix of one, or junk, with
+    """argv of a command (or a stray word), a valid start with a format and
+    up to four tokens: a flag of the command or of any, a prefix of one, or junk, with
     a value after it, after "=", or none."""
     every = sorted({f[0] for _, flags in cli._COMMANDS.values() for f in flags})
     value = st.one_of(st.sampled_from(_FUZZ_VALUES), st.text("0,:-.xAe ", max_size=6))
@@ -951,6 +968,11 @@ def _fuzz_argv(st):
             lambda t: ["--family", t[0], "--ranks", f"{t[1]},6"]),
         "verify": small.map(lambda r: ["--max-rank", r]),
     }
+    # ... and a format, so the JSON and CSV checks see every command
+    for command, flags in start.items():
+        choices = next(f[2] for f in cli._COMMANDS[command][1] if f[0] == "--format")
+        start[command] = st.tuples(flags, st.sampled_from(choices)).map(
+            lambda t: [*t[0], "--format", t[1]])
 
     def argv(command):
         names = [f[0] for f in cli._COMMANDS[command][1]] if command in start else every
@@ -987,15 +1009,36 @@ def test_fuzzed_argv_exit_codes(capsys):
     def check(argv):
         capsys.readouterr()
         rc = cli.main(argv)
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert rc in (0, 1, 2, 3, 64), argv
         if rc in (2, 64):
             prefix = "error: " if rc == 2 else "usage error: "
             assert err.startswith(prefix) and err.count("\n") == 1, (argv, err)
-        else:
-            assert err == "", (argv, err)
+            return
+        assert err == "", (argv, err)
+        args = cli._parse_args(argv)  # None when the help was printed
+        if args is None:
+            return
+        if args.format == "json":
+            check_json(out)
+        elif args.format == "csv":
+            for cell in (c for row in csv.reader(io.StringIO(out)) for c in row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), (argv, cell)
 
     check()
+
+
+def test_json_refuses_a_non_finite_float(capsys):
+    # RFC 8259 has no Infinity or NaN: _emit raises rather than print one
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        out = cli._Output({}, {"value": bad}, ("value",), [(bad,)])
+        with pytest.raises(ValueError):
+            cli._emit("json", "stats", out)
+    assert capsys.readouterr().out == ""
 
 
 def test_non_integer_support_entry_exits_64(capsys):

@@ -76,13 +76,13 @@ def test_weight_of_and_counters():
 
 
 def test_iter_support_specs_deterministic_and_complete():
-    first = list(iter_support_specs("A", 7, max_bumps=2, max_extra=2))
-    second = list(iter_support_specs("A", 7, max_bumps=2, max_extra=2))
+    first = list(iter_support_specs("A", 7))
+    second = list(iter_support_specs("A", 7))
     assert first == second
     assert len(first) == len(set(first))
     # rank 7 type A interior is {2..6}: 1 empty, 5 singles, 6 nonconsecutive
-    # pairs, with 2 extras per bumped index
-    assert len(first) == 1 + 5 * 2 + 6 * 4
+    # pairs, with 3 extras per bumped index
+    assert len(first) == 1 + 5 * 3 + 6 * 9
     assert all(s.bump_count <= 2 for s in first)
     assert list(iter_support_specs("B", 4)) == []
 
@@ -92,13 +92,17 @@ def test_iter_support_specs_deterministic_and_complete():
 def test_product_matches_oracle():
     for t, r in [("A", 5), ("A", 8), ("B", 5), ("B", 7), ("C", 6), ("D", 8)]:
         system = build_root_system(t, r)
-        specs = list(iter_support_specs(t, r, max_bumps=2, max_extra=2))
+        specs = list(iter_support_specs(t, r))
         for spec in rng.sample(specs, min(12, len(specs))):
             assert product_qpoly(spec) == qanalog(system, weight_of(spec)), spec
 
 
 def test_product_total_count():
-    for spec in iter_support_specs("A", 9, max_bumps=3, max_extra=1):
+    # the bump family has at most 2 bumps; add every 3-bump spec of A9
+    # with one extra copy per bump
+    three = [SupportSpec("A", 9, ((i, 1), (j, 1), (k, 1)))
+             for i in range(2, 9) for j in range(i + 2, 9) for k in range(j + 2, 9)]
+    for spec in [*iter_support_specs("A", 9), *three]:
         r, ell = spec.rank, spec.bump_count
         assert product_qpoly(spec)(1) == 2 ** (r - 1 - 2 * ell) * 5 ** ell
 

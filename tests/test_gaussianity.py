@@ -13,6 +13,7 @@ from qkostant import (
     InvalidSupport,
     QPoly,
     RankTooSmall,
+    SupportSpec,
     ZeroDistribution,
     convergence_sweep,
     family_poly,
@@ -168,6 +169,28 @@ def test_family_poly_validation():
         family_poly("product", 20, bumps=-1)
     with pytest.raises(InvalidSupport, match="--bumps only applies to the product family"):
         family_poly("B", 20, bumps=2)
+
+
+def _refusal(call, *args):
+    try:
+        call(*args)
+    except InvalidSupport as exc:
+        return str(exc)
+    return None
+
+
+def test_product_family_refuses_exactly_what_support_spec_refuses():
+    # family_poly bumps indices 2, 4, ..., 2*bumps by one; it refuses a rank
+    # where SupportSpec refuses that pattern, with its own message
+    for rank in range(1, 41):
+        for bumps in range(21):
+            entries = tuple((2 * i, 1) for i in range(1, bumps + 1))
+            spec = _refusal(SupportSpec, "A", rank, entries)
+            family = _refusal(family_poly, "product", rank, bumps)
+            assert (family is None) == (spec is None), (rank, bumps)
+            if family is not None:
+                assert family == (f"product family with --bumps {bumps} needs rank > "
+                                  f"{2 * bumps}, got {rank}")
 
 
 def test_family_poly_refuses_a_bump_count_that_is_not_an_int():

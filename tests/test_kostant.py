@@ -28,9 +28,9 @@ from qkostant.kostant import (
     _cell_indices,
     _decode,
     _plan,
-    _roots_below,
     _sweep,
     qanalogs,
+    roots_below,
 )
 from qkostant.kronecker import unpack_fields
 from qkostant.transfer import PrefixTransfer
@@ -144,7 +144,7 @@ def test_degree_and_lowest_exponent_bounds():
 def capped_count(system, w):
     """The transfer DP's count pass over the roots below w with qanalog's
     cap: None when qanalog folds a lone w."""
-    dp = PrefixTransfer(_roots_below(system, w), w)
+    dp = PrefixTransfer(roots_below(system, w), w)
     return dp.packed(0, math.prod(c + 1 for c in w) // UNIT_CELLS)
 
 
@@ -328,7 +328,7 @@ def test_fold_runs_match_a_per_cell_fold():
             for w in all_weights(r, 2):
                 roots = [root for root in system.positive_roots
                          if all(a <= b for a, b in zip(root, w))]
-                orders = (roots, roots[::-1], _roots_below(system, w))
+                orders = (roots, roots[::-1], roots_below(system, w))
                 for order in orders:
                     assert fold_cells(order, w, (w,))[0] == per_cell_fold(order, w), (
                         t, r, w, order)
@@ -354,7 +354,7 @@ def test_sweep_at_width_0_sums_the_fields_of_the_packed_sweep():
         members = [w] + [w[:k] + (c - 1,) + w[k + 1:] for k, c in enumerate(w) if c]
         roots = [root for root in system.positive_roots
                  if all(a <= b for a, b in zip(root, w))]
-        for order in (roots, roots[::-1], _roots_below(system, w)):
+        for order in (roots, roots[::-1], roots_below(system, w)):
             plan, total, cells = _plan(order, w, members)
             unfinished, _, _ = _plan(order, w, ((0,) * r, w))
             assert (sum(len(starts) * run for _, starts, run in plan)
@@ -374,7 +374,7 @@ def test_fold_order_keeps_blocks_and_descends_inside_each():
         for r in range(MIN_RANK[t], 7):
             system = build_root_system(t, r)
             w = system.highest_root
-            order = _roots_below(system, w)
+            order = roots_below(system, w)
             assert sorted(order) == list(system.positive_roots)
             leads = [next(i for i, c in enumerate(root) if c) for root in order]
             assert leads == sorted(leads, reverse=True)
@@ -387,7 +387,7 @@ def test_a_all_ones_sweeps_one_cell_less_than_its_box():
     # cell alone once the coordinates after its support are finished
     for r in range(1, 13):
         w = (1,) * r
-        plan, total, _ = _plan(_roots_below(build_root_system("A", r), w), w, (w,))
+        plan, total, _ = _plan(roots_below(build_root_system("A", r), w), w, (w,))
         assert total == 2 ** r
         assert sum(len(starts) * run for _, starts, run in plan) == 2 ** r - 1
 
@@ -419,7 +419,7 @@ def test_finished_ranges_never_sweep_more_cells(monkeypatch):
     for t, r, support in _ORACLE_FOLD_TARGETS:
         system = build_root_system(t, r)
         w = system.highest_root if support is None else weight_of(SupportSpec(t, r, support))
-        folds.append((_roots_below(system, w), w, (w,)))
+        folds.append((roots_below(system, w), w, (w,)))
     work = []  # (cells, runs) swept by each fold
     for roots, box, targets in folds:
         # members spanning the whole box finish no coordinate short of it
@@ -442,7 +442,7 @@ def test_highest_root_plans_are_pinned(lie_type, rank, cells, runs):
     # the (cells, runs) each single-target highest-root fold sweeps
     system = build_root_system(lie_type, rank)
     w = system.highest_root
-    plan, _, _ = _plan(_roots_below(system, w), w, (w,))
+    plan, _, _ = _plan(roots_below(system, w), w, (w,))
     assert sum(len(starts) * run for _, starts, run in plan) == cells
     assert sum(len(starts) for _, starts, _ in plan) == runs
 
@@ -580,7 +580,7 @@ def test_property_qanalogs_passes_once_per_maximal_target(monkeypatch):
 def transfer_coefficients(system, w):
     """Both passes of the transfer DP over the roots below w, uncapped,
     checking that the count pass sums the packed pass's fields."""
-    dp = PrefixTransfer(_roots_below(system, w), w)
+    dp = PrefixTransfer(roots_below(system, w), w)
     count = dp.packed(0)
     width = count.bit_length()
     coeffs = unpack_fields(dp.packed(width), width)
@@ -589,7 +589,7 @@ def transfer_coefficients(system, w):
 
 
 def fold_coefficients(system, w):
-    return fold_cells(_roots_below(system, w), w, (w,))[0]
+    return fold_cells(roots_below(system, w), w, (w,))[0]
 
 
 def test_transfer_matches_the_fold_on_a_small_grid():
@@ -694,7 +694,7 @@ def test_capped_count_pass_builds_no_share_list_over_the_cap():
     system = build_root_system("B", 2)
     w = (1023, 1023)
     cap = math.prod(c + 1 for c in w) // UNIT_CELLS
-    dp = PrefixTransfer(_roots_below(system, w), w)
+    dp = PrefixTransfer(roots_below(system, w), w)
     assert dp.packed(0, cap) is None
     assert all(len(shares) <= cap for step in dp.steps for shares in step.values())
     start = time.perf_counter()
@@ -728,7 +728,7 @@ def test_oracle_fold_weights_pin_their_method_and_units(monkeypatch, lie_type, r
     from qkostant import kostant
 
     system = build_root_system(lie_type, rank)
-    roots = _roots_below(system, weight)
+    roots = roots_below(system, weight)
     # a fresh pass finishes with exactly `units` to spend and stops with one less
     assert PrefixTransfer(roots, weight).packed(0, units) is not None
     assert PrefixTransfer(roots, weight).packed(0, units - 1) is None
